@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .hilbert import HilbertData, degree_of, expand, hilbert_gp
 from .ratpoly import RatPoly
 from .root_system import all_simple_types, marked
 from .varieties import abelian_ci, abelian_spec_from_json, complete_intersection, double_cover
-from .verify import StripReport, approx_roots, check_line, strip_report
+from .verify import DOUBLE_DIGITS, StripReport, approx_roots, check_line, strip_report
 
 HARD_RANK_CAP = 10
 
@@ -83,6 +84,9 @@ def canonical_json(obj) -> str:
 
 
 def _approx_block(poly: RatPoly, digits: int) -> dict:
+    """The advisory float roots; `digits` is capped at what a double carries,
+    and an iteration that did not settle is recorded, never raised."""
+    roots = approx_roots(poly, digits)
     values = [
         {
             "re": r.value.real,
@@ -90,9 +94,14 @@ def _approx_block(poly: RatPoly, digits: int) -> dict:
             "mult": r.multiplicity,
             "residual": r.residual,
         }
-        for r in approx_roots(poly, digits)
+        for r in roots
     ]
-    return {"advisory": True, "digits": digits, "values": values}
+    return {
+        "advisory": True,
+        "converged": all(r.converged for r in roots),
+        "digits": min(digits, DOUBLE_DIGITS),
+        "values": values,
+    }
 
 
 def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> dict:
@@ -174,7 +183,8 @@ def render_text(report: dict) -> str:
             f"{v['re']:+.6f}{v['im']:+.6f}i (x{v['mult']})"
             for v in report["approx_roots"]["values"]
         )
-        lines.append(f"approx roots (advisory): {vals}")
+        note = "" if report["approx_roots"]["converged"] else ", iteration did not converge"
+        lines.append(f"approx roots (advisory{note}): {vals}")
     return "\n".join(lines) + "\n"
 
 
@@ -211,8 +221,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         base = os.environ.get("CANSTRIP_OUT_DIR")
         if base:
             out = os.path.join(base, out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _exit_code(rep: StripReport) -> int:
@@ -415,7 +428,7 @@ def cmd_sweep(args) -> int:
         try:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_sweep_case, cases, chunksize=8))
-        except (OSError, PermissionError):
+        except (OSError, BrokenProcessPool):
             rows = [_sweep_case(c) for c in cases]
 
     failures = [r for r in rows if not r["ok"]]

@@ -3,13 +3,18 @@
 Coefficients are `fractions.Fraction`, stored lowest degree first, with no
 trailing zeros (the zero polynomial has an empty coefficient tuple).  Every
 operation here is exact; floats never enter any verdict-relevant path.
+
+The certification kernels (affine substitution, gcd and Sturm chains) work
+on integer coefficient lists instead: a polynomial is split once into a
+positive rational content times a primitive integer list, so the inner loops
+multiply and add plain integers and never reduce a fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -124,15 +129,26 @@ class RatPoly:
         return RatPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> RatPoly:
-        """Return p(a*z + b), exactly.  a must be non-zero."""
+        """Return p(a*z + b), exactly.  a must be non-zero.
+
+        An integer Taylor shift: write a*z + b = (A*z + B)/D with integers
+        and p = content * P with P primitive of degree n.  Then
+        p(a*z + b) = content/D^n * sum_i P_i D^(n-i) (A*z + B)^i, so the
+        denominators are cleared once, the shift by B and the scaling by A
+        run on integers, and one rescale by content/D^n returns to Q.
+        """
         a, b = Fraction(a), Fraction(b)
         if a == 0:
             raise ValueError("affine substitution needs a != 0")
-        t = RatPoly((b, a))
-        acc = RatPoly(())
-        for c in reversed(self.coeffs):
-            acc = acc * t + RatPoly.const(c)
-        return acc
+        if self.degree < 1:
+            return self
+        ints, content = _integer_form(self)
+        n = len(ints) - 1
+        den = lcm(a.denominator, b.denominator)
+        ints = [c * den ** (n - i) for i, c in enumerate(ints)]
+        _taylor_shift(ints, b.numerator * (den // b.denominator))
+        scale = a.numerator * (den // a.denominator)
+        return _from_integer([c * scale**i for i, c in enumerate(ints)], content / den**n)
 
     def __divmod__(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
         if other.is_zero:
@@ -164,23 +180,6 @@ class RatPoly:
             return self
         return self / self.leading
 
-    def scaled_primitive(self) -> RatPoly:
-        """Rescale by a positive rational to integer coprime coefficients.
-
-        Positive scaling preserves all evaluation signs, which is all the
-        Sturm machinery needs.
-        """
-        if self.is_zero:
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        return RatPoly(tuple(Fraction(v, g) for v in ints))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -203,12 +202,76 @@ class RatPoly:
         return " ".join(parts)
 
 
+def _integer_form(p: RatPoly) -> tuple[list[int], Fraction]:
+    """Split p into a primitive integer list and a positive rational content.
+
+    p = content * ints.  The content is positive, so the list carries p's
+    evaluation signs, which is all the Sturm machinery needs.  The zero
+    polynomial gives ([], 0).
+    """
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*ints)
+    return [v // g for v in ints], Fraction(g, den)
+
+
+def _from_integer(ints: list[int], content: Fraction) -> RatPoly:
+    num, den = content.numerator, content.denominator
+    return RatPoly(tuple(Fraction(v * num, den) for v in ints))
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """Divide out the (positive) gcd of the coefficients."""
+    g = gcd(*ints)
+    return ints if g == 1 else [v // g for v in ints]
+
+
+def _taylor_shift(ints: list[int], b: int) -> None:
+    """Replace P(x) by P(x + b) in place, with integer additions and
+    multiplications by b only (the classical quadratic scheme, von zur
+    Gathen and Gerhard, ISSAC 1997)."""
+    if b == 0:
+        return
+    n = len(ints) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            ints[j] += b * ints[j + 1]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a positive integer, over the integers.
+
+    A Sturm chain needs the true sign of each remainder, so the multiplier
+    must be positive: b is negated when its leading coefficient is negative
+    (which leaves the remainder over Q unchanged), and each elimination step
+    multiplies by lc(b)/g > 0, with g the gcd of the two leading terms.
+    """
+    if b[-1] < 0:
+        b = [-v for v in b]
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        lr = r.pop()
+        if lr:
+            g = gcd(lb, lr)
+            m, k = lb // g, lr // g
+            if m != 1:
+                r = [m * v for v in r]
+            shift = len(r) - db
+            for i in range(db):
+                r[shift + i] -= k * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1].scaled_primitive()
-    return a.monic()
+    """Monic gcd by a primitive remainder sequence over the integers
+    (Brown and Traub, JACM 1971)."""
+    a, b = _integer_form(p)[0], _integer_form(q)[0]
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _from_integer(a, Fraction(1, a[-1])) if a else RatPoly(())
 
 
 def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
@@ -264,49 +327,79 @@ class SturmCertificate:
         }
 
 
-def sturm_chain(p: RatPoly) -> list[RatPoly]:
-    chain = [p.scaled_primitive(), p.derivative().scaled_primitive()]
-    while chain[-1].degree > 0:
-        r = divmod(chain[-2], chain[-1])[1]
-        if r.is_zero:
+def _sturm_sequence(p: RatPoly) -> list[list[int]]:
+    """p, p', then the negated pseudo-remainders, as primitive integer lists.
+
+    Each term is a positive multiple of the classical Sturm term, so it has
+    the same signs everywhere.  The last term is gcd(p, p') up to a
+    constant, so p is square-free exactly when it is constant.
+    """
+    if p.degree < 1:
+        raise ValueError("need a non-constant polynomial")
+    s0 = _integer_form(p)[0]
+    chain = [s0, _primitive([i * v for i, v in enumerate(s0) if i])]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append((-r).scaled_primitive())
+        chain.append(_primitive([-v for v in r]))
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def sturm_chains(p: RatPoly) -> list[tuple[RatPoly, list[list[int]]]]:
+    """Each square-free factor of p from Yun's decomposition, with its Sturm
+    chain.
+
+    p's own chain comes first.  When its last term is constant, p is its own
+    only factor (Yun's answer, up to a constant) and keeps the chain;
+    otherwise Yun runs and each factor gets a chain of its own.  Either way
+    the remainder sequence of p and p' is computed once.
+    """
+    chain = _sturm_sequence(p)
+    if len(chain[-1]) == 1:
+        return [(p, chain)]
+    return [(f, _sturm_sequence(f)) for f, _mult in squarefree_parts(p)]
 
 
-def _sign_at(p: RatPoly, x: Optional[Fraction], side: str) -> int:
-    if p.is_zero:
-        return 0
+def _sign_at(s: list[int], x: Optional[Fraction], side: str) -> int:
+    """Sign of s at x (at -oo / +oo for side lo / hi when x is None)."""
     if x is None:
-        s = _sign(p.leading)
-        return s if side == "hi" else s * (-1) ** p.degree
-    return _sign(p(x))
+        lead = (s[-1] > 0) - (s[-1] < 0)
+        return lead if side == "hi" else lead * (-1) ** (len(s) - 1)
+    # den^deg * s(num/den) by Horner, integers only
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(s):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[RatPoly], x: Optional[Fraction], side: str) -> int:
+def _variations(chain: list[list[int]], x: Optional[Fraction], side: str) -> int:
     signs = [s for s in (_sign_at(q, x, side) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def sturm_count(p: RatPoly, lo: Optional[Fraction], hi: Optional[Fraction]) -> SturmCertificate:
-    """Count distinct real roots of square-free p in (lo, hi]."""
-    if p.degree < 1:
-        raise ValueError("need a non-constant polynomial")
-    if not is_squarefree(p):
-        raise ValueError("polynomial is not square-free")
+def sturm_certificate(
+    chain: list[list[int]], lo: Optional[Fraction], hi: Optional[Fraction]
+) -> SturmCertificate:
+    """Count the distinct real roots in (lo, hi] from a prebuilt Sturm chain."""
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("need lo < hi")
-    chain = sturm_chain(p)
     v_lo = _variations(chain, lo, "lo")
     v_hi = _variations(chain, hi, "hi")
     n = v_lo - v_hi
     if n < 0:
         raise ConsistencyError("negative Sturm count")
     return SturmCertificate(lo, hi, len(chain), v_lo, v_hi, n)
+
+
+def sturm_count(p: RatPoly, lo: Optional[Fraction], hi: Optional[Fraction]) -> SturmCertificate:
+    """Count distinct real roots of square-free p in (lo, hi]."""
+    chain = _sturm_sequence(p)
+    if len(chain[-1]) > 1:
+        raise ValueError("polynomial is not square-free")
+    return sturm_certificate(chain, lo, hi)
 
 
 def symmetry_center(p: RatPoly) -> Optional[tuple[Fraction, int]]:

@@ -152,14 +152,25 @@ class AbelianSpec:
             seen.add(tup)
 
 
+def _json_int(value, what: str) -> int:
+    """An integer from parsed JSON; floats, strings and booleans are refused
+    rather than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def abelian_spec_from_json(obj: dict) -> AbelianSpec:
     """Parse {"n": int, "c": int, "numbers": [{"tuple": [...], "value": v}]}."""
     try:
         numbers = tuple(
-            (tuple(int(e) for e in item["tuple"]), int(item["value"]))
+            (
+                tuple(_json_int(e, "tuple entry") for e in item["tuple"]),
+                _json_int(item["value"], "intersection number"),
+            )
             for item in obj["numbers"]
         )
-        return AbelianSpec(int(obj["n"]), int(obj["c"]), numbers)
+        return AbelianSpec(_json_int(obj["n"], "n"), _json_int(obj["c"], "c"), numbers)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed abelian spec: {exc}") from exc
 

@@ -15,6 +15,7 @@ exact Sturm counts.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -26,11 +27,14 @@ from .ratpoly import (
     SturmCertificate,
     even_odd_split,
     squarefree_parts,
-    sturm_count,
+    sturm_certificate,
+    sturm_chains,
     symmetry_center,
 )
 
 HYPOTHESES = ("CS", "NCS", "TCS", "CL")
+# decimal digits a double carries; advisory approximations aim no finer
+DOUBLE_DIGITS = sys.float_info.dig
 
 
 @dataclass
@@ -46,35 +50,50 @@ class LineCheck:
     segment_boundary: bool = False
 
 
-def _certify(p: RatPoly, radius2: Fraction) -> LineCheck:
-    """Certify all roots of p on its symmetry line, allowing real pairs at
-    squared distance up to radius2 from the center."""
+def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
+    """Certify all roots of p on its symmetry line and, second, on the line
+    or real at squared distance up to radius2 from the center.
+
+    The center, the even part and its square-free factors are computed once,
+    and one Sturm chain per factor (see `sturm_chains`) serves both counts.
+    For radius2 = 0 the two checks coincide and the same object is returned
+    twice.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        return LineCheck("not_applicable", None, None)
+        line = LineCheck("not_applicable", None, None)
+        return line, line
     found = symmetry_center(p)
     if found is None:
         raise ValueError("polynomial has no symmetry center")
     center, sign = found
     _, q = even_odd_split(p, center)
     if q.degree < 1:
-        return LineCheck("certified", center, sign)
-    certs = []
-    ok = True
+        line = LineCheck("certified", center, sign)
+        return line, line
+    line_certs, segment_certs = [], []
+    line_ok = segment_ok = True
     pairs = 0
     boundary = False
-    for f, _mult in squarefree_parts(q):
-        cert = sturm_count(f, None, radius2)
-        certs.append(cert)
-        if cert.count != f.degree:
-            ok = False
+    for f, chain in sturm_chains(q):
+        on_line = sturm_certificate(chain, None, Fraction(0))
+        line_certs.append(on_line)
+        line_ok = line_ok and on_line.count == f.degree
         if radius2 > 0:
-            on_line = sturm_count(f, None, Fraction(0))
+            cert = sturm_certificate(chain, None, radius2)
+            segment_certs.append(cert)
+            segment_ok = segment_ok and cert.count == f.degree
             pairs += cert.count - on_line.count
             if f(radius2) == 0:
                 boundary = True
-    return LineCheck("certified" if ok else "violated", center, sign, certs, pairs, boundary)
+    line = LineCheck("certified" if line_ok else "violated", center, sign, line_certs)
+    if radius2 <= 0:
+        return line, line
+    segment = LineCheck(
+        "certified" if segment_ok else "violated", center, sign, segment_certs, pairs, boundary
+    )
+    return line, segment
 
 
 def check_line(p: RatPoly) -> LineCheck:
@@ -84,7 +103,7 @@ def check_line(p: RatPoly) -> LineCheck:
     the roots lie on the line Re(z) = center iff the even-part polynomial has
     only real non-positive roots, which Sturm counts decide exactly.
     """
-    return _certify(p, Fraction(0))
+    return _certify(p, Fraction(0))[0]
 
 
 @dataclass
@@ -92,10 +111,15 @@ class ApproxRoot:
     value: complex
     multiplicity: int
     residual: float
+    converged: bool
 
 
-def _aberth(f: RatPoly, digits: int) -> list[complex]:
-    """Simultaneous (Ehrlich-Aberth) iteration on a square-free polynomial."""
+def _aberth(f: RatPoly, digits: int) -> tuple[list[complex], bool]:
+    """Simultaneous (Ehrlich-Aberth) iteration on a square-free polynomial.
+
+    Returns the iterates and whether they settled to `digits` digits; after
+    the last restart the unsettled iterates are returned as they stand.
+    """
     n = f.degree
     fm = f.monic()
     df = fm.derivative()
@@ -123,27 +147,31 @@ def _aberth(f: RatPoly, digits: int) -> list[complex]:
                 zs[i] -= step
                 moved = max(moved, abs(step) / max(1.0, abs(zs[i])))
             if moved < tol:
-                return zs
-    raise RuntimeError(f"root iteration did not converge for {f}")
+                return zs, True
+    return zs, False
 
 
 def approx_roots(p: RatPoly, digits: int = 12) -> list[ApproxRoot]:
     """Float approximations of all roots, with multiplicities and residuals.
 
     Multiplicities come from the exact square-free decomposition; each
-    square-free factor is handled by Ehrlich-Aberth iteration.  Advisory
+    square-free factor is handled by Ehrlich-Aberth iteration, aiming at
+    `digits` digits but at most DOUBLE_DIGITS.  A factor whose iteration does
+    not settle keeps its last iterates, marked not converged.  Advisory
     only: nothing here certifies anything.
     """
     if p.degree < 1:
         raise ValueError("need deg >= 1")
     if digits < 1:
         raise ValueError("need digits >= 1")
+    digits = min(digits, DOUBLE_DIGITS)
     out = []
     for f, mult in squarefree_parts(p):
-        for z in _aberth(f, digits):
+        zs, converged = _aberth(f, digits)
+        for z in zs:
             if abs(z.imag) < 10.0 ** (-digits):
                 z = complex(z.real, 0.0)
-            out.append(ApproxRoot(z, mult, abs(p(z))))
+            out.append(ApproxRoot(z, mult, abs(p(z)), converged))
     out.sort(key=lambda r: (round(r.value.real, 9), round(r.value.imag, 9)))
     return out
 
@@ -212,8 +240,7 @@ def strip_report(hd: HilbertData, digits: Optional[int] = None) -> StripReport:
         half_width = Fraction(1, 2) - Fraction(1, iota)
         radius2 = half_width**2 if half_width > 0 else Fraction(0)
         try:
-            line = _certify(res, Fraction(0))
-            dichotomy = _certify(res, radius2) if radius2 > 0 else line
+            line, dichotomy = _certify(res, radius2)
         except ValueError:
             line = dichotomy = LineCheck("violated", None, None)
         if line.status != "not_applicable" and line.center != Fraction(-1, 2):

@@ -44,6 +44,14 @@ def pshift(p, d):
     return acc
 
 
+def pcompose_affine(p, a, b):
+    """p(a*z + b) by Horner over Fraction lists."""
+    acc = []
+    for c in reversed(p):
+        acc = padd(pmul(acc, [Fraction(b), Fraction(a)]), [Fraction(c)])
+    return acc
+
+
 def peval(p, x):
     acc = Fraction(0)
     for c in reversed(p):

@@ -1,5 +1,10 @@
+import hashlib
 import json
+from concurrent.futures.process import BrokenProcessPool
 
+import pytest
+
+import canstrip.cli
 from canstrip.cli import CSV_COLUMNS, canonical_json, main
 
 
@@ -57,7 +62,69 @@ class TestGp:
         )
         report = json.loads(out)
         assert report["approx_roots"]["advisory"] is True
+        assert report["approx_roots"]["converged"] is True
         assert len(report["approx_roots"]["values"]) == 2
+
+    def test_unsettled_approximation_keeps_the_verdict(self, capsys):
+        # the float iteration cannot settle E8/P4's clustered rational roots
+        # to 12 digits; that is recorded in the advisory block, and the
+        # exit code still comes from the exact verdicts
+        code, out, err = run(
+            capsys, "gp", "--type", "E8", "--node", "4", "--format", "json", "--digits", "12"
+        )
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdicts"]["TCS"] == "holds"
+        assert report["approx_roots"]["converged"] is False
+        assert sum(v["mult"] for v in report["approx_roots"]["values"]) == report["dim"]
+        code, out, _ = run(capsys, "gp", "--type", "E8", "--node", "4", "--digits", "12")
+        assert code == 0
+        assert "approx roots (advisory, iteration did not converge):" in out
+
+
+class TestErrors:
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x"
+        code, out, err = run(
+            capsys, "gp", "--type", "A", "--rank", "2", "--node", "1", "--out", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_broken_pool_falls_back_to_serial(self, capsys, monkeypatch):
+        argv = ["sweep", "--series", "A", "--max-rank", "2", "--max-total-degree", "2",
+                "--format", "csv"]
+        code, serial, _ = run(capsys, *argv)
+        assert code == 0
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(canstrip.cli, "ProcessPoolExecutor", BrokenPool)
+        code, pooled, err = run(capsys, *argv, "--jobs", "2")
+        assert code == 0 and err == ""
+        assert pooled == serial
+
+
+class TestGolden:
+    def test_e8_p4_cubic_section_bytes(self, capsys):
+        code, out, _ = run(
+            capsys, "ci", "--type", "E8", "--node", "4", "--degrees", "3", "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "0f75620c7aff692a992af58df2429f827cfe1a6c2e63b18f59d1095b93e536d0"
+        )
 
 
 class TestCi:
@@ -115,6 +182,15 @@ class TestAbelian:
         code, _, err = run(capsys, "abelian", "--spec", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_non_integer_entries_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "bad.json"
+        for item in ({"tuple": [2], "value": 2.7}, {"tuple": [2.0], "value": 2},
+                     {"tuple": [2], "value": "2"}, {"tuple": [2], "value": True}):
+            spec.write_text(json.dumps({"n": 1, "c": 1, "numbers": [item]}))
+            code, out, err = run(capsys, "abelian", "--spec", str(spec))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "must be an integer" in err
+
 
 class TestCheck:
     def test_on_line(self, capsys):
@@ -137,6 +213,15 @@ class TestCheck:
     def test_bad_coeffs(self, capsys):
         code, _, _ = run(capsys, "check", "--coeffs", "1,zz")
         assert code == 2
+
+    def test_digits_beyond_a_double_are_capped(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--coeffs", "1,0,1", "--digits", "400", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        block = json.loads(out)["approx_roots"]
+        assert block["digits"] == 15 and block["converged"] is True
+        assert sorted(v["im"] for v in block["values"]) == pytest.approx([-1.0, 1.0])
 
 
 class TestSweep:
