@@ -21,7 +21,7 @@ from typing import Optional
 
 from .hilbert import HilbertData, degree_of, expand, hilbert_gp
 from .ratpoly import RatPoly
-from .root_system import all_simple_types, marked
+from .root_system import MarkedSystem, all_simple_types, marked
 from .varieties import abelian_ci, abelian_spec_from_json, complete_intersection, double_cover
 from .verify import DOUBLE_DIGITS, StripReport, approx_roots, check_line, strip_report
 
@@ -197,7 +197,15 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _csv_row(series: str, rank: int, node: int, degrees: tuple[int, ...], report: dict) -> dict:
+Case = tuple[str, int, int, tuple[int, ...]]  # series, rank, node, degrees
+
+
+def _case(ms: MarkedSystem, degrees) -> Case:
+    return ms.rs.simple_type.series, ms.rs.simple_type.rank, ms.node, tuple(degrees)
+
+
+def _csv_row(case: Case, report: dict) -> dict:
+    series, rank, node, degrees = case
     return {
         "series": series,
         "rank": rank,
@@ -232,14 +240,13 @@ def _exit_code(rep: StripReport) -> int:
     return 0 if rep.all_applicable_hold else 1
 
 
-def _single_command(args, hd: HilbertData) -> int:
+def _single_command(args, hd: HilbertData, case: Case) -> int:
     rep = strip_report(hd)
     report = variety_report(hd, rep, args.digits)
     if args.format == "json":
         _emit(canonical_json(report), args.out)
     elif args.format == "csv":
-        row = _csv_row(args._series, args._rank, args._node, args._degrees, report)
-        _emit(_csv_text([row]), args.out)
+        _emit(_csv_text([_csv_row(case, report)]), args.out)
     else:
         _emit(render_text(report), args.out)
     return _exit_code(rep)
@@ -248,18 +255,14 @@ def _single_command(args, hd: HilbertData) -> int:
 def cmd_gp(args) -> int:
     series, rank = _parse_type(args.type, args.rank)
     ms = marked(series, rank, args.node)
-    args._series, args._rank, args._node = ms.rs.simple_type.series, ms.rs.simple_type.rank, ms.node
-    args._degrees = ()
-    return _single_command(args, hilbert_gp(ms))
+    return _single_command(args, hilbert_gp(ms), _case(ms, ()))
 
 
 def cmd_ci(args) -> int:
     series, rank = _parse_type(args.type, args.rank)
     degrees = _parse_degrees(args.degrees)
     ms = marked(series, rank, args.node)
-    args._series, args._rank, args._node = ms.rs.simple_type.series, ms.rs.simple_type.rank, ms.node
-    args._degrees = tuple(degrees)
-    return _single_command(args, complete_intersection(ms, degrees))
+    return _single_command(args, complete_intersection(ms, degrees), _case(ms, degrees))
 
 
 def cmd_cover(args) -> int:
@@ -267,10 +270,7 @@ def cmd_cover(args) -> int:
         raise ValueError("--degree must be a positive integer")
     series, rank = _parse_type(args.type, args.rank)
     ms = marked(series, rank, args.node)
-    args._series, args._rank, args._node = ms.rs.simple_type.series, ms.rs.simple_type.rank, ms.node
-    args._degrees = (args.degree,)
-    hd = double_cover(ms, args.degree)
-    code = _single_command(args, hd)
+    code = _single_command(args, double_cover(ms, args.degree), _case(ms, (args.degree,)))
     if args.degree > ms.index and args.format == "text" and args.out is None:
         sys.stdout.write("note: d exceeds the index; verdicts are case-by-case, no general guarantee\n")
     return code
@@ -369,7 +369,7 @@ def _iter_multidegrees(max_total: int, max_len: int):
     yield from rec((), 1, max_total)
 
 
-def _sweep_cases(cfg: dict) -> list[tuple[str, int, int, tuple[int, ...]]]:
+def _sweep_cases(cfg: dict) -> list[Case]:
     cases = []
     series_filter = cfg["series"]
     for t in all_simple_types(cfg["max_rank"]):
@@ -385,13 +385,11 @@ def _sweep_cases(cfg: dict) -> list[tuple[str, int, int, tuple[int, ...]]]:
     return cases
 
 
-def _sweep_case(case: tuple[str, int, int, tuple[int, ...]]) -> dict:
+def _sweep_case(case: Case) -> dict:
     series, rank, node, degrees = case
-    ms = marked(series, rank, node)
-    hd = complete_intersection(ms, list(degrees))
+    hd = complete_intersection(marked(series, rank, node), list(degrees))
     rep = strip_report(hd)
-    report = variety_report(hd, rep, None)
-    row = _csv_row(series, rank, node, degrees, report)
+    row = _csv_row(case, variety_report(hd, rep, None))
     row["description"] = hd.description
     row["verdicts"] = rep.verdicts
     row["witnesses"] = rep.witnesses
@@ -406,6 +404,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep bounds must be non-negative (max rank >= 1)")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    if args.node is not None and args.node < 1:
+        raise ValueError(f"--node {args.node} is out of range (nodes start at 1)")
     series = None
     if args.series:
         series = {s.strip().upper() for s in args.series.split(",") if s.strip()}

@@ -2,8 +2,8 @@
 
 The primary object is the table of exponents h_{l,k}: the number of positive
 roots at level l whose rho-pairing equals k.  The polynomial itself is the
-product of the factors ((l*z + k)/k)^h times a residual factor, and is only
-expanded on demand; the section/cover recursion operates on the tables.
+product of the factors ((l*z + k)/k)^h times a residual factor, multiplied
+out once per object on integers; the section/cover recursion uses the tables.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .ratpoly import ConsistencyError, RatPoly
+from .ratpoly import ConsistencyError, RatPoly, _from_integer, _integer_form, _scaled_value
 from .root_system import MarkedSystem, rho_pair
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelTable:
     """Exponents of one level's factors, keyed by the rho-pairing value k.
 
@@ -44,10 +44,8 @@ class LevelTable:
 
     def factor(self) -> RatPoly:
         """The product of ((l*z + k)/k)^h over the table, in the L-variable."""
-        out = RatPoly.one()
-        for k, h in self.sorted_items():
-            out = out * (RatPoly((Fraction(1), Fraction(self.level) / k)) ** h)
-        return out
+        factors = [(self.level, k, h) for k, h in self.sorted_items()]
+        return multiply_linear(RatPoly.one(), factors, normalized=True)
 
     def check_symmetric(self, index: int) -> None:
         """Assert property (S): h at k matches h at level*index - k."""
@@ -77,34 +75,63 @@ class LevelTable:
         ]
 
 
+def multiply_linear(base: RatPoly, factors: list, normalized: bool = False) -> RatPoly:
+    """base times the product of (l*z + k)^h over (l, k, h), or of
+    ((l*z + k)/k)^h when normalized, multiplied out on integers: with k = p/q
+    in lowest terms a factor is (l*q*z + p) over q (over p when normalized),
+    so one content carries every denominator."""
+    ints, content = _integer_form(base)
+    den = 1
+    for l, k, h in factors:
+        p, a = k.numerator, l * k.denominator
+        den *= (p if normalized else k.denominator) ** h
+        for _ in range(h):
+            ints.append(0)
+            for i in range(len(ints) - 1, 0, -1):
+                ints[i] = p * ints[i] + a * ints[i - 1]
+            ints[0] *= p
+    return _from_integer(ints, content / den)
+
+
 @dataclass
 class HilbertData:
     """A Hilbert polynomial in factored form with its discrete invariants.
 
     `levels` carries the rational-root factors; `residual` is the leftover
     polynomial factor in the L-variable (1 for a homogeneous space itself).
+    The expansion `poly` is multiplied out once, at construction, and every
+    reader shares it, so the factored form cannot be reassigned afterwards.
     """
 
     description: str
     dim: int
     index: int
     lmax: int
-    levels: list[LevelTable] = field(default_factory=list)
+    levels: tuple[LevelTable, ...] = ()
     residual: RatPoly = field(default_factory=RatPoly.one)
     simply_laced: bool = True  # all root lengths equal; makes (U) a theorem
+    poly: RatPoly = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "levels", tuple(self.levels))
+        factors = [(t.level, k, h) for t in self.levels for k, h in t.sorted_items()]
+        object.__setattr__(self, "poly", multiply_linear(self.residual, factors, normalized=True))
+
+    def __setattr__(self, name: str, value) -> None:
+        # the stored expansion is computed from levels and residual
+        if name in ("levels", "residual", "poly") and name in self.__dict__:
+            raise AttributeError(f"HilbertData.{name} is fixed at construction")
+        object.__setattr__(self, name, value)
 
 
 def expand(hd: HilbertData, variable: str = "ample_generator") -> RatPoly:
-    """Multiply the factored form out, in the requested variable."""
-    out = hd.residual
-    for table in hd.levels:
-        out = out * table.factor()
+    """The expansion, multiplied out once when hd was built, in the requested variable."""
     if variable == "ample_generator":
-        return out
+        return hd.poly
     if variable == "anticanonical":
         if hd.index <= 0:
             raise ValueError("anticanonical variable needs a positive index")
-        return out.compose_affine(hd.index, 0)
+        return hd.poly.compose_affine(hd.index, 0)
     raise ValueError(f"unknown variable {variable!r}")
 
 
@@ -142,9 +169,11 @@ def validate(hd: HilbertData) -> RatPoly:
         )
     if H.compose_affine(-1, -hd.index) != H * ((-1) ** hd.dim):
         raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
+    ints, content = _integer_form(H)  # split once for the whole window
     for k in range(-3, 10):
-        if H(k).denominator != 1:
-            raise ConsistencyError(f"{hd.description}: H({k}) = {H(k)} is not an integer")
+        value = content * _scaled_value(ints, k)
+        if value.denominator != 1:
+            raise ConsistencyError(f"{hd.description}: H({k}) = {value} is not an integer")
     if hd.index > 0 and H(0) != 1:
         raise ConsistencyError(f"{hd.description}: chi(O) = {H(0)} != 1")
     return H

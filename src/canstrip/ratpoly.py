@@ -4,10 +4,10 @@ Coefficients are `fractions.Fraction`, stored lowest degree first, with no
 trailing zeros (the zero polynomial has an empty coefficient tuple).  Every
 operation here is exact; floats never enter any verdict-relevant path.
 
-The certification kernels (affine substitution, gcd and Sturm chains) work
-on integer coefficient lists instead: a polynomial is split once into a
-positive rational content times a primitive integer list, so the inner loops
-multiply and add plain integers and never reduce a fraction.
+Products, exact evaluation and the certification kernels (affine substitution,
+gcd and Sturm chains) work on integer coefficient lists instead: a polynomial
+is split once into a positive rational content times a primitive integer list,
+so the inner loops multiply and add plain integers and never reduce a fraction.
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ class RatPoly:
         if isinstance(other, RatPoly):
             if self.is_zero or other.is_zero:
                 return RatPoly(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return RatPoly(tuple(out))
+            (a, ca), (b, cb) = _integer_form(self), _integer_form(other)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return _from_integer(out, ca * cb)
         s = Fraction(other)
         return RatPoly(tuple(c * s for c in self.coeffs))
 
@@ -116,10 +117,9 @@ class RatPoly:
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction, float path otherwise."""
         if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            ints, content = _integer_form(self)
+            den = x.denominator
+            return content * Fraction(_scaled_value(ints, x) * den, den ** len(ints))
         acc = 0.0 if not isinstance(x, complex) else 0j
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
@@ -176,9 +176,7 @@ class RatPoly:
         return q
 
     def monic(self) -> RatPoly:
-        if self.is_zero:
-            return self
-        return self / self.leading
+        return self if self.is_zero else self / self.leading
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -224,6 +222,16 @@ def _primitive(ints: list[int]) -> list[int]:
     """Divide out the (positive) gcd of the coefficients."""
     g = gcd(*ints)
     return ints if g == 1 else [v // g for v in ints]
+
+
+def _scaled_value(ints: list[int], x: Scalar) -> int:
+    """den^deg * P(num/den) for x = num/den, by Horner on integers only."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(ints):
+        acc = acc * num + c * power
+        power *= den
+    return acc
 
 
 def _taylor_shift(ints: list[int], b: int) -> None:
@@ -366,12 +374,7 @@ def _sign_at(s: list[int], x: Optional[Fraction], side: str) -> int:
     if x is None:
         lead = (s[-1] > 0) - (s[-1] < 0)
         return lead if side == "hi" else lead * (-1) ** (len(s) - 1)
-    # den^deg * s(num/den) by Horner, integers only
-    num, den = x.numerator, x.denominator
-    acc, power = 0, 1
-    for c in reversed(s):
-        acc = acc * num + c * power
-        power *= den
+    acc = _scaled_value(s, x)
     return (acc > 0) - (acc < 0)
 
 
@@ -413,10 +416,7 @@ def symmetry_center(p: RatPoly) -> Optional[tuple[Fraction, int]]:
         raise ValueError("need deg >= 1")
     c = -p.coeffs[n - 1] / (n * p.leading)
     s = (-1) ** n
-    mirrored = p.compose_affine(-1, 2 * c)
-    if mirrored == p * s:
-        return c, s
-    return None
+    return (c, s) if p.compose_affine(-1, 2 * c) == p * s else None
 
 
 def even_odd_split(p: RatPoly, center: Fraction) -> tuple[int, RatPoly]:

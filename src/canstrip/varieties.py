@@ -13,18 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .hilbert import HilbertData, LevelTable, expand, hilbert_gp, validate
+from .hilbert import HilbertData, LevelTable, expand, hilbert_gp, multiply_linear, validate
 from .ratpoly import ConsistencyError, RatPoly
 from .root_system import MarkedSystem
 
 
-def section_step(hd: HilbertData, d: int, kind: str) -> HilbertData:
+def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> HilbertData:
     """One degree-d step: difference for "intersection", sum for "cover".
 
     Per level, the new exponent at k is min(h_k, h_{k+l*d}); the factors the
     min rule leaves behind are collected into two leftover polynomials, and
     the residual becomes res(z)*B+ -/+ res(z-d)*B-, times the exact constant
     that restores the (l*z+k)/k normalization of the kept factors.
+    `description` names the result, by default after hd and d.
     """
     if kind not in ("intersection", "cover"):
         raise ValueError(f"unknown section kind {kind!r}")
@@ -35,8 +36,7 @@ def section_step(hd: HilbertData, d: int, kind: str) -> HilbertData:
 
     new_index = hd.index - d
     new_tables: list[LevelTable] = []
-    b_plus = RatPoly.one()
-    b_minus = RatPoly.one()
+    plus, minus = [], []  # leftover factors (l, k, e) of H(z) and of H(z-d)
     scale = Fraction(1)
 
     for table in hd.levels:
@@ -52,14 +52,13 @@ def section_step(hd: HilbertData, d: int, kind: str) -> HilbertData:
             # leftover of H^l(z); for a simply-laced mark these factors sit
             # strictly left of the new center, but mixed-length marks can
             # leak them across (C4/P2 with d=1 is the smallest case)
-            e_plus = h - m
-            if e_plus > 0:
-                b_plus = b_plus * (RatPoly((k, Fraction(l))) ** e_plus)
+            if h > m:
+                plus.append((l, k, h - m))
             # leftover of H^l(z-d): factor position k - l*d
             pos = k - shift
             e_minus = h - min(exps.get(pos, 0), h)
             if e_minus > 0:
-                b_minus = b_minus * (RatPoly((pos, Fraction(l))) ** e_minus)
+                minus.append((l, pos, e_minus))
         if kept:
             new_table = LevelTable(l, kept)
             # with equal root lengths the level supports have no holes and
@@ -70,14 +69,14 @@ def section_step(hd: HilbertData, d: int, kind: str) -> HilbertData:
             new_tables.append(new_table)
 
     sign = -1 if kind == "intersection" else 1
-    shifted = hd.residual.compose_affine(1, -d)
-    residual = (hd.residual * b_plus + sign * (shifted * b_minus)) * scale
+    res = hd.residual * scale
+    residual = multiply_linear(res, plus) + multiply_linear(res.compose_affine(1, -d), minus) * sign
 
     if kind == "intersection":
-        desc = f"{hd.description} ∩ ({d})"
+        desc = description or f"{hd.description} ∩ ({d})"
         new_dim = hd.dim - 1
     else:
-        desc = f"double cover of {hd.description} branched in |{2 * d}L|"
+        desc = description or f"double cover of {hd.description} branched in |{2 * d}L|"
         new_dim = hd.dim
 
     out = HilbertData(
@@ -101,16 +100,12 @@ def section_step(hd: HilbertData, d: int, kind: str) -> HilbertData:
 
 def complete_intersection(ms: MarkedSystem, degrees: list[int]) -> HilbertData:
     """Iterated hypersurface sections of the given degrees."""
+    if len(degrees) > ms.dim:
+        raise ValueError(f"{len(degrees)} hypersurfaces in {ms.description} of dimension {ms.dim}")
     hd = hilbert_gp(ms)
-    if len(degrees) > hd.dim:
-        raise ValueError(
-            f"{len(degrees)} hypersurfaces in {hd.description} of dimension {hd.dim}"
-        )
-    if degrees:
-        for d in degrees:
-            hd = section_step(hd, d, "intersection")
-        joined = ",".join(str(d) for d in degrees)
-        hd.description = f"{ms.description} ∩ ({joined})"
+    for i, d in enumerate(degrees, 1):
+        desc = f"{ms.description} ∩ ({','.join(str(e) for e in degrees[:i])})"
+        hd = section_step(hd, d, "intersection", desc)
     return hd
 
 

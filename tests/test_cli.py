@@ -259,6 +259,12 @@ class TestSweep:
         assert code == 2
         assert "hard cap" in err
 
+    @pytest.mark.parametrize("node", ["0", "-2"])
+    def test_node_below_one_is_rejected(self, capsys, node):
+        code, out, err = run(capsys, "sweep", "--max-rank", "2", "--node", node)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "out of range" in err and err.count("\n") == 1
+
     def test_determinism_across_jobs(self, tmp_path, capsys):
         outputs = []
         for jobs in (1, 4):

@@ -3,11 +3,19 @@ from math import factorial
 
 import pytest
 
-from canstrip.hilbert import HilbertData, LevelTable, degree_of, expand, hilbert_gp, validate
+from canstrip.hilbert import (
+    HilbertData,
+    LevelTable,
+    degree_of,
+    expand,
+    hilbert_gp,
+    multiply_linear,
+    validate,
+)
 from canstrip.ratpoly import ConsistencyError, RatPoly
 from canstrip.root_system import all_simple_types, build_root_system, mark, marked, rho_pair
 
-from oracles import binom_poly, peval
+from oracles import binom_poly, peval, pmul
 
 E6_P4_TABLES = {
     1: {1: 1, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
@@ -149,3 +157,46 @@ class TestValidate:
         hd = HilbertData("broken", 1, 1, 1, [], RatPoly((2, 2)))
         with pytest.raises(ConsistencyError):
             validate(hd)
+
+    def test_non_integer_value_detected(self):
+        # (z + 1)/2 on P^1: right degree and anticanonical symmetry, H(0) = 1/2
+        hd = HilbertData("broken", 1, 2, 1, [LevelTable(1, {Fraction(1): 1})], RatPoly.const(Fraction(1, 2)))
+        with pytest.raises(ConsistencyError, match="is not an integer"):
+            validate(hd)
+
+
+class TestIntegerKernel:
+    def test_expansion_matches_the_product_of_root_factors(self):
+        # straight from the root list: one factor (l*z + k)/k per root, so
+        # the level tables are bypassed; B, C, F4 and G2 bring keys k = p/q
+        # with q > 1, where the integer factor is (l*q*z + p)/p
+        fractional = 0
+        for t in all_simple_types(4):
+            rs = build_root_system(t)
+            for node in range(1, t.rank + 1):
+                ms = mark(rs, node)
+                want = [Fraction(1)]
+                for level, roots in ms.levels.items():
+                    for a in roots:
+                        k = rho_pair(ms, a)
+                        fractional += k.denominator > 1
+                        want = pmul(want, [Fraction(1), level / k])
+                assert list(expand(hilbert_gp(ms)).coeffs) == want, ms.description
+        assert fractional > 0
+
+    def test_unnormalized_factors_with_zero_and_negative_keys(self):
+        base = RatPoly((Fraction(1, 2), Fraction(-3)))
+        factors = [(2, Fraction(-3, 2), 2), (1, Fraction(0), 1), (3, Fraction(5, 4), 1)]
+        want = list(base.coeffs)
+        for level, k, h in factors:
+            for _ in range(h):
+                want = pmul(want, [k, Fraction(level)])
+        assert list(multiply_linear(base, factors).coeffs) == want
+
+    def test_expansion_is_stored_once_and_its_sources_are_fixed(self):
+        hd = hilbert_gp(marked("B", 3, 2))
+        assert expand(hd) is hd.poly is expand(hd)
+        assert isinstance(hd.levels, tuple)
+        for name in ("levels", "residual", "poly"):
+            with pytest.raises(AttributeError):
+                setattr(hd, name, getattr(hd, name))

@@ -1,7 +1,11 @@
-"""Property tests of the integer certification kernels against independent
-references: the Fraction Horner substitution in `oracles`, and sympy's root
-counts and gcds (sympy is used only here, never by the package)."""
+"""Property tests of the integer kernels against independent references:
+the Fraction arithmetic in `oracles` (products, Horner evaluation and
+substitution, iterated differences), and sympy's root counts and gcds (sympy
+is used only here, never by the package).  A fuzz of the command line checks
+the exit-code contract."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -10,9 +14,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from canstrip.cli import main  # noqa: E402
+from canstrip.hilbert import expand, hilbert_gp  # noqa: E402
 from canstrip.ratpoly import RatPoly, poly_gcd, sturm_count  # noqa: E402
+from canstrip.root_system import all_simple_types, marked  # noqa: E402
+from canstrip.varieties import section_step  # noqa: E402
 
-from oracles import pcompose_affine, peval, pmul, trim  # noqa: E402
+from oracles import (  # noqa: E402
+    cover_sum,
+    iterated_difference,
+    pcompose_affine,
+    peval,
+    pmul,
+    trim,
+)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -36,6 +51,21 @@ def from_roots(roots, extra):
     for r in roots:
         p = pmul(p, [-r, Fraction(1)])
     return pmul(p, extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_mul_matches_convolution(a, b):
+    got = RatPoly(tuple(a)) * RatPoly(tuple(b))
+    assert list(got.coeffs) == pmul(trim(a), trim(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, st.one_of(st.integers(-50, 50), rationals))
+def test_exact_evaluation_matches_horner(coeffs, x):
+    got = RatPoly(tuple(coeffs))(x)
+    assert isinstance(got, Fraction)
+    assert got == peval(trim(coeffs), Fraction(x))
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,3 +141,89 @@ def test_sturm_count_through_an_odd_multiplier(sympy, sign):
     assert cert.chain_length == 4
     assert cert.count == 2 == as_sympy(sympy, coeffs).count_roots()
     assert sturm_count(RatPoly(tuple(coeffs)), None, Fraction(0)).count == 1
+
+
+MARKS = [(t.series, t.rank, node) for t in all_simple_types(4) for node in range(1, t.rank + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MARKS),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(1, 8),
+)
+def test_section_step_matches_iterated_differences(key, degrees, d):
+    """Sections and covers, read back from the factored form, against the
+    oracle's differences and sums of the expanded polynomial."""
+    hd = hilbert_gp(marked(*key))
+    H = list(expand(hd).coeffs)
+    degrees = degrees[: hd.dim]
+    cut = hd
+    for e in degrees:
+        cut = section_step(cut, e, "intersection")
+    assert list(expand(cut).coeffs) == iterated_difference(H, degrees)
+    assert (cut.dim, cut.index) == (hd.dim - len(degrees), hd.index - sum(degrees))
+    assert list(expand(section_step(hd, d, "cover")).coeffs) == cover_sum(H, d)
+
+
+SMALL_TYPES = ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A", "E9", "Q2", "", "7"]
+# mostly valid values, with a bad one now and then
+nodes = st.sampled_from(["1", "2", "3", "4"] * 3 + ["0", "-1", "9", "x", "", "1.5"])
+degree_text = st.sampled_from(
+    ["1", "2", "3", "1,1", "1,2", "2,3", "1,1,2"] * 2 + ["0", "-1,2", "a", ",,"]
+)
+coeff_text = st.lists(
+    st.sampled_from(["1", "2", "-1", "0", "3", "1/2", "-3/4"] * 2 + ["1/0", "q", ""]), max_size=5
+).map(",".join)
+
+
+def _option(name, values, present=1, absent=1):
+    """`--name value` in `present` draws out of `present + absent`, else
+    nothing, so that required options go missing too."""
+    flags = st.sampled_from([True] * present + [False] * absent)
+    return st.tuples(flags, values).map(lambda fv: [name, fv[1]] if fv[0] else [])
+
+
+space = st.tuples(
+    _option("--type", st.sampled_from(SMALL_TYPES), present=9),
+    _option("--rank", st.sampled_from(["1", "2", "3", "0", "x"]), absent=3),
+    _option("--node", nodes, present=9),
+)
+common = st.tuples(
+    _option("--format", st.sampled_from(["text", "json", "csv", "text", "json", "xml"])),
+    _option("--digits", st.sampled_from(["0", "3", "20"]), absent=3),
+)
+argvs = st.one_of(
+    st.tuples(st.just(["gp"]), space, common),
+    st.tuples(st.just(["ci"]), space, _option("--degrees", degree_text, present=9), common),
+    st.tuples(st.just(["cover"]), space, _option("--degree", nodes, present=9), common),
+    st.tuples(st.just(["check"]), _option("--coeffs", coeff_text, present=9), common),
+    st.tuples(
+        st.just(["sweep"]),
+        _option("--series", st.sampled_from(["A", "G", "B,C", "A,G", "A,Z", ""])),
+        _option("--max-rank", st.sampled_from(["1", "2", "0", "11"]), present=3),
+        _option("--node", nodes),
+        _option("--max-total-degree", st.sampled_from(["0", "1", "2", "-1"])),
+        _option("--max-codim", st.sampled_from(["1", "2", "-1"])),
+        _option("--jobs", st.sampled_from(["1", "1", "0"])),
+        common,
+    ),
+)
+
+
+def _flatten(parts):
+    if isinstance(parts, tuple):
+        return [arg for part in parts for arg in _flatten(part)]
+    return list(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argvs.map(_flatten))
+def test_cli_exit_codes_are_total(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and err.getvalue().startswith("error:"):
+        assert err.getvalue().count("\n") == 1
