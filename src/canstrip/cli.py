@@ -236,10 +236,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _exit_code(rep: StripReport) -> int:
-    return 0 if rep.all_applicable_hold else 1
-
-
 def _single_command(args, hd: HilbertData, case: Case) -> int:
     rep = strip_report(hd)
     report = variety_report(hd, rep, args.digits)
@@ -249,7 +245,7 @@ def _single_command(args, hd: HilbertData, case: Case) -> int:
         _emit(_csv_text([_csv_row(case, report)]), args.out)
     else:
         _emit(render_text(report), args.out)
-    return _exit_code(rep)
+    return 0 if rep.all_applicable_hold else 1
 
 
 def cmd_gp(args) -> int:
@@ -276,6 +272,37 @@ def cmd_cover(args) -> int:
     return code
 
 
+def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optional[str] = None) -> int:
+    """Certify the line hypothesis for a bare polynomial and emit its report:
+    `fields` are the command's own keys, `heading` starts the text line of H(z),
+    and `note` is reported when H has no symmetry center."""
+    try:
+        line = check_line(poly)
+        verdict = "fails" if line.status == "violated" else "holds"
+        center, certs, note = line.center, line.certificates, None
+    except ValueError:
+        verdict, center, certs = "fails", None, []
+    report = dict(
+        fields,
+        polynomial=[str(c) for c in poly.coeffs],
+        center=None if center is None else str(center),
+        verdicts={"CL": verdict},
+        certificates=[c.as_dict() for c in certs],
+    )
+    if note:
+        report["note"] = note
+    if args.digits is not None and poly.degree >= 1:
+        report["approx_roots"] = _approx_block(poly, args.digits)
+    if args.format == "json":
+        _emit(canonical_json(report), args.out)
+    else:
+        lines = [f"{heading}H(z) = {poly}", f"symmetry center: {report['center']}", f"CL {verdict}"]
+        if note:
+            lines.append(note)
+        _emit("\n".join(lines) + "\n", args.out)
+    return 0 if verdict == "holds" else 1
+
+
 def cmd_abelian(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
@@ -285,37 +312,13 @@ def cmd_abelian(args) -> int:
     poly = abelian_ci(spec)
     if poly.is_zero:
         raise ValueError("the spec produced the zero polynomial")
-    try:
-        line = check_line(poly)
-        verdict = "fails" if line.status == "violated" else "holds"
-        center = line.center
-        certs = line.certificates
-    except ValueError:
-        verdict, center, certs = "fails", None, []
     plural = "s" if spec.c > 1 else ""
-    report = {
-        "description": f"complete intersection of {spec.c} ample divisor{plural} "
-        f"in an abelian {spec.n + spec.c}-fold",
-        "dim": spec.n,
-        "codim": spec.c,
-        "class": "general type",
-        "polynomial": [str(c) for c in poly.coeffs],
-        "center": None if center is None else str(center),
-        "verdicts": {"CL": verdict},
-        "certificates": [c.as_dict() for c in certs],
-    }
-    if args.digits is not None and poly.degree >= 1:
-        report["approx_roots"] = _approx_block(poly, args.digits)
-    if args.format == "json":
-        _emit(canonical_json(report), args.out)
-    else:
-        lines = [
-            f"{report['description']}: H(z) = {poly}",
-            f"symmetry center: {report['center']}",
-            f"CL {verdict}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if verdict == "holds" else 1
+    description = (
+        f"complete intersection of {spec.c} ample divisor{plural} "
+        f"in an abelian {spec.n + spec.c}-fold"
+    )
+    fields = {"description": description, "dim": spec.n, "codim": spec.c, "class": "general type"}
+    return _bare_command(args, poly, fields, f"{description}: ")
 
 
 def cmd_check(args) -> int:
@@ -326,34 +329,9 @@ def cmd_check(args) -> int:
     poly = RatPoly(tuple(coeffs))
     if poly.degree < 1:
         raise ValueError("need a non-constant polynomial")
-    try:
-        line = check_line(poly)
-        verdict = "fails" if line.status == "violated" else "holds"
-        center, certs = line.center, line.certificates
-        note = None
-    except ValueError:
-        verdict, center, certs = "fails", None, []
-        note = "no symmetry center, so the roots cannot all lie on one vertical line"
-    report = {
-        "description": "user polynomial",
-        "polynomial": [str(c) for c in poly.coeffs],
-        "degree": poly.degree,
-        "center": None if center is None else str(center),
-        "verdicts": {"CL": verdict},
-        "certificates": [c.as_dict() for c in certs],
-    }
-    if note:
-        report["note"] = note
-    if args.digits is not None:
-        report["approx_roots"] = _approx_block(poly, args.digits)
-    if args.format == "json":
-        _emit(canonical_json(report), args.out)
-    else:
-        lines = [f"H(z) = {poly}", f"symmetry center: {report['center']}", f"CL {verdict}"]
-        if note:
-            lines.append(note)
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if verdict == "holds" else 1
+    fields = {"description": "user polynomial", "degree": poly.degree}
+    note = "no symmetry center, so the roots cannot all lie on one vertical line"
+    return _bare_command(args, poly, fields, "", note)
 
 
 def _iter_multidegrees(max_total: int, max_len: int):
@@ -420,6 +398,8 @@ def cmd_sweep(args) -> int:
         "max_codim": args.max_codim,
     }
     cases = _sweep_cases(cfg)
+    if not cases:
+        raise ValueError(f"--series and --node select no case up to rank {args.max_rank}")
 
     rows: list[dict]
     if args.jobs == 1:

@@ -4,16 +4,21 @@ The primary object is the table of exponents h_{l,k}: the number of positive
 roots at level l whose rho-pairing equals k.  The polynomial itself is the
 product of the factors ((l*z + k)/k)^h times a residual factor, multiplied
 out once per object on integers; the section/cover recursion uses the tables.
+A `HilbertData` is frozen, so `hilbert_gp` can hand the same object to every
+caller of a mark.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .ratpoly import ConsistencyError, RatPoly, _from_integer, _integer_form, _scaled_value
-from .root_system import MarkedSystem, rho_pair
+from .ratpoly import _taylor_shift
+from .root_system import MarkedSystem
 
 
 @dataclass(frozen=True)
@@ -93,14 +98,16 @@ def multiply_linear(base: RatPoly, factors: list, normalized: bool = False) -> R
     return _from_integer(ints, content / den)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HilbertData:
     """A Hilbert polynomial in factored form with its discrete invariants.
 
     `levels` carries the rational-root factors; `residual` is the leftover
     polynomial factor in the L-variable (1 for a homogeneous space itself).
     The expansion `poly` is multiplied out once, at construction, and every
-    reader shares it, so the factored form cannot be reassigned afterwards.
+    reader shares it.  `sections` memoizes this object's hypersurface
+    sections by degree for `complete_intersection`, so it lives as long as
+    this object does.
     """
 
     description: str
@@ -111,17 +118,12 @@ class HilbertData:
     residual: RatPoly = field(default_factory=RatPoly.one)
     simply_laced: bool = True  # all root lengths equal; makes (U) a theorem
     poly: RatPoly = field(init=False, repr=False, compare=False)
+    sections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
         factors = [(t.level, k, h) for t in self.levels for k, h in t.sorted_items()]
         object.__setattr__(self, "poly", multiply_linear(self.residual, factors, normalized=True))
-
-    def __setattr__(self, name: str, value) -> None:
-        # the stored expansion is computed from levels and residual
-        if name in ("levels", "residual", "poly") and name in self.__dict__:
-            raise AttributeError(f"HilbertData.{name} is fixed at construction")
-        object.__setattr__(self, name, value)
 
 
 def expand(hd: HilbertData, variable: str = "ample_generator") -> RatPoly:
@@ -167,28 +169,34 @@ def validate(hd: HilbertData) -> RatPoly:
         raise ConsistencyError(
             f"{hd.description}: expanded degree {H.degree} != dim {hd.dim}"
         )
-    if H.compose_affine(-1, -hd.index) != H * ((-1) ** hd.dim):
+    ints, content = _integer_form(H)  # split once for every check below
+    # H(-iota-z) = Q(-z) with Q(z) = H(z-iota), compared on the integer form
+    mirror = list(ints)
+    _taylor_shift(mirror, -hd.index)
+    sign = (-1) ** hd.dim
+    if any((-1) ** i * q != sign * c for i, (q, c) in enumerate(zip(mirror, ints))):
         raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
-    ints, content = _integer_form(H)  # split once for the whole window
     for k in range(-3, 10):
         value = content * _scaled_value(ints, k)
         if value.denominator != 1:
             raise ConsistencyError(f"{hd.description}: H({k}) = {value} is not an integer")
-    if hd.index > 0 and H(0) != 1:
-        raise ConsistencyError(f"{hd.description}: chi(O) = {H(0)} != 1")
+    if hd.index > 0 and content * ints[0] != 1:
+        raise ConsistencyError(f"{hd.description}: chi(O) = {content * ints[0]} != 1")
     return H
 
 
+@lru_cache(maxsize=1)
 def hilbert_gp(ms: MarkedSystem) -> HilbertData:
-    """The factored Hilbert polynomial of the ample generator on G/P."""
+    """The factored Hilbert polynomial of the ample generator on G/P.
+
+    Cached for the last mark asked for: a sweep visits each mark's cases one
+    after another, and they share this object and its memoized sections.
+    """
     tables = []
-    for l, roots in sorted(ms.levels.items()):
-        exps: dict[Fraction, int] = {}
-        for a in roots:
-            k = rho_pair(ms, a)
-            exps[k] = exps.get(k, 0) + 1
+    for l, keys in ms.pairings.items():
+        exps = {Fraction(k, ms.d_den): h for k, h in Counter(keys).items()}
         table = LevelTable(l, exps)
-        if table.count != len(roots):
+        if table.count != len(ms.levels[l]):
             raise ConsistencyError("lost roots while tabulating")
         if table.b + table.top != l * ms.index:
             raise ConsistencyError(
@@ -203,7 +211,7 @@ def hilbert_gp(ms: MarkedSystem) -> HilbertData:
         lmax=ms.lmax,
         levels=tables,
         residual=RatPoly.one(),
-        simply_laced=all(di == 1 for di in ms.d),
+        simply_laced=len(set(ms.d_num)) == 1,
     )
     validate(hd)
     return hd

@@ -4,8 +4,9 @@ Roots are integer coefficient vectors over the simple roots, in Bourbaki
 numbering.  The Cartan matrix convention is C[i][j] = 2(a_i, a_j)/(a_i, a_i),
 so pairing a root (as a coefficient vector) against the i-th simple coroot is
 row i of C times the vector.  Marking a node rescales the invariant pairing
-so the marked simple root has squared length 2; everything downstream of the
-pairing is an exact `Fraction`.
+so the marked simple root has squared length 2.  The pairing runs on integers:
+the rescaled symmetrizer and the inverse Cartan matrix each carry one common
+denominator, and the public values are exact `Fraction`s built from them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 Root = tuple[int, ...]
 
@@ -177,6 +179,24 @@ class RootSystem:
     def root_set(self) -> frozenset[Root]:
         return frozenset(self.positive_roots)
 
+    @cached_property
+    def cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(det C, adj C) with C^-1 = adj / det, by fraction-free Gauss-Jordan on
+        [C | I]: every division is exact, and no pivot is zero because the
+        leading principal minors of a finite-type Cartan matrix are positive."""
+        n = self.rank
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.cartan)]
+        prev = 1
+        for col in range(n):
+            pivot = aug[col]
+            p = pivot[col]
+            for r in range(n):
+                if r != col:
+                    f = aug[r][col]
+                    aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], pivot)]
+            prev = p
+        return prev, tuple(tuple(row[n:]) for row in aug)
+
     @property
     def highest_root(self) -> Root:
         return self.positive_roots[-1]
@@ -202,34 +222,24 @@ def build_root_system(t: SimpleType) -> RootSystem:
     return RootSystem(t, cartan, d, roots)
 
 
-def _solve_exact(mat: tuple[tuple[int, ...], ...], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan over Fraction for a small square system."""
-    n = len(rhs)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 @dataclass(frozen=True, eq=False)
 class MarkedSystem:
     rs: RootSystem
     node: int  # 1-based Bourbaki index of the marked simple root
-    d: tuple[Fraction, ...]  # symmetrizer rescaled so d[node-1] == 1
+    d_num: tuple[int, ...]  # d = d_num / d_den: the symmetrizer with d[node-1] == 1
+    d_den: int
     omega0: tuple[Fraction, ...]  # omega_0 over the simple roots
     omega0_norm: Fraction  # (omega_0, omega_0)
     index: int
     lmax: int
     dim: int
-    levels: dict[int, tuple[Root, ...]]
+    levels: dict[int, tuple[Root, ...]]  # each level in increasing (rho, .) order
+    pairings: dict[int, tuple[int, ...]]  # d_den * (rho, a) for the roots of levels[l]
     coxeter_number: int
+
+    @property
+    def d(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.d_den) for v in self.d_num)
 
     @property
     def description(self) -> str:
@@ -245,7 +255,7 @@ def rho_pair(ms: MarkedSystem, a: Root) -> Fraction:
     a = tuple(a)
     if not ms.rs.is_root(a):
         raise ValueError(f"{a} is not a root of {ms.rs.simple_type.name}")
-    return sum((c * di for c, di in zip(a, ms.d)), Fraction(0))
+    return Fraction(sum(c * di for c, di in zip(a, ms.d_num)), ms.d_den)
 
 
 def level_of(ms: MarkedSystem, a: Root) -> int:
@@ -261,17 +271,18 @@ def index_formulas(ms: MarkedSystem) -> tuple[Fraction, Fraction]:
         of the roots at positive level (checked on every coordinate).
     """
     i = ms.node - 1
-    two_rho_omega = Fraction(sum(a[i] for a in ms.rs.positive_roots))
-    via_remark = two_rho_omega / ms.omega0_norm
+    det, adj = ms.rs.cartan_inverse
+    w = [row[i] for row in adj]  # det * omega_0
+    via_remark = Fraction(sum(a[i] for a in ms.rs.positive_roots) * det, w[i])
 
-    two_rho_x = [Fraction(0)] * ms.rs.rank
+    two_rho_x = [0] * ms.rs.rank
     for roots in ms.levels.values():
         for a in roots:
             for j, c in enumerate(a):
                 two_rho_x[j] += c
-    via_lemma = two_rho_x[i] / ms.omega0[i]
+    via_lemma = Fraction(two_rho_x[i] * det, w[i])
     for j in range(ms.rs.rank):
-        if two_rho_x[j] != via_lemma * ms.omega0[j]:
+        if two_rho_x[j] * w[i] != two_rho_x[i] * w[j]:
             raise AssertionError(
                 f"{ms.description}: sum of positive-level roots is not proportional to omega_0"
             )
@@ -285,41 +296,39 @@ def mark(rs: RootSystem, node: int) -> MarkedSystem:
     if not 1 <= node <= n:
         raise ValueError(f"node {node} out of range for {rs.simple_type.name} (1..{n})")
     i = node - 1
-    d = tuple(v / rs.symmetrizer[i] for v in rs.symmetrizer)
+    scale = lcm(*(v.denominator for v in rs.symmetrizer))
+    d_num = tuple(int(v * scale) for v in rs.symmetrizer)
 
-    rhs = [Fraction(int(j == i)) for j in range(n)]
-    omega0 = _solve_exact(rs.cartan, rhs)
+    det, adj = rs.cartan_inverse
+    w = [row[i] for row in adj]  # det * omega_0
     # (omega_0, a_j^vee) = delta check, directly against every simple coroot
     for j in range(n):
-        pairing = sum(Fraction(rs.cartan[j][k]) * omega0[k] for k in range(n))
-        assert pairing == (1 if j == i else 0)
-    omega0_norm = omega0[i]
+        assert sum(rs.cartan[j][k] * w[k] for k in range(n)) == (det if j == i else 0)
+    omega0 = tuple(Fraction(v, det) for v in w)
 
-    levels: dict[int, list[Root]] = {}
+    levels: dict[int, list[tuple[int, Root]]] = {}
     for a in rs.positive_roots:
         if a[i] > 0:
-            levels.setdefault(a[i], []).append(a)
+            levels.setdefault(a[i], []).append((sum(c * v for c, v in zip(a, d_num)), a))
     lmax = rs.highest_root[i]
     assert sorted(levels) == list(range(1, lmax + 1)), "empty level in the grading"
     dim = sum(len(v) for v in levels.values())
-
-    frozen = {
-        l: tuple(sorted(v, key=lambda a: (sum(ci * di for ci, di in zip(a, d)), a)))
-        for l, v in sorted(levels.items())
-    }
-    coxeter = sum(rs.highest_root) + 1
+    for v in levels.values():
+        v.sort()
 
     ms = MarkedSystem(
         rs=rs,
         node=node,
-        d=d,
-        omega0=tuple(omega0),
-        omega0_norm=omega0_norm,
+        d_num=d_num,
+        d_den=d_num[i],
+        omega0=omega0,
+        omega0_norm=omega0[i],
         index=0,  # placeholder, replaced below
         lmax=lmax,
         dim=dim,
-        levels=frozen,
-        coxeter_number=coxeter,
+        levels={l: tuple(a for _, a in levels[l]) for l in sorted(levels)},
+        pairings={l: tuple(k for k, _ in levels[l]) for l in sorted(levels)},
+        coxeter_number=sum(rs.highest_root) + 1,
     )
     via_remark, via_lemma = index_formulas(ms)
     if via_remark != via_lemma or via_remark.denominator != 1 or via_remark <= 0:
@@ -338,18 +347,16 @@ def extremal_roots(ms: MarkedSystem, l: int) -> tuple[Root, Root]:
     """The (rho, .)-minimal and -maximal roots of one level, both unique."""
     if l not in ms.levels:
         raise ValueError(f"level {l} is empty in {ms.description}")
-    pairs = [(rho_pair(ms, a), a) for a in ms.levels[l]]
-    values = [v for v, _ in pairs]
-    lo, hi = min(values), max(values)
-    if values.count(lo) != 1 or values.count(hi) != 1:
+    keys = ms.pairings[l]
+    lo, hi = min(keys), max(keys)
+    if keys.count(lo) != 1 or keys.count(hi) != 1:
         raise AssertionError(f"{ms.description}: non-unique extremal root at level {l}")
-    beta = next(a for v, a in pairs if v == lo)
-    gamma = next(a for v, a in pairs if v == hi)
-    if lo + hi != ms.index * l:
+    if lo + hi != ms.index * l * ms.d_den:
         raise AssertionError(
-            f"{ms.description}: (rho, beta+gamma) = {lo + hi} != iota*l = {ms.index * l}"
+            f"{ms.description}: (rho, beta+gamma) = {Fraction(lo + hi, ms.d_den)} "
+            f"!= iota*l = {ms.index * l}"
         )
-    return beta, gamma
+    return ms.levels[l][keys.index(lo)], ms.levels[l][keys.index(hi)]
 
 
 def marked(series: str, rank: int, node: int) -> MarkedSystem:

@@ -99,13 +99,16 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
 
 
 def complete_intersection(ms: MarkedSystem, degrees: list[int]) -> HilbertData:
-    """Iterated hypersurface sections of the given degrees."""
+    """Iterated hypersurface sections of the given degrees, each memoized on
+    the object it cuts: the cases of one mark share their common prefixes."""
     if len(degrees) > ms.dim:
         raise ValueError(f"{len(degrees)} hypersurfaces in {ms.description} of dimension {ms.dim}")
     hd = hilbert_gp(ms)
     for i, d in enumerate(degrees, 1):
-        desc = f"{ms.description} ∩ ({','.join(str(e) for e in degrees[:i])})"
-        hd = section_step(hd, d, "intersection", desc)
+        parent, hd = hd, hd.sections.get(d)
+        if hd is None:  # a prefix already cut is reused from its parent's memo
+            desc = f"{ms.description} ∩ ({','.join(str(e) for e in degrees[:i])})"
+            hd = parent.sections[d] = section_step(parent, d, "intersection", desc)
     return hd
 
 

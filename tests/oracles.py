@@ -77,3 +77,43 @@ def iterated_difference(p, degrees):
 def cover_sum(p, d):
     """p(z) + p(z - d)."""
     return padd(p, pshift(p, d))
+
+
+def fraction_inverse_column(cartan, i):
+    """Column i of the inverse Cartan matrix (omega_i over the simple roots),
+    by Gauss-Jordan over Fraction with a pivot search."""
+    n = len(cartan)
+    aug = [[Fraction(cartan[r][c]) for c in range(n)] + [Fraction(int(r == i))] for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def fraction_marked_lengths(cartan, i):
+    """d_j = (a_j, a_j) / (a_i, a_i) over Fraction, read off the Cartan
+    matrix along a spanning tree of the Dynkin diagram: C[a][b] / C[b][a]
+    = (a_b, a_b) / (a_a, a_a)."""
+    n = len(cartan)
+    d = {i: Fraction(1)}
+    todo = [i]
+    while todo:
+        a = todo.pop()
+        for b in range(n):
+            if b != a and b not in d and cartan[a][b] != 0:
+                d[b] = d[a] * Fraction(cartan[a][b], cartan[b][a])
+                todo.append(b)
+    return [d[j] for j in range(n)]
+
+
+def fraction_rho_pair(d, root):
+    """(rho, a) = sum of c_j d_j, one Fraction product per coordinate."""
+    total = Fraction(0)
+    for c, dj in zip(root, d):
+        total += c * dj
+    return total

@@ -224,6 +224,79 @@ class TestCheck:
         assert sorted(v["im"] for v in block["values"]) == pytest.approx([-1.0, 1.0])
 
 
+ABELIAN_SPECS = {
+    "curve": {"n": 1, "c": 1, "numbers": [{"tuple": [2], "value": 2}]},
+    "surface": {"n": 2, "c": 1, "numbers": [{"tuple": [3], "value": 6}]},
+    "pair": {"n": 1, "c": 2, "numbers": [{"tuple": [2, 1], "value": 2}, {"tuple": [1, 2], "value": 4}]},
+    "threefold": {
+        "n": 3,
+        "c": 2,
+        "numbers": [
+            {"tuple": [3, 2], "value": 2},
+            {"tuple": [1, 4], "value": 4},
+            {"tuple": [5, 0], "value": 2},
+        ],
+    },
+}
+
+# sha256 of the exact output bytes and the exit code, for the two commands
+# that certify a bare polynomial
+BARE_GOLDENS = [
+    (("check", "--coeffs", "1,1,1", "--format", "text"), 0,
+     "3016b4387780549ab729b0bc99c389e214d1203d2371fce8ff602803d41d5d36"),
+    (("check", "--coeffs", "1,1,1", "--format", "json"), 0,
+     "782e4ef2e24451e194be70e445c965b43eee4e43e99536c7667a109eae54502e"),
+    (("check", "--coeffs", "2,3,1", "--format", "text"), 1,
+     "6c391a012360e2420c7d3c3fd5b3143fdc471fe6f87cc90c6039e74ba92df1c0"),
+    (("check", "--coeffs", "2,3,1", "--format", "json"), 1,
+     "81eb3d13b9dfa3d3277f6629497fdd54f9f2ebf62f73c4f74310ce177f8a1334"),
+    (("check", "--coeffs", "1,0,0,1", "--format", "text"), 1,
+     "5f7241244d6692c8b3a167ce4a9c2bd65b0cd409740fd72367d48498ee1fa1c2"),
+    (("check", "--coeffs", "1,0,0,1", "--format", "json"), 1,
+     "378928cbd0faaeb4a1d802a4a71b6c5003c90d07a6c6acf55c005115a632e91f"),
+    (("check", "--coeffs", "1/4,1,1", "--format", "text"), 0,
+     "dfaa18fac41c3d1a46b0d968f6c55a90bb85e196448f66907f015d284061e711"),
+    (("check", "--coeffs", "1/4,1,1", "--format", "json"), 0,
+     "1f2f413c9421c752f0d34043cf8883629522b6057b59fecb6e3a1164d265173d"),
+    (("check", "--coeffs", "6,11,6,1", "--format", "text"), 1,
+     "40c370bcb9c8bebc9f2c85ffeeed2ce32d932edad58b67f34fddb14b426e3b6b"),
+    (("check", "--coeffs", "6,11,6,1", "--format", "json"), 1,
+     "6b70560db0e0417495b61d3f70fd86ee149021b66d8de340f039fba89ad501ec"),
+    (("check", "--coeffs", "1,0,1", "--digits", "6", "--format", "json"), 0,
+     "a8dcb27a316205cfb988e7b79e1433137adf0e7f0a821e7fbf5a11ed1009aa34"),
+    (("abelian", "curve", "--format", "text"), 0,
+     "749d125c1ba197b54e261e46885f41290ddc444fd20e143fcf646f9a1077e3c7"),
+    (("abelian", "curve", "--format", "json"), 0,
+     "83840521a763742c2631e8495e5bf1a24eab1e20c3870c396cad54b961ad822d"),
+    (("abelian", "surface", "--format", "text"), 0,
+     "a1608b8fd699fd67303ff11a1dd68cb4aae139fce936f371d6fe7c2a08d6916f"),
+    (("abelian", "surface", "--format", "json"), 0,
+     "f4353d3cd1833fbfb0e718f305b4764cfe7786c9ae3a736ca7a5b211b459eb98"),
+    (("abelian", "pair", "--format", "text"), 0,
+     "148de4a3b2adc641d945517ddb17361b1b6c5f221642e354d765e4d76f63f8c5"),
+    (("abelian", "pair", "--format", "json"), 0,
+     "aee4016fa2bd22b1b1b0299993b3d8df6d44700db44780477a605552a31c9cb8"),
+    (("abelian", "threefold", "--format", "text"), 0,
+     "e070a674fd972e2604bf699c4e79cc804e9d0bec4c023b1809a56fc0ae451fdc"),
+    (("abelian", "threefold", "--format", "json"), 0,
+     "b4b04578a0be5ba2774255ac31321eebb1c9632d82d800ffca9e4b1f96172229"),
+    (("abelian", "surface", "--digits", "6", "--format", "json"), 0,
+     "fa92801eb572bd1b58b5dd168421527489f53883da7d6480c02a9a1ebe24584f"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, sha256", BARE_GOLDENS)
+def test_bare_polynomial_report_bytes(capsys, tmp_path, argv, exit_code, sha256):
+    argv = list(argv)
+    if argv[0] == "abelian":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ABELIAN_SPECS[argv[1]]))
+        argv[1:2] = ["--spec", str(spec)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 class TestSweep:
     def test_text_summary(self, capsys):
         code, out, _ = run(
@@ -264,6 +337,22 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--max-rank", "2", "--node", node)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "out of range" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [("--node", "5"), ("--series", "E"), ("--series", "F", "--node", "4")])
+    def test_filter_selecting_no_case_is_rejected(self, capsys, flags):
+        code, out, err = run(capsys, "sweep", "--max-rank", "2", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "no case" in err and err.count("\n") == 1
+
+    def test_whole_catalog_bytes(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--max-rank", "10", "--max-total-degree", "0", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["summary"]["cases"] == 237
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "5a16d30d168ff1b6d23c1454a5a9e5cc5f198bbb30c65751f6645d06e0e5304c"
+        )
 
     def test_determinism_across_jobs(self, tmp_path, capsys):
         outputs = []

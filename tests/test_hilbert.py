@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -67,8 +68,7 @@ class TestHilbertGP:
                     assert table.count == len(ms.levels[table.level])
 
     def test_anticanonical_needs_positive_index(self):
-        hd = hilbert_gp(marked("A", 2, 1))
-        hd.index = 0
+        hd = dataclasses.replace(hilbert_gp(marked("A", 2, 1)), index=0)
         with pytest.raises(ValueError):
             expand(hd, "anticanonical")
 
@@ -156,6 +156,15 @@ class TestValidate:
     def test_wrong_chi_detected(self):
         hd = HilbertData("broken", 1, 1, 1, [], RatPoly((2, 2)))
         with pytest.raises(ConsistencyError):
+            validate(hd)
+
+    def test_chi_alone_detected(self):
+        # 2(z + 1) on P^1 with index 2: symmetric and integer-valued, chi = 2
+        hd = HilbertData("broken", 1, 2, 1, [], RatPoly((2, 2)))
+        with pytest.raises(ConsistencyError, match="chi"):
+            validate(hd)
+        hd = HilbertData("broken", 1, 1, 1, [], RatPoly((2, 2)))
+        with pytest.raises(ConsistencyError, match="anticanonical symmetry"):
             validate(hd)
 
     def test_non_integer_value_detected(self):

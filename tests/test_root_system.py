@@ -1,7 +1,10 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from canstrip.hilbert import hilbert_gp
 from canstrip.root_system import (
     SimpleType,
     all_simple_types,
@@ -13,6 +16,8 @@ from canstrip.root_system import (
     marked,
     rho_pair,
 )
+
+from oracles import fraction_inverse_column, fraction_marked_lengths, fraction_rho_pair
 
 # closure-generated G2 roots against the textbook table
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -197,6 +202,14 @@ class TestIndex:
         two_rho_x = [sum(a[j] for a in ms.rs.positive_roots if a[i] > 0) for j in range(5)]
         assert all(Fraction(two_rho_x[j]) == 8 * ms.omega0[j] for j in range(5))
 
+    def test_non_proportional_level_sum_rejected(self):
+        ms = marked("A", 3, 2)
+        broken = dataclasses.replace(
+            ms, levels={1: tuple(a for a in ms.levels[1] if a != (1, 1, 0))}
+        )
+        with pytest.raises(AssertionError, match="not proportional"):
+            index_formulas(broken)
+
     def test_formulas_agree_everywhere(self):
         for t in all_simple_types(6):
             rs = build_root_system(t)
@@ -230,3 +243,43 @@ class TestCominuscule:
                 assert ms.index == 1 + rho_pair(ms, rs.highest_root)
                 if all(d == 1 for d in ms.d):
                     assert ms.index == ms.coxeter_number, ms.description
+
+
+class TestIntegerMarking:
+    def test_cartan_inverse_is_adjugate_over_determinant(self):
+        for t in all_simple_types(10):
+            rs = build_root_system(t)
+            det, adj = rs.cartan_inverse
+            e = {6: 3, 7: 2, 8: 1}.get(t.rank)
+            want = {"A": t.rank + 1, "B": 2, "C": 2, "D": 4, "E": e, "F": 1, "G": 1}[t.series]
+            assert det == want, t.name
+            for i in range(t.rank):
+                for j in range(t.rank):
+                    entry = sum(rs.cartan[i][k] * adj[k][j] for k in range(t.rank))
+                    assert entry == (det if i == j else 0), t.name
+
+    def test_every_mark_against_the_fraction_oracles(self):
+        """d, omega_0, (omega_0, omega_0), the index, the level order and the
+        G/P level tables of every mark of rank <= 8, recomputed over Fraction."""
+        count = 0
+        for t in all_simple_types(8):
+            rs = build_root_system(t)
+            for node in range(1, t.rank + 1):
+                ms = mark(rs, node)
+                i = node - 1
+                d = fraction_marked_lengths(rs.cartan, i)
+                omega0 = fraction_inverse_column(rs.cartan, i)
+                assert ms.d == tuple(d) and all(isinstance(v, Fraction) for v in ms.d)
+                assert ms.omega0 == tuple(omega0) and ms.omega0_norm == omega0[i]
+                index = Fraction(sum(a[i] for a in rs.positive_roots)) / omega0[i]
+                assert ms.index == index, ms.description
+                tables = {t.level: t.exponents for t in hilbert_gp(ms).levels}
+                assert sorted(tables) == sorted(ms.levels)
+                for level, roots in ms.levels.items():
+                    at_level = [a for a in rs.positive_roots if a[i] == level]
+                    pairs = {a: fraction_rho_pair(d, a) for a in at_level}
+                    assert roots == tuple(sorted(at_level, key=lambda a: (pairs[a], a)))
+                    assert all(rho_pair(ms, a) == pairs[a] for a in roots)
+                    assert tables[level] == Counter(pairs.values()), ms.description
+                count += 1
+        assert count == 161

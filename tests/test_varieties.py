@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -142,6 +143,40 @@ class TestCompleteIntersection:
         assert rep.variety_class == "general type"
         assert rep.verdicts["CL"] == "holds"
         assert rep.residual_line == Fraction(1, 2)  # L-variable center -iota/2
+
+
+class TestSharedSections:
+    def test_hilbert_gp_returns_one_object_per_mark(self):
+        ms, other = marked("E", 6, 4), marked("B", 3, 2)
+        first = hilbert_gp(ms)
+        assert hilbert_gp(ms) is first
+        # one cached mark at a time: asking for another mark drops the first
+        assert hilbert_gp(other) is hilbert_gp(other)
+        again = hilbert_gp(ms)
+        assert again is not first and again == first
+
+    def test_prefix_reuse_matches_an_uncached_chain(self):
+        for series, rank, node in (("C", 3, 2), ("E", 6, 4), ("G", 2, 1)):
+            ms = marked(series, rank, node)
+            cut1 = complete_intersection(ms, [1])
+            cut12 = complete_intersection(ms, [1, 2])
+            assert cut1.sections[2] is cut12
+            assert complete_intersection(ms, [1]) is cut1
+            plain = hilbert_gp.__wrapped__(ms)
+            plain = section_step(plain, 1, "intersection", f"{ms.description} ∩ (1)")
+            plain = section_step(plain, 2, "intersection", f"{ms.description} ∩ (1,2)")
+            assert plain is not cut12
+            assert cut12.levels == plain.levels
+            assert cut12.residual == plain.residual
+            assert cut12.description == plain.description == f"{ms.description} ∩ (1,2)"
+            assert cut12.poly == plain.poly
+
+    def test_fields_cannot_be_assigned(self):
+        hd = complete_intersection(marked("A", 3, 1), [2])
+        for name in ("description", "dim", "index", "levels", "residual", "sections"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(hd, name, getattr(hd, name))
+        assert hd.index == 2
 
 
 class TestDoubleCover:
