@@ -11,11 +11,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from typing import Optional
 
@@ -83,16 +82,21 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _finite(x: float) -> Optional[float]:
+    """x, or None (JSON null) for a NaN or an infinity, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def _approx_block(poly: RatPoly, digits: int) -> dict:
     """The advisory float roots; `digits` is capped at what a double carries,
     and an iteration that did not settle is recorded, never raised."""
     roots = approx_roots(poly, digits)
     values = [
         {
-            "re": r.value.real,
-            "im": r.value.imag,
+            "re": _finite(r.value.real),
+            "im": _finite(r.value.imag),
             "mult": r.multiplicity,
-            "residual": r.residual,
+            "residual": _finite(r.residual),
         }
         for r in roots
     ]
@@ -114,7 +118,7 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
         "factored": [
             {
                 "level": t.level,
-                "exponents": [{"k": str(k), "h": h} for k, h in t.sorted_items()],
+                "exponents": [{"k": str(Fraction(n, t.den)), "h": h} for n, h in t.counts.items()],
             }
             for t in hd.levels
         ],
@@ -180,12 +184,16 @@ def render_text(report: dict) -> str:
     lines.append("verdicts: " + "; ".join(verdict_bits))
     if "approx_roots" in report:
         vals = ", ".join(
-            f"{v['re']:+.6f}{v['im']:+.6f}i (x{v['mult']})"
+            f"{_signed(v['re'])}{_signed(v['im'])}i (x{v['mult']})"
             for v in report["approx_roots"]["values"]
         )
         note = "" if report["approx_roots"]["converged"] else ", iteration did not converge"
         lines.append(f"approx roots (advisory{note}): {vals}")
     return "\n".join(lines) + "\n"
+
+
+def _signed(x: Optional[float]) -> str:
+    return "+nan" if x is None else f"{x:+.6f}"
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -405,6 +413,9 @@ def cmd_sweep(args) -> int:
     if args.jobs == 1:
         rows = [_sweep_case(c) for c in cases]
     else:
+        # imported here: the pool machinery costs every other run its start-up time
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_sweep_case, cases, chunksize=8))

@@ -1,9 +1,11 @@
 """Hilbert polynomials of marked homogeneous spaces, kept in factored form.
 
 The primary object is the table of exponents h_{l,k}: the number of positive
-roots at level l whose rho-pairing equals k.  The polynomial itself is the
+roots at level l whose rho-pairing equals k.  Each table keeps its keys as
+integer numerators over one denominator, so the tables, the min rule of the
+sections and the expansion all run on integers.  The polynomial itself is the
 product of the factors ((l*z + k)/k)^h times a residual factor, multiplied
-out once per object on integers; the section/cover recursion uses the tables.
+out once per object; the section/cover recursion uses the tables.
 A `HilbertData` is frozen, so `hilbert_gp` can hand the same object to every
 caller of a mark.
 """
@@ -14,53 +16,65 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .ratpoly import ConsistencyError, RatPoly, _from_integer, _integer_form, _scaled_value
-from .ratpoly import _taylor_shift
+from .ratpoly import ConsistencyError, RatPoly, _from_integer, _scaled_value, _taylor_shift
 from .root_system import MarkedSystem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelTable:
     """Exponents of one level's factors, keyed by the rho-pairing value k.
 
-    Keys are exact rationals (integers in the simply-laced case) and every
-    stored multiplicity is positive.
+    A key k is stored as its numerator n = k * den over the table's one
+    denominator `den` (1 in the simply-laced case), and `counts` maps the
+    numerators, in increasing order, to their multiplicities, all positive.
+    `den` is as small as the keys allow, so equal tables compare equal.
+    `exponents` is the same table keyed by the rationals k.
     """
 
     level: int
-    exponents: dict[Fraction, int]
+    den: int
+    counts: dict[int, int]
+
+    def __init__(self, level: int, exponents: dict[Fraction, int]) -> None:
+        den = lcm(*(Fraction(k).denominator for k in exponents))
+        _fill(self, level, den, {int(k * den): h for k, h in sorted(exponents.items())})
+
+    @classmethod
+    def over(cls, level: int, den: int, counts: dict[int, int]) -> LevelTable:
+        """The table of the keys n/den, from numerators n in increasing order."""
+        g = gcd(den, *counts)
+        if g > 1:
+            den, counts = den // g, {n // g: h for n, h in counts.items()}
+        table = object.__new__(cls)
+        _fill(table, level, den, counts)
+        return table
+
+    @property
+    def exponents(self) -> dict[Fraction, int]:
+        return {Fraction(n, self.den): h for n, h in self.counts.items()}
 
     @property
     def b(self) -> Fraction:
-        return min(self.exponents)
+        return Fraction(min(self.counts), self.den)
 
     @property
     def top(self) -> Fraction:
-        return max(self.exponents)
+        return Fraction(max(self.counts), self.den)
 
     @property
     def count(self) -> int:
-        return sum(self.exponents.values())
-
-    def sorted_items(self) -> list[tuple[Fraction, int]]:
-        return sorted(self.exponents.items())
-
-    def factor(self) -> RatPoly:
-        """The product of ((l*z + k)/k)^h over the table, in the L-variable."""
-        factors = [(self.level, k, h) for k, h in self.sorted_items()]
-        return multiply_linear(RatPoly.one(), factors, normalized=True)
+        return sum(self.counts.values())
 
     def check_symmetric(self, index: int) -> None:
         """Assert property (S): h at k matches h at level*index - k."""
-        li = self.level * index
-        for k, h in self.exponents.items():
-            mirror = li - k
-            if self.exponents.get(mirror) != h:
+        counts, li = self.counts, self.level * index * self.den
+        for n, h in counts.items():
+            if counts.get(li - n) != h:
                 raise ConsistencyError(
-                    f"level {self.level}: h at {k} is {h} but at {li}-{k} is "
-                    f"{self.exponents.get(mirror)}"
+                    f"level {self.level}: h at {Fraction(n, self.den)} is {h} but at "
+                    f"{self.level * index}-{Fraction(n, self.den)} is {counts.get(li - n)}"
                 )
 
     def unimodality_violations(self, index: int) -> list[tuple[Fraction, Fraction]]:
@@ -71,31 +85,36 @@ class LevelTable:
         across the half-integer lattice and C4/P2 fails on the integer keys,
         so for those marks violations are reported rather than asserted.
         """
-        half = Fraction(self.level * index, 2)
-        lower = [(k, h) for k, h in self.sorted_items() if k <= half]
+        full = self.level * index * self.den
+        lower = [(n, h) for n, h in self.counts.items() if 2 * n <= full]
         return [
-            (k1, k2)
-            for (k1, h1), (k2, h2) in zip(lower, lower[1:])
+            (Fraction(n1, self.den), Fraction(n2, self.den))
+            for (n1, h1), (n2, h2) in zip(lower, lower[1:])
             if h1 > h2
         ]
 
 
+def _fill(table: LevelTable, level: int, den: int, counts: dict[int, int]) -> None:
+    object.__setattr__(table, "level", level)
+    object.__setattr__(table, "den", den)
+    object.__setattr__(table, "counts", counts)
+
+
 def multiply_linear(base: RatPoly, factors: list, normalized: bool = False) -> RatPoly:
-    """base times the product of (l*z + k)^h over (l, k, h), or of
-    ((l*z + k)/k)^h when normalized, multiplied out on integers: with k = p/q
-    in lowest terms a factor is (l*q*z + p) over q (over p when normalized),
-    so one content carries every denominator."""
-    ints, content = _integer_form(base)
-    den = 1
-    for l, k, h in factors:
-        p, a = k.numerator, l * k.denominator
-        den *= (p if normalized else k.denominator) ** h
+    """base times the product of (l*z + n/q)^h over (l, n, q, h), or of
+    ((l*z + n/q)/(n/q))^h when normalized, multiplied out on integers: a
+    factor is (l*q*z + n) over q (over n when normalized), so one content
+    carries every denominator."""
+    ints, div = list(base.ints), 1
+    for l, n, q, h in factors:
+        a = l * q
+        div *= (n if normalized else q) ** h
         for _ in range(h):
             ints.append(0)
             for i in range(len(ints) - 1, 0, -1):
-                ints[i] = p * ints[i] + a * ints[i - 1]
-            ints[0] *= p
-    return _from_integer(ints, content / den)
+                ints[i] = n * ints[i] + a * ints[i - 1]
+            ints[0] *= n
+    return _from_integer(ints, base.content / div)
 
 
 @dataclass(frozen=True)
@@ -122,7 +141,7 @@ class HilbertData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
-        factors = [(t.level, k, h) for t in self.levels for k, h in t.sorted_items()]
+        factors = [(t.level, n, t.den, h) for t in self.levels for n, h in t.counts.items()]
         object.__setattr__(self, "poly", multiply_linear(self.residual, factors, normalized=True))
 
 
@@ -169,7 +188,7 @@ def validate(hd: HilbertData) -> RatPoly:
         raise ConsistencyError(
             f"{hd.description}: expanded degree {H.degree} != dim {hd.dim}"
         )
-    ints, content = _integer_form(H)  # split once for every check below
+    ints, num, den = H.ints, H.content.numerator, H.content.denominator
     # H(-iota-z) = Q(-z) with Q(z) = H(z-iota), compared on the integer form
     mirror = list(ints)
     _taylor_shift(mirror, -hd.index)
@@ -177,11 +196,13 @@ def validate(hd: HilbertData) -> RatPoly:
     if any((-1) ** i * q != sign * c for i, (q, c) in enumerate(zip(mirror, ints))):
         raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
     for k in range(-3, 10):
-        value = content * _scaled_value(ints, k)
-        if value.denominator != 1:
-            raise ConsistencyError(f"{hd.description}: H({k}) = {value} is not an integer")
-    if hd.index > 0 and content * ints[0] != 1:
-        raise ConsistencyError(f"{hd.description}: chi(O) = {content * ints[0]} != 1")
+        value = _scaled_value(ints, k)  # H(k) = value * num/den, num and den coprime
+        if value % den:
+            raise ConsistencyError(
+                f"{hd.description}: H({k}) = {Fraction(value * num, den)} is not an integer"
+            )
+    if hd.index > 0 and ints[0] * num != den:
+        raise ConsistencyError(f"{hd.description}: chi(O) = {Fraction(ints[0] * num, den)} != 1")
     return H
 
 
@@ -194,8 +215,7 @@ def hilbert_gp(ms: MarkedSystem) -> HilbertData:
     """
     tables = []
     for l, keys in ms.pairings.items():
-        exps = {Fraction(k, ms.d_den): h for k, h in Counter(keys).items()}
-        table = LevelTable(l, exps)
+        table = LevelTable.over(l, ms.d_den, dict(Counter(keys)))  # keys come in increasing order
         if table.count != len(ms.levels[l]):
             raise ConsistencyError("lost roots while tabulating")
         if table.b + table.top != l * ms.index:

@@ -1,13 +1,13 @@
 """Exact dense univariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction`, stored lowest degree first, with no
-trailing zeros (the zero polynomial has an empty coefficient tuple).  Every
-operation here is exact; floats never enter any verdict-relevant path.
-
-Products, exact evaluation and the certification kernels (affine substitution,
-gcd and Sturm chains) work on integer coefficient lists instead: a polynomial
-is split once into a positive rational content times a primitive integer list,
-so the inner loops multiply and add plain integers and never reduce a fraction.
+A polynomial is stored in one normal form: a primitive integer coefficient
+tuple `ints` (lowest degree first, no trailing zeros, gcd 1) times a positive
+rational `content`; the zero polynomial is ((), 0).  The form is unique, so
+equality and hashing compare it directly, and every kernel (products, sums,
+shifts, evaluation, gcds and Sturm chains) multiplies and adds plain integers
+and never reduces a fraction.  `coeffs`, the `Fraction` coefficients, is
+derived on demand for printing, floats and polynomial division.
+Every operation is exact; floats never enter any verdict-relevant path.
 """
 
 from __future__ import annotations
@@ -15,87 +15,102 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
+_set = object.__setattr__  # fills the fields of a frozen RatPoly
 
 
 class ConsistencyError(RuntimeError):
     """An identity that must hold by theorem (or by construction) failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RatPoly:
-    coeffs: tuple[Fraction, ...] = ()
+    """content * (ints[0] + ints[1] z + ...), in the normal form above."""
 
-    def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    ints: tuple[int, ...]
+    content: Fraction
+
+    def __init__(self, coeffs=()) -> None:
+        """From rational coefficients, lowest degree first."""
+        cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        p = _from_integer([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
+        _set(self, "ints", p.ints)
+        _set(self, "content", p.content)
 
     @classmethod
     def const(cls, c: Scalar) -> RatPoly:
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def zero(cls) -> RatPoly:
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> RatPoly:
-        return cls((Fraction(1),))
+        return _ONE
 
     @classmethod
     def variable(cls) -> RatPoly:
-        return cls((Fraction(0), Fraction(1)))
+        return _raw((0, 1), Fraction(1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first, built on each read."""
+        num, den = self.content.numerator, self.content.denominator
+        return tuple(Fraction(v * num, den) for v in self.ints)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.ints)
 
     def __neg__(self) -> RatPoly:
-        return RatPoly(tuple(-c for c in self.coeffs))
+        return _raw(tuple([-v for v in self.ints]), self.content)
 
     def __add__(self, other: RatPoly) -> RatPoly:
-        a, b = self.coeffs, other.coeffs
+        # both contents over one denominator; a zero summand has content 0
+        a, ca, b, cb = self.ints, self.content, other.ints, other.content
+        den = lcm(ca.denominator, cb.denominator)
+        ma, mb = ca.numerator * (den // ca.denominator), cb.numerator * (den // cb.denominator)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(tuple(out))
+            a, ma, b, mb = b, mb, a, ma
+        out = [v * ma for v in a]
+        for i, v in enumerate(b):
+            out[i] += v * mb
+        return _from_integer(out, Fraction(1, den))
 
     def __sub__(self, other: RatPoly) -> RatPoly:
         return self + (-other)
 
     def __mul__(self, other: Union[RatPoly, Scalar]) -> RatPoly:
         if isinstance(other, RatPoly):
-            if self.is_zero or other.is_zero:
-                return RatPoly(())
-            (a, ca), (b, cb) = _integer_form(self), _integer_form(other)
+            a, b = self.ints, other.ints
+            if not a or not b:
+                return _ZERO
             out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
                         out[i + j] += x * y
-            return _from_integer(out, ca * cb)
-        s = Fraction(other)
-        return RatPoly(tuple(c * s for c in self.coeffs))
+            # Gauss's lemma: a product of primitive polynomials is primitive
+            return _raw(tuple(out), self.content * other.content)
+        return _from_integer(self.ints, self.content * Fraction(other))
 
     __rmul__ = __mul__
 
@@ -114,19 +129,13 @@ class RatPoly:
             n >>= 1
         return out
 
-    def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction, float path otherwise."""
-        if isinstance(x, (int, Fraction)):
-            ints, content = _integer_form(self)
-            den = x.denominator
-            return content * Fraction(_scaled_value(ints, x) * den, den ** len(ints))
-        acc = 0.0 if not isinstance(x, complex) else 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+    def __call__(self, x: Scalar) -> Fraction:
+        """Exact Horner evaluation at an int or a Fraction."""
+        ints, den = self.ints, x.denominator
+        return self.content * Fraction(_scaled_value(ints, x) * den, den ** len(ints))
 
     def derivative(self) -> RatPoly:
-        return RatPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        return _from_integer([i * v for i, v in enumerate(self.ints) if i], self.content)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> RatPoly:
         """Return p(a*z + b), exactly.  a must be non-zero.
@@ -137,23 +146,22 @@ class RatPoly:
         denominators are cleared once, the shift by B and the scaling by A
         run on integers, and one rescale by content/D^n returns to Q.
         """
-        a, b = Fraction(a), Fraction(b)
-        if a == 0:
+        if not a:
             raise ValueError("affine substitution needs a != 0")
         if self.degree < 1:
             return self
-        ints, content = _integer_form(self)
-        n = len(ints) - 1
+        n = len(self.ints) - 1
         den = lcm(a.denominator, b.denominator)
-        ints = [c * den ** (n - i) for i, c in enumerate(ints)]
+        ints = [c * den ** (n - i) for i, c in enumerate(self.ints)]
         _taylor_shift(ints, b.numerator * (den // b.denominator))
         scale = a.numerator * (den // a.denominator)
-        return _from_integer([c * scale**i for i, c in enumerate(ints)], content / den**n)
+        return _from_integer([c * scale**i for i, c in enumerate(ints)], self.content / den**n)
 
     def __divmod__(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         d, lc = other.degree, other.leading
+        divisor = other.coeffs
         rem = list(self.coeffs)
         quo = [Fraction(0)] * max(0, len(rem) - d)
         while True:
@@ -164,9 +172,9 @@ class RatPoly:
             shift = len(rem) - 1 - d
             f = rem[-1] / lc
             quo[shift] = f
-            for i, c in enumerate(other.coeffs):
+            for i, c in enumerate(divisor):
                 rem[shift + i] -= f * c
-        return RatPoly(tuple(quo)), RatPoly(tuple(rem))
+        return RatPoly(quo), RatPoly(rem)
 
     def exact_div(self, other: RatPoly) -> RatPoly:
         """Divide, insisting on zero remainder (factorization consistency)."""
@@ -176,14 +184,13 @@ class RatPoly:
         return q
 
     def monic(self) -> RatPoly:
-        return self if self.is_zero else self / self.leading
+        return self if self.is_zero else _from_integer(self.ints, Fraction(1, self.ints[-1]))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mag = -c if c < 0 else c
@@ -200,22 +207,31 @@ class RatPoly:
         return " ".join(parts)
 
 
-def _integer_form(p: RatPoly) -> tuple[list[int], Fraction]:
-    """Split p into a primitive integer list and a positive rational content.
+def _raw(ints: tuple[int, ...], content: Fraction) -> RatPoly:
+    """A RatPoly from parts already in normal form."""
+    p = object.__new__(RatPoly)
+    _set(p, "ints", ints)
+    _set(p, "content", content)
+    return p
 
-    p = content * ints.  The content is positive, so the list carries p's
-    evaluation signs, which is all the Sturm machinery needs.  The zero
-    polynomial gives ([], 0).
-    """
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+def _from_integer(ints: Sequence[int], content: Fraction) -> RatPoly:
+    """content * ints brought to normal form: trailing zeros dropped, the
+    coefficient gcd moved into the content, and the content made positive."""
+    while ints and not ints[-1]:
+        ints = ints[:-1]
+    if not ints or not content:
+        return _ZERO
     g = gcd(*ints)
-    return [v // g for v in ints], Fraction(g, den)
+    if content.numerator < 0:
+        g = -g
+    if g == 1:
+        return _raw(tuple(ints), content)
+    return _raw(tuple([v // g for v in ints]), content * g)
 
 
-def _from_integer(ints: list[int], content: Fraction) -> RatPoly:
-    num, den = content.numerator, content.denominator
-    return RatPoly(tuple(Fraction(v * num, den) for v in ints))
+_ZERO = _raw((), Fraction(0))
+_ONE = _raw((1,), Fraction(1))
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -276,10 +292,10 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
     """Monic gcd by a primitive remainder sequence over the integers
     (Brown and Traub, JACM 1971)."""
-    a, b = _integer_form(p)[0], _integer_form(q)[0]
+    a, b = p.ints, q.ints
     while b:
         a, b = b, _primitive(_pseudo_remainder(a, b))
-    return _from_integer(a, Fraction(1, a[-1])) if a else RatPoly(())
+    return _from_integer(a, Fraction(1, a[-1])) if a else _ZERO
 
 
 def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
@@ -344,7 +360,7 @@ def _sturm_sequence(p: RatPoly) -> list[list[int]]:
     """
     if p.degree < 1:
         raise ValueError("need a non-constant polynomial")
-    s0 = _integer_form(p)[0]
+    s0 = p.ints
     chain = [s0, _primitive([i * v for i, v in enumerate(s0) if i])]
     while len(chain[-1]) > 1:
         r = _pseudo_remainder(chain[-2], chain[-1])
@@ -414,7 +430,7 @@ def symmetry_center(p: RatPoly) -> Optional[tuple[Fraction, int]]:
     n = p.degree
     if n < 1:
         raise ValueError("need deg >= 1")
-    c = -p.coeffs[n - 1] / (n * p.leading)
+    c = Fraction(-p.ints[n - 1], n * p.ints[n])
     s = (-1) ** n
     return (c, s) if p.compose_affine(-1, 2 * c) == p * s else None
 
@@ -429,6 +445,6 @@ def even_odd_split(p: RatPoly, center: Fraction) -> tuple[int, RatPoly]:
         raise ValueError("zero polynomial")
     q = p.compose_affine(1, Fraction(center))
     eps = p.degree % 2
-    if any(c != 0 for i, c in enumerate(q.coeffs) if i % 2 != eps):
+    if any(q.ints[1 - eps :: 2]):
         raise ValueError(f"polynomial is not symmetric about {center}")
-    return eps, RatPoly(q.coeffs[eps::2])
+    return eps, _from_integer(q.ints[eps::2], q.content)

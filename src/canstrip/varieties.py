@@ -36,40 +36,40 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
 
     new_index = hd.index - d
     new_tables: list[LevelTable] = []
-    plus, minus = [], []  # leftover factors (l, k, e) of H(z) and of H(z-d)
-    scale = Fraction(1)
+    plus, minus = [], []  # leftover factors (l, n, q, e) of H(z) and of H(z-d)
+    num = den = 1  # the normalization constant, num/den
 
     for table in hd.levels:
-        l = table.level
-        shift = l * d
-        exps = table.exponents
-        kept: dict[Fraction, int] = {}
-        for k, h in table.sorted_items():
+        l, q, exps = table.level, table.den, table.counts
+        shift = l * d * q  # keys are numerators over q
+        kept: dict[int, int] = {}
+        for k, h in exps.items():
             m = min(h, exps.get(k + shift, 0))
             if m > 0:
                 kept[k] = m
-            scale *= k ** (m - h)
             # leftover of H^l(z); for a simply-laced mark these factors sit
             # strictly left of the new center, but mixed-length marks can
             # leak them across (C4/P2 with d=1 is the smallest case)
             if h > m:
-                plus.append((l, k, h - m))
+                num *= q ** (h - m)
+                den *= k ** (h - m)
+                plus.append((l, k, q, h - m))
             # leftover of H^l(z-d): factor position k - l*d
             pos = k - shift
             e_minus = h - min(exps.get(pos, 0), h)
             if e_minus > 0:
-                minus.append((l, pos, e_minus))
+                minus.append((l, pos, q, e_minus))
         if kept:
-            new_table = LevelTable(l, kept)
+            new_table = LevelTable.over(l, q, kept)
             # with equal root lengths the level supports have no holes and
             # the bottom exponent survives every cut; mixed lengths can lose
             # it (C3/P1 has no level-1 key at 3, so a degree-2 cut drops b)
-            if hd.simply_laced and new_table.b != table.b:
+            if hd.simply_laced and next(iter(kept)) != next(iter(exps)):
                 raise ConsistencyError("section step moved the bottom exponent b_l")
             new_tables.append(new_table)
 
     sign = -1 if kind == "intersection" else 1
-    res = hd.residual * scale
+    res = hd.residual * Fraction(num, den)
     residual = multiply_linear(res, plus) + multiply_linear(res.compose_affine(1, -d), minus) * sign
 
     if kind == "intersection":

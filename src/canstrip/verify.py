@@ -18,6 +18,7 @@ import cmath
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .hilbert import HilbertData, expand
@@ -114,16 +115,46 @@ class ApproxRoot:
     converged: bool
 
 
+def _floats(p: RatPoly) -> Optional[list[float]]:
+    """p's coefficients as doubles, or None when one of them overflows."""
+    try:
+        return [float(c) for c in p.coeffs]
+    except OverflowError:
+        return None
+
+
+def _horner(cs: list[float], z: complex) -> complex:
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
+def _abs_value(cs: Optional[list[float]], z: complex) -> float:
+    """|p(z)| from p's doubles `cs`; inf when a coefficient or the value
+    does not fit a double."""
+    if cs is None:
+        return float("inf")
+    try:
+        return abs(_horner(cs, z))
+    except OverflowError:
+        return float("inf")
+
+
 def _aberth(f: RatPoly, digits: int) -> tuple[list[complex], bool]:
     """Simultaneous (Ehrlich-Aberth) iteration on a square-free polynomial.
 
     Returns the iterates and whether they settled to `digits` digits; after
-    the last restart the unsettled iterates are returned as they stand.
+    the last restart, or when the doubles overflow, the unsettled iterates
+    are returned as they stand.  A factor whose monic coefficients do not
+    fit a double has no iterates and reports NaN.
     """
     n = f.degree
     fm = f.monic()
-    df = fm.derivative()
-    radius = 1.0 + max(abs(float(c)) for c in fm.coeffs[:-1]) if n else 1.0
+    fc, dc = _floats(fm), _floats(fm.derivative())
+    if fc is None or dc is None:
+        return [complex("nan+nanj")] * n, False
+    radius = 1.0 + max(abs(c) for c in fc[:-1]) if n else 1.0
     tol = 10.0 ** (-digits)
     for attempt in range(5):
         r = radius * (1.0 + 0.7 * attempt)
@@ -131,23 +162,26 @@ def _aberth(f: RatPoly, digits: int) -> tuple[list[complex], bool]:
             r * cmath.exp(2j * cmath.pi * (k + 0.354 + 0.1 * attempt) / n)
             for k in range(n)
         ]
-        for _ in range(400):
-            moved = 0.0
-            for i in range(n):
-                fv = fm(zs[i])
-                dv = df(zs[i])
-                if dv == 0:
-                    zs[i] += 1e-6 + 1e-6j
-                    moved = float("inf")
-                    continue
-                w = fv / dv
-                s = sum(1.0 / (zs[i] - zs[j]) for j in range(n) if j != i)
-                denom = 1.0 - w * s
-                step = w if denom == 0 else w / denom
-                zs[i] -= step
-                moved = max(moved, abs(step) / max(1.0, abs(zs[i])))
-            if moved < tol:
-                return zs, True
+        try:
+            for _ in range(400):
+                moved = 0.0
+                for i in range(n):
+                    fv = _horner(fc, zs[i])
+                    dv = _horner(dc, zs[i])
+                    if dv == 0:
+                        zs[i] += 1e-6 + 1e-6j
+                        moved = float("inf")
+                        continue
+                    w = fv / dv
+                    s = sum(1.0 / (zs[i] - zs[j]) for j in range(n) if j != i)
+                    denom = 1.0 - w * s
+                    step = w if denom == 0 else w / denom
+                    zs[i] -= step
+                    moved = max(moved, abs(step) / max(1.0, abs(zs[i])))
+                if moved < tol:
+                    return zs, all(cmath.isfinite(z) for z in zs)
+        except (OverflowError, ZeroDivisionError):  # iterates left the doubles
+            return zs, False
     return zs, False
 
 
@@ -157,21 +191,23 @@ def approx_roots(p: RatPoly, digits: int = 12) -> list[ApproxRoot]:
     Multiplicities come from the exact square-free decomposition; each
     square-free factor is handled by Ehrlich-Aberth iteration, aiming at
     `digits` digits but at most DOUBLE_DIGITS.  A factor whose iteration does
-    not settle keeps its last iterates, marked not converged.  Advisory
-    only: nothing here certifies anything.
+    not settle keeps its last iterates, marked not converged; a residual
+    too large for a double reads inf.  Advisory only: nothing here
+    certifies anything.
     """
     if p.degree < 1:
         raise ValueError("need deg >= 1")
     if digits < 1:
         raise ValueError("need digits >= 1")
     digits = min(digits, DOUBLE_DIGITS)
+    pc = _floats(p)
     out = []
     for f, mult in squarefree_parts(p):
         zs, converged = _aberth(f, digits)
         for z in zs:
             if abs(z.imag) < 10.0 ** (-digits):
                 z = complex(z.real, 0.0)
-            out.append(ApproxRoot(z, mult, abs(p(z)), converged))
+            out.append(ApproxRoot(z, mult, _abs_value(pc, z), converged))
     out.sort(key=lambda r: (round(r.value.real, 9), round(r.value.imag, 9)))
     return out
 
@@ -224,21 +260,25 @@ def strip_report(hd: HilbertData, digits: Optional[int] = None) -> StripReport:
     witnesses: dict[str, str] = {}
 
     if iota > 0:
-        roots: dict[Fraction, int] = {}
+        # the root -k/(l*iota) of a factor (l*z + k), k = n/q, is -n*(D/(l*q*iota))
+        # over one denominator D for every table, so roots compare as integers
+        D = iota * lcm(*(t.level * t.den for t in hd.levels))
+        roots: dict[int, int] = {}
         for table in hd.levels:
-            for k, h in table.sorted_items():
-                r = -k / (table.level * iota)
-                roots[r] = roots.get(r, 0) + h
-        rational = sorted(roots.items())
+            step = D // (table.level * table.den * iota)
+            for n, h in table.counts.items():
+                roots[-n * step] = roots.get(-n * step, 0) + h
+        numerators = sorted(roots)
+        rational = [(Fraction(r, D), roots[r]) for r in numerators]
 
         res = hd.residual.compose_affine(iota, 0)
-        if sum(m for _, m in rational) + max(res.degree, 0) != hd.dim:
+        if sum(roots.values()) + max(res.degree, 0) != hd.dim:
             raise ConsistencyError(
                 f"{hd.description}: rational multiplicities plus residual degree "
                 f"miss the dimension {hd.dim}"
             )
-        half_width = Fraction(1, 2) - Fraction(1, iota)
-        radius2 = half_width**2 if half_width > 0 else Fraction(0)
+        # the squared half-width of the tight segment, (1/2 - 1/iota)^2
+        radius2 = Fraction((iota - 2) ** 2, 4 * iota**2) if iota > 2 else Fraction(0)
         try:
             line, dichotomy = _certify(res, radius2)
         except ValueError:
@@ -247,8 +287,8 @@ def strip_report(hd: HilbertData, digits: Optional[int] = None) -> StripReport:
             line = dichotomy = LineCheck("violated", line.center, line.sign)
         res_roots = res.degree >= 1
 
-        lo, hi = Fraction(-1) + Fraction(1, iota), Fraction(-1, iota)
-        boundary = any(r in (lo, hi) for r, _ in rational) or dichotomy.segment_boundary
+        lo, hi = D // iota - D, -D // iota  # the tight strip [-1 + 1/iota, -1/iota]
+        boundary = any(r in (lo, hi) for r in numerators) or dichotomy.segment_boundary
 
         def decide(name: str, root_ok, residual_status: str, res_inside: bool) -> None:
             if residual_status == "violated":
@@ -259,25 +299,23 @@ def strip_report(hd: HilbertData, digits: Optional[int] = None) -> StripReport:
                 verdicts[name] = "fails"
                 witnesses[name] = "residual roots fall outside the strip"
                 return
-            bad = next((r for r, _ in rational if not root_ok(r)), None)
+            bad = next((r for r in numerators if not root_ok(r)), None)
             if bad is None:
                 verdicts[name] = "holds"
             else:
                 verdicts[name] = "fails"
-                witnesses[name] = str(bad)
+                witnesses[name] = str(Fraction(bad, D))
 
-        half = Fraction(-1, 2)
-        narrow = Fraction(1, hd.dim + 1)
-        # where certified residual roots can sit: on the center line, plus
-        # (under the dichotomy) real pairs in the closed tight segment
-        res_in_narrow = (-1 + narrow < half < -narrow) and (
-            dichotomy.segment_pairs == 0 or iota < hd.dim + 1
-        )
+        # the narrow strip is (-1 + 1/m, -1/m) with m = dim + 1; certified
+        # residual roots sit on the center line -1/2, inside it when m > 2,
+        # plus (under the dichotomy) real pairs in the closed tight segment
+        m = hd.dim + 1
+        res_in_narrow = m > 2 and (dichotomy.segment_pairs == 0 or iota < m)
 
-        decide("CS", lambda r: -1 < r < 0, dichotomy.status, True)
-        decide("NCS", lambda r: -1 + narrow < r < -narrow, dichotomy.status, res_in_narrow)
+        decide("CS", lambda r: -D < r < 0, dichotomy.status, True)
+        decide("NCS", lambda r: D - m * D < m * r < -D, dichotomy.status, res_in_narrow)
         decide("TCS", lambda r: lo <= r <= hi, dichotomy.status, True)
-        decide("CL", lambda r: r == half, line.status, True)
+        decide("CL", lambda r: 2 * r == -D, line.status, True)
 
         report = StripReport(
             description=hd.description,

@@ -1,11 +1,23 @@
+import concurrent.futures.process
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import canstrip.cli
 from canstrip.cli import CSV_COLUMNS, canonical_json, main
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 has no room for."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run(capsys, *argv):
@@ -110,7 +122,7 @@ class TestErrors:
             def map(self, fn, items, chunksize=1):
                 raise BrokenProcessPool("a worker died")
 
-        monkeypatch.setattr(canstrip.cli, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", BrokenPool)
         code, pooled, err = run(capsys, *argv, "--jobs", "2")
         assert code == 0 and err == ""
         assert pooled == serial
@@ -222,6 +234,17 @@ class TestCheck:
         block = json.loads(out)["approx_roots"]
         assert block["digits"] == 15 and block["converged"] is True
         assert sorted(v["im"] for v in block["values"]) == pytest.approx([-1.0, 1.0])
+
+    @pytest.mark.parametrize("coeffs", ["1e400,0,1", "1,0,1e-400", "1e300,0,1"])
+    def test_digits_beyond_the_doubles_keep_the_exit_code(self, capsys, coeffs):
+        # the monic factor z^2 + 10^400 has no double coefficients, and the
+        # iterates for z^2 + 10^300 overflow: neither may count as settled
+        plain, _, _ = run(capsys, "check", "--coeffs", coeffs)
+        code, out, err = run(capsys, "check", "--coeffs", coeffs, "--digits", "3", "--format", "json")
+        assert code == plain == 0 and err == ""
+        block = strict_json(out)["approx_roots"]
+        assert block["converged"] is False
+        assert sum(v["mult"] for v in block["values"]) == 2
 
 
 ABELIAN_SPECS = {
@@ -378,6 +401,16 @@ class TestSweep:
 
 
 class TestParser:
+    def test_import_leaves_the_process_pool_out(self):
+        # only `sweep --jobs N` with N > 1 needs the pool, so a plain start
+        # must not pay for importing it
+        code = "import sys, canstrip.cli; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 

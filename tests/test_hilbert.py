@@ -195,11 +195,12 @@ class TestIntegerKernel:
 
     def test_unnormalized_factors_with_zero_and_negative_keys(self):
         base = RatPoly((Fraction(1, 2), Fraction(-3)))
-        factors = [(2, Fraction(-3, 2), 2), (1, Fraction(0), 1), (3, Fraction(5, 4), 1)]
+        # (l, n, q, h): the factor (l*z + n/q)^h
+        factors = [(2, -3, 2, 2), (1, 0, 1, 1), (3, 5, 4, 1)]
         want = list(base.coeffs)
-        for level, k, h in factors:
+        for level, n, q, h in factors:
             for _ in range(h):
-                want = pmul(want, [k, Fraction(level)])
+                want = pmul(want, [Fraction(n, q), Fraction(level)])
         assert list(multiply_linear(base, factors).coeffs) == want
 
     def test_expansion_is_stored_once_and_its_sources_are_fixed(self):

@@ -6,6 +6,8 @@ the exit-code contract."""
 
 import contextlib
 import io
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,9 +25,11 @@ from canstrip.varieties import section_step  # noqa: E402
 from oracles import (  # noqa: E402
     cover_sum,
     iterated_difference,
+    padd,
     pcompose_affine,
     peval,
     pmul,
+    psub,
     trim,
 )
 
@@ -58,6 +62,53 @@ def from_roots(roots, extra):
 def test_mul_matches_convolution(a, b):
     got = RatPoly(tuple(a)) * RatPoly(tuple(b))
     assert list(got.coeffs) == pmul(trim(a), trim(b))
+
+
+def assert_normal_form(p):
+    """Primitive integers with gcd 1 and no trailing zero, times a positive
+    Fraction content; the zero polynomial is ((), 0)."""
+    assert type(p.content) is Fraction and all(type(v) is int for v in p.ints)
+    if not p.ints:
+        assert p.content == 0
+    else:
+        assert p.content > 0 and p.ints[-1] != 0 and math.gcd(*p.ints) == 1
+
+
+scalars = st.one_of(st.sampled_from([0, -1, 2, -3]), rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists, scalars)
+def test_arithmetic_keeps_the_canonical_form(a, b, s):
+    p, q = RatPoly(tuple(a)), RatPoly(tuple(b))
+    a, b = trim(a), trim(b)
+    cases = [
+        (p + q, padd(a, b)),
+        (p - q, psub(a, b)),
+        (-p, psub([], a)),
+        (p * s, pmul(a, [Fraction(s)])),
+        (s * p, pmul(a, [Fraction(s)])),
+        ((p + q) - q, a),
+        (p.derivative(), [i * c for i, c in enumerate(a) if i]),
+    ]
+    for got, want in cases:
+        ref = RatPoly(tuple(want))
+        assert_normal_form(got)
+        assert got == ref and hash(got) == hash(ref)
+        assert list(got.coeffs) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists)
+def test_coeffs_round_trip_and_fields_are_fixed(a):
+    p = RatPoly(tuple(a))
+    assert_normal_form(p)
+    assert list(p.coeffs) == trim(a)
+    back = RatPoly(p.coeffs)
+    assert back == p and hash(back) == hash(p) and back.coeffs == p.coeffs
+    for name in ("ints", "content", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,7 +224,11 @@ degree_text = st.sampled_from(
     ["1", "2", "3", "1,1", "1,2", "2,3", "1,1,2"] * 2 + ["0", "-1,2", "a", ",,"]
 )
 coeff_text = st.lists(
-    st.sampled_from(["1", "2", "-1", "0", "3", "1/2", "-3/4"] * 2 + ["1/0", "q", ""]), max_size=5
+    st.sampled_from(
+        ["1", "2", "-1", "0", "3", "1/2", "-3/4"] * 2
+        + ["1e400", "-1e-400", "1e300", "3e-320", "1/0", "q", ""]
+    ),
+    max_size=5,
 ).map(",".join)
 
 
@@ -211,6 +266,10 @@ argvs = st.one_of(
 )
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def _flatten(parts):
     if isinstance(parts, tuple):
         return [arg for part in parts for arg in _flatten(part)]
@@ -227,3 +286,5 @@ def test_cli_exit_codes_are_total(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2 and err.getvalue().startswith("error:"):
         assert err.getvalue().count("\n") == 1
+    if code != 2 and "json" in argv:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)  # strict RFC 8259

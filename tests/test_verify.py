@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from canstrip.hilbert import expand, hilbert_gp
+from canstrip.hilbert import LevelTable, expand, hilbert_gp
 from canstrip.ratpoly import RatPoly
-from canstrip.root_system import marked
-from canstrip.varieties import complete_intersection, double_cover
+from canstrip.root_system import all_simple_types, marked
+from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import approx_roots, check_line, strip_report
 
 from oracles import binom_poly, iterated_difference
@@ -150,3 +150,30 @@ class TestApproxRoots:
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             approx_roots(P(3))
+
+
+def test_keys_and_roots_stay_exact():
+    """Level-table keys and rational roots are int or Fraction, never float,
+    and the roots strip_report reads off its integer tables are the exact
+    -k/(l*iota) of every factor, on each rank <= 4 mark, a section and a cover.
+    A table rebuilt from its rational keys is the same table."""
+    seen_fractional = False
+    for t in all_simple_types(4):
+        for node in range(1, t.rank + 1):
+            hd = hilbert_gp(marked(t.series, t.rank, node))
+            for cut in (hd, section_step(hd, 1, "intersection"), section_step(hd, 1, "cover")):
+                want = {}
+                for table in cut.levels:
+                    assert LevelTable(table.level, table.exponents) == table
+                    for k, h in table.exponents.items():
+                        assert type(k) in (int, Fraction), (cut.description, k)
+                        seen_fractional |= Fraction(k).denominator > 1
+                        r = Fraction(-k, table.level * cut.index) if cut.index > 0 else None
+                        want[r] = want.get(r, 0) + h
+                roots = strip_report(cut).rational_roots
+                assert all(type(r) in (int, Fraction) for r, _ in roots), cut.description
+                if cut.index > 0:
+                    assert roots == sorted(want.items()), cut.description
+                else:
+                    assert roots == []
+    assert seen_fractional
