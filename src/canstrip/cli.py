@@ -212,20 +212,20 @@ def _case(ms: MarkedSystem, degrees) -> Case:
     return ms.rs.simple_type.series, ms.rs.simple_type.rank, ms.node, tuple(degrees)
 
 
-def _csv_row(case: Case, report: dict) -> dict:
+def _csv_row(case: Case, hd: HilbertData, rep: StripReport) -> dict:
     series, rank, node, degrees = case
     return {
         "series": series,
         "rank": rank,
         "node": node,
         "degrees": "+".join(str(d) for d in degrees),
-        "dim": report["dim"],
-        "index": report["index"],
-        "class": report["class"],
-        "tcs": report["verdicts"]["TCS"],
-        "cl": report["verdicts"]["CL"],
-        "boundary_contact": report["boundary_contact"],
-        "degree_L": report["degree_L"],
+        "dim": hd.dim,
+        "index": hd.index,
+        "class": rep.variety_class,
+        "tcs": rep.verdicts["TCS"],
+        "cl": rep.verdicts["CL"],
+        "boundary_contact": rep.boundary_contact,
+        "degree_L": degree_of(hd),
     }
 
 
@@ -246,13 +246,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _single_command(args, hd: HilbertData, case: Case) -> int:
     rep = strip_report(hd)
-    report = variety_report(hd, rep, args.digits)
-    if args.format == "json":
-        _emit(canonical_json(report), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text([_csv_row(case, report)]), args.out)
+    if args.format == "csv":
+        text = _csv_text([_csv_row(case, hd, rep)])
     else:
-        _emit(render_text(report), args.out)
+        report = variety_report(hd, rep, args.digits)
+        text = canonical_json(report) if args.format == "json" else render_text(report)
+    _emit(text, args.out)
     return 0 if rep.all_applicable_hold else 1
 
 
@@ -375,7 +374,7 @@ def _sweep_case(case: Case) -> dict:
     series, rank, node, degrees = case
     hd = complete_intersection(marked(series, rank, node), list(degrees))
     rep = strip_report(hd)
-    row = _csv_row(case, variety_report(hd, rep, None))
+    row = _csv_row(case, hd, rep)
     row["description"] = hd.description
     row["verdicts"] = rep.verdicts
     row["witnesses"] = rep.witnesses
@@ -466,10 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
+    def common(
+        p: argparse.ArgumentParser, formats=("text", "json", "csv"), digits: bool = True
+    ) -> None:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="output path (CANSTRIP_OUT_DIR for relative paths)")
-        p.add_argument("--digits", type=int, default=None, help="include advisory approximate roots")
+        if digits:
+            p.add_argument("--digits", type=int, default=None, help="include advisory approximate roots")
 
     def space_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--type", required=True, help="series letter or combined name, e.g. A or E6")
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total-degree", type=int, default=0)
     p.add_argument("--max-codim", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    common(p, digits=False)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -4,9 +4,10 @@ A polynomial is stored in one normal form: a primitive integer coefficient
 tuple `ints` (lowest degree first, no trailing zeros, gcd 1) times a positive
 rational `content`; the zero polynomial is ((), 0).  The form is unique, so
 equality and hashing compare it directly, and every kernel (products, sums,
-shifts, evaluation, gcds and Sturm chains) multiplies and adds plain integers
-and never reduces a fraction.  `coeffs`, the `Fraction` coefficients, is
-derived on demand for printing, floats and polynomial division.
+shifts, evaluation and Sturm chains, whose last term is gcd(p, p')) multiplies
+and adds plain integers and never reduces a fraction.  `coeffs`, the
+`Fraction` coefficients, is derived on demand for printing, floats and
+polynomial division.
 Every operation is exact; floats never enter any verdict-relevant path.
 """
 
@@ -289,45 +290,9 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Monic gcd by a primitive remainder sequence over the integers
-    (Brown and Traub, JACM 1971)."""
-    a, b = p.ints, q.ints
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return _from_integer(a, Fraction(1, a[-1])) if a else _ZERO
-
-
-def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun decomposition: [(factor, multiplicity)] with square-free, pairwise
-    coprime monic factors whose weighted product is p up to a constant."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no square-free decomposition")
-    if p.degree == 0:
-        return []
-    parts: list[tuple[RatPoly, int]] = []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    c = p.exact_div(g)
-    d = dp.exact_div(g) - c.derivative()
-    i = 1
-    while c.degree > 0:
-        f = poly_gcd(c, d)
-        if f.degree > 0:
-            parts.append((f, i))
-        c = c.exact_div(f)
-        d = d.exact_div(f) - c.derivative()
-        i += 1
-    return parts
-
-
-def is_squarefree(p: RatPoly) -> bool:
-    return p.degree <= 0 or poly_gcd(p, p.derivative()).degree == 0
-
-
 @dataclass(frozen=True)
 class SturmCertificate:
-    """Exact count of distinct real roots of a square-free polynomial.
+    """Exact count of the distinct real roots of a polynomial.
 
     The interval convention is (lo, hi]: a root exactly at hi is counted,
     one exactly at lo is not.  `None` endpoints mean -oo / +oo.
@@ -356,7 +321,11 @@ def _sturm_sequence(p: RatPoly) -> list[list[int]]:
 
     Each term is a positive multiple of the classical Sturm term, so it has
     the same signs everywhere.  The last term is gcd(p, p') up to a
-    constant, so p is square-free exactly when it is constant.
+    constant, so p has deg p - deg(last) distinct roots, and dividing the
+    chain by it leaves a Sturm sequence of p's square-free part with the
+    same signs wherever the gcd does not vanish.  Signs taken just right of
+    each endpoint (`_sign_at`) never vanish, so `sturm_certificate` counts
+    distinct roots whether p is square-free or not.
     """
     if p.degree < 1:
         raise ValueError("need a non-constant polynomial")
@@ -370,33 +339,22 @@ def _sturm_sequence(p: RatPoly) -> list[list[int]]:
     return chain
 
 
-def sturm_chains(p: RatPoly) -> list[tuple[RatPoly, list[list[int]]]]:
-    """Each square-free factor of p from Yun's decomposition, with its Sturm
-    chain.
-
-    p's own chain comes first.  When its last term is constant, p is its own
-    only factor (Yun's answer, up to a constant) and keeps the chain;
-    otherwise Yun runs and each factor gets a chain of its own.  Either way
-    the remainder sequence of p and p' is computed once.
-    """
-    chain = _sturm_sequence(p)
-    if len(chain[-1]) == 1:
-        return [(p, chain)]
-    return [(f, _sturm_sequence(f)) for f, _mult in squarefree_parts(p)]
-
-
 def _sign_at(s: list[int], x: Optional[Fraction], side: str) -> int:
-    """Sign of s at x (at -oo / +oo for side lo / hi when x is None)."""
+    """Sign of s just right of x: the sign of the first derivative of s that
+    does not vanish at x (at -oo / +oo for side lo / hi when x is None)."""
     if x is None:
         lead = (s[-1] > 0) - (s[-1] < 0)
         return lead if side == "hi" else lead * (-1) ** (len(s) - 1)
     acc = _scaled_value(s, x)
+    while not acc:
+        s = [i * v for i, v in enumerate(s) if i]
+        acc = _scaled_value(s, x)
     return (acc > 0) - (acc < 0)
 
 
 def _variations(chain: list[list[int]], x: Optional[Fraction], side: str) -> int:
-    signs = [s for s in (_sign_at(q, x, side) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    signs = [_sign_at(q, x, side) for q in chain]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_certificate(
@@ -413,12 +371,28 @@ def sturm_certificate(
     return SturmCertificate(lo, hi, len(chain), v_lo, v_hi, n)
 
 
-def sturm_count(p: RatPoly, lo: Optional[Fraction], hi: Optional[Fraction]) -> SturmCertificate:
-    """Count distinct real roots of square-free p in (lo, hi]."""
-    chain = _sturm_sequence(p)
-    if len(chain[-1]) > 1:
-        raise ValueError("polynomial is not square-free")
-    return sturm_certificate(chain, lo, hi)
+def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
+    """[(factor, multiplicity)] with square-free, pairwise coprime monic
+    factors whose weighted product is p up to a constant.
+
+    The tower g_0 = p, g_(i+1) = gcd(g_i, g_i'), read off as the last term of
+    each Sturm sequence, lowers every multiplicity by one per step, so
+    h_i = g_i / g_(i+1) holds the distinct roots of multiplicity > i and
+    h_i / h_(i+1) those of multiplicity exactly i + 1 (Musser, JACM 1975).
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no square-free decomposition")
+    tower = [p]
+    while tower[-1].degree > 0:
+        last = _sturm_sequence(tower[-1])[-1]
+        tower.append(_from_integer(last, Fraction(1, last[-1])))
+    h = [g.exact_div(g_next) for g, g_next in zip(tower, tower[1:])] + [_ONE]
+    parts = []
+    for i, (f, f_next) in enumerate(zip(h, h[1:]), 1):
+        factor = f.exact_div(f_next)
+        if factor.degree > 0:
+            parts.append((factor.monic(), i))
+    return parts
 
 
 def symmetry_center(p: RatPoly) -> Optional[tuple[Fraction, int]]:

@@ -26,10 +26,10 @@ from .ratpoly import (
     ConsistencyError,
     RatPoly,
     SturmCertificate,
+    _sturm_sequence,
     even_odd_split,
     squarefree_parts,
     sturm_certificate,
-    sturm_chains,
     symmetry_center,
 )
 
@@ -55,9 +55,11 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     """Certify all roots of p on its symmetry line and, second, on the line
     or real at squared distance up to radius2 from the center.
 
-    The center, the even part and its square-free factors are computed once,
-    and one Sturm chain per factor (see `sturm_chains`) serves both counts.
-    For radius2 = 0 the two checks coincide and the same object is returned
+    The center and the even part q are computed once, and one Sturm sequence
+    of q serves both counts.  Its last term is gcd(q, q'), so q has
+    deg q - deg(last) distinct roots, and each check holds exactly when the
+    count on (-oo, x] (x = 0, then radius2) reaches that number.  For
+    radius2 = 0 the two checks coincide and the same object is returned
     twice.
     """
     if p.is_zero:
@@ -73,28 +75,18 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     if q.degree < 1:
         line = LineCheck("certified", center, sign)
         return line, line
-    line_certs, segment_certs = [], []
-    line_ok = segment_ok = True
-    pairs = 0
-    boundary = False
-    for f, chain in sturm_chains(q):
-        on_line = sturm_certificate(chain, None, Fraction(0))
-        line_certs.append(on_line)
-        line_ok = line_ok and on_line.count == f.degree
-        if radius2 > 0:
-            cert = sturm_certificate(chain, None, radius2)
-            segment_certs.append(cert)
-            segment_ok = segment_ok and cert.count == f.degree
-            pairs += cert.count - on_line.count
-            if f(radius2) == 0:
-                boundary = True
-    line = LineCheck("certified" if line_ok else "violated", center, sign, line_certs)
+    chain = _sturm_sequence(q)
+    distinct = q.degree - (len(chain[-1]) - 1)
+    on_line = sturm_certificate(chain, None, Fraction(0))
+    line = LineCheck(
+        "certified" if on_line.count == distinct else "violated", center, sign, [on_line]
+    )
     if radius2 <= 0:
         return line, line
-    segment = LineCheck(
-        "certified" if segment_ok else "violated", center, sign, segment_certs, pairs, boundary
-    )
-    return line, segment
+    cert = sturm_certificate(chain, None, radius2)
+    status = "certified" if cert.count == distinct else "violated"
+    pairs = cert.count - on_line.count
+    return line, LineCheck(status, center, sign, [cert], pairs, q(radius2) == 0)
 
 
 def check_line(p: RatPoly) -> LineCheck:
@@ -229,7 +221,6 @@ class StripReport:
     verdicts: dict[str, str]  # hypothesis -> holds | fails | not_applicable
     witnesses: dict[str, str]  # hypothesis -> offending root, when it fails
     boundary_contact: bool
-    approx: Optional[list[ApproxRoot]] = None
 
     @property
     def all_applicable_hold(self) -> bool:
@@ -244,7 +235,7 @@ def _class_of(index: int) -> str:
     return "Calabi-Yau" if index == 0 else "general type"
 
 
-def strip_report(hd: HilbertData, digits: Optional[int] = None) -> StripReport:
+def strip_report(hd: HilbertData) -> StripReport:
     """Extract exact rational roots, certify the residual, decide verdicts.
 
     For a positive index, every level factor (l*z + k) contributes the
@@ -256,21 +247,15 @@ def strip_report(hd: HilbertData, digits: Optional[int] = None) -> StripReport:
     about the polynomial's own symmetry center in the L-variable.
     """
     iota = hd.index
-    verdicts: dict[str, str] = {}
-    witnesses: dict[str, str] = {}
-
+    roots: dict[int, int] = {}
     if iota > 0:
         # the root -k/(l*iota) of a factor (l*z + k), k = n/q, is -n*(D/(l*q*iota))
         # over one denominator D for every table, so roots compare as integers
         D = iota * lcm(*(t.level * t.den for t in hd.levels))
-        roots: dict[int, int] = {}
         for table in hd.levels:
             step = D // (table.level * table.den * iota)
             for n, h in table.counts.items():
                 roots[-n * step] = roots.get(-n * step, 0) + h
-        numerators = sorted(roots)
-        rational = [(Fraction(r, D), roots[r]) for r in numerators]
-
         res = hd.residual.compose_affine(iota, 0)
         if sum(roots.values()) + max(res.degree, 0) != hd.dim:
             raise ConsistencyError(
@@ -279,90 +264,66 @@ def strip_report(hd: HilbertData, digits: Optional[int] = None) -> StripReport:
             )
         # the squared half-width of the tight segment, (1/2 - 1/iota)^2
         radius2 = Fraction((iota - 2) ** 2, 4 * iota**2) if iota > 2 else Fraction(0)
-        try:
-            line, dichotomy = _certify(res, radius2)
-        except ValueError:
-            line = dichotomy = LineCheck("violated", None, None)
-        if line.status != "not_applicable" and line.center != Fraction(-1, 2):
-            line = dichotomy = LineCheck("violated", line.center, line.sign)
-        res_roots = res.degree >= 1
+    else:
+        D, res, radius2 = 1, expand(hd), Fraction(0)
+    numerators = sorted(roots)
+    try:
+        line, dichotomy = _certify(res, radius2)
+    except ValueError:
+        line = dichotomy = LineCheck("violated", None, None)
+    if iota > 0 and line.status != "not_applicable" and line.center != Fraction(-1, 2):
+        line = dichotomy = LineCheck("violated", line.center, line.sign)
+    res_roots = res.degree >= 1
+    verdicts: dict[str, str] = {}
+    witnesses: dict[str, str] = {}
 
+    def decide(name: str, root_ok, residual_status: str, res_inside: bool) -> None:
+        if residual_status == "violated":
+            verdicts[name] = "fails"
+            witnesses[name] = (
+                "residual roots escape the certified region" if iota > 0
+                else "roots off the symmetry line"
+            )
+            return
+        if res_roots and not res_inside:
+            verdicts[name] = "fails"
+            witnesses[name] = "residual roots fall outside the strip"
+            return
+        bad = next((r for r in numerators if not root_ok(r)), None)
+        if bad is None:
+            verdicts[name] = "holds"
+        else:
+            verdicts[name] = "fails"
+            witnesses[name] = str(Fraction(bad, D))
+
+    if iota > 0:
         lo, hi = D // iota - D, -D // iota  # the tight strip [-1 + 1/iota, -1/iota]
         boundary = any(r in (lo, hi) for r in numerators) or dichotomy.segment_boundary
-
-        def decide(name: str, root_ok, residual_status: str, res_inside: bool) -> None:
-            if residual_status == "violated":
-                verdicts[name] = "fails"
-                witnesses[name] = "residual roots escape the certified region"
-                return
-            if res_roots and not res_inside:
-                verdicts[name] = "fails"
-                witnesses[name] = "residual roots fall outside the strip"
-                return
-            bad = next((r for r in numerators if not root_ok(r)), None)
-            if bad is None:
-                verdicts[name] = "holds"
-            else:
-                verdicts[name] = "fails"
-                witnesses[name] = str(Fraction(bad, D))
-
         # the narrow strip is (-1 + 1/m, -1/m) with m = dim + 1; certified
         # residual roots sit on the center line -1/2, inside it when m > 2,
         # plus (under the dichotomy) real pairs in the closed tight segment
         m = hd.dim + 1
         res_in_narrow = m > 2 and (dichotomy.segment_pairs == 0 or iota < m)
-
         decide("CS", lambda r: -D < r < 0, dichotomy.status, True)
         decide("NCS", lambda r: D - m * D < m * r < -D, dichotomy.status, res_in_narrow)
         decide("TCS", lambda r: lo <= r <= hi, dichotomy.status, True)
-        decide("CL", lambda r: 2 * r == -D, line.status, True)
-
-        report = StripReport(
-            description=hd.description,
-            dim=hd.dim,
-            index=iota,
-            variety_class=_class_of(iota),
-            rational_roots=rational,
-            residual_variable="anticanonical",
-            residual_line=line.center,
-            residual_on_line=line.status,
-            residual_dichotomy=dichotomy.status,
-            certificates=dichotomy.certificates,
-            verdicts=verdicts,
-            witnesses=witnesses,
-            boundary_contact=boundary,
-        )
     else:
-        res = expand(hd)
-        try:
-            line = check_line(res)
-        except ValueError:
-            line = LineCheck("violated", None, None)
-        for name in ("CS", "NCS", "TCS"):
-            verdicts[name] = "not_applicable"
-        if line.status == "violated":
-            verdicts["CL"] = "fails"
-            witnesses["CL"] = "roots off the symmetry line"
-        else:
-            verdicts["CL"] = "holds"
-        report = StripReport(
-            description=hd.description,
-            dim=hd.dim,
-            index=iota,
-            variety_class=_class_of(iota),
-            rational_roots=[],
-            residual_variable="ample_generator",
-            residual_line=line.center,
-            residual_on_line=line.status,
-            residual_dichotomy=line.status,
-            certificates=line.certificates,
-            verdicts=verdicts,
-            witnesses=witnesses,
-            boundary_contact=False,
-        )
+        boundary = False
+        verdicts.update(dict.fromkeys(("CS", "NCS", "TCS"), "not_applicable"))
+    decide("CL", lambda r: 2 * r == -D, line.status, True)
 
-    if digits is not None:
-        poly = expand(hd, "anticanonical" if iota > 0 else "ample_generator")
-        if poly.degree >= 1:
-            report.approx = approx_roots(poly, digits)
-    return report
+    return StripReport(
+        description=hd.description,
+        dim=hd.dim,
+        index=iota,
+        variety_class=_class_of(iota),
+        rational_roots=[(Fraction(r, D), roots[r]) for r in numerators],
+        residual_variable="anticanonical" if iota > 0 else "ample_generator",
+        residual_line=line.center,
+        residual_on_line=line.status,
+        residual_dichotomy=dichotomy.status,
+        certificates=dichotomy.certificates,
+        verdicts=verdicts,
+        witnesses=witnesses,
+        boundary_contact=boundary,
+    )

@@ -138,6 +138,21 @@ class TestGolden:
             "0f75620c7aff692a992af58df2429f827cfe1a6c2e63b18f59d1095b93e536d0"
         )
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (("sweep", "--max-rank", "6", "--max-total-degree", "3", "--format", "csv", "--jobs", "1"),
+         "bdcd8785ac98ac37a7cc79687e96d4eb0923628ec5110a33f59d6c4f9e4550fc"),
+        (("cover", "--type", "E8", "--node", "4", "--degree", "9", "--format", "json"),
+         "4e4b776d922821c519d56b25c3ea642d2d63b4be8406170ffe05b9bd4c1ffee8"),
+        (("ci", "--type", "E8", "--node", "4", "--degrees", "1,1", "--format", "json"),
+         "a2d2c893b7a3212426756d4bc88192590fd8b7eace2af68aea9a21118e2f466b"),
+    ])
+    def test_benchmark_output_bytes(self, capsys, argv, sha256):
+        # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4
+        # and its codimension-two linear section, byte for byte
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
 
 class TestCi:
     def test_del_pezzo(self, capsys):
@@ -234,6 +249,19 @@ class TestCheck:
         block = json.loads(out)["approx_roots"]
         assert block["digits"] == 15 and block["converged"] is True
         assert sorted(v["im"] for v in block["values"]) == pytest.approx([-1.0, 1.0])
+
+    def test_one_certificate_per_residual(self, capsys):
+        # z^4 (z^2 + 1): its even part u^2 (u + 1) has a double root at the
+        # endpoint 0, and one Sturm sequence counts both distinct roots
+        code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,1,0,1", "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["verdicts"] == {"CL": "holds"}
+        assert [(c["count"], c["chain_length"]) for c in report["certificates"]] == [(2, 3)]
+        # z^4 (z^2 - 1): the same double root, with the real pair +-1 off the line
+        code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,-1,0,1", "--format", "json")
+        report = json.loads(out)
+        assert code == 1 and report["verdicts"] == {"CL": "fails"}
+        assert [c["count"] for c in report["certificates"]] == [1]
 
     @pytest.mark.parametrize("coeffs", ["1e400,0,1", "1,0,1e-400", "1e300,0,1"])
     def test_digits_beyond_the_doubles_keep_the_exit_code(self, capsys, coeffs):
@@ -349,6 +377,12 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert any(",2+," not in line for line in lines)
+
+    def test_digits_is_not_a_sweep_option(self, capsys):
+        # a sweep prints no roots, so it takes no --digits
+        code, out, err = run(capsys, "sweep", "--max-rank", "2", "--digits", "3")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --digits 3" in err
 
     def test_rank_cap(self, capsys):
         code, _, err = run(capsys, "sweep", "--max-rank", "11")

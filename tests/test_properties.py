@@ -1,8 +1,8 @@
 """Property tests of the integer kernels against independent references:
 the Fraction arithmetic in `oracles` (products, Horner evaluation and
-substitution, iterated differences), and sympy's root counts and gcds (sympy
-is used only here, never by the package).  A fuzz of the command line checks
-the exit-code contract."""
+substitution, iterated differences), and sympy's root counts, gcds and
+square-free factorizations (sympy is used only here, never by the package).
+A fuzz of the command line checks the exit-code contract."""
 
 import contextlib
 import io
@@ -18,7 +18,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from canstrip.cli import main  # noqa: E402
 from canstrip.hilbert import expand, hilbert_gp  # noqa: E402
-from canstrip.ratpoly import RatPoly, poly_gcd, sturm_count  # noqa: E402
+from canstrip.ratpoly import (  # noqa: E402
+    RatPoly,
+    _sturm_sequence,
+    squarefree_parts,
+    sturm_certificate,
+)
 from canstrip.root_system import all_simple_types, marked  # noqa: E402
 from canstrip.varieties import section_step  # noqa: E402
 
@@ -126,18 +131,30 @@ def test_compose_affine_matches_horner(coeffs, a, b):
     assert list(got.coeffs) == pcompose_affine(trim(coeffs), a, b)
 
 
-@settings(max_examples=100, deadline=None)
+def sturm_count(p, lo, hi):
+    return sturm_certificate(_sturm_sequence(p), lo, hi)
+
+
+def as_coeffs(poly):
+    """A sympy Poly's coefficients as Fractions, lowest degree first."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    st.lists(rationals, min_size=0, max_size=6, unique=True),
+    st.lists(rationals, min_size=0, max_size=6),
     st.lists(rationals, min_size=1, max_size=4).map(trim).filter(bool),
     st.sampled_from([1, -1]),
     st.data(),
 )
 def test_sturm_count_matches_sympy(sympy, roots, extra, sign, data):
+    """Distinct real roots in (lo, hi], with repeated roots drawn and the
+    endpoints often on a root, against sympy's count on the square-free part."""
+    if roots:
+        roots = roots + data.draw(st.lists(st.sampled_from(roots), max_size=3))
     coeffs = trim([sign * c for c in from_roots(roots, extra)])
     assume(len(coeffs) >= 2)
-    poly = as_sympy(sympy, coeffs)
-    assume(poly.is_sqf)
+    poly = as_sympy(sympy, coeffs).sqf_part()
     points = st.one_of(st.none(), st.sampled_from(roots) if roots else st.none(), rationals)
     lo, hi = data.draw(points), data.draw(points)
     assume(lo is None or hi is None or lo < hi)
@@ -152,33 +169,65 @@ def test_sturm_count_matches_sympy(sympy, roots, extra, sign, data):
     assert cert.count == want
 
 
+def chain_gcd(coeffs):
+    """The last term of the Sturm sequence, made monic: gcd(p, p')."""
+    return RatPoly(_sturm_sequence(RatPoly(tuple(coeffs)))[-1]).monic()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
+    st.lists(rationals, min_size=1, max_size=4).map(trim).filter(bool),
     st.lists(rationals, min_size=1, max_size=5).map(trim).filter(bool),
-    st.lists(rationals, min_size=1, max_size=6).map(trim).filter(bool),
-    st.lists(rationals, min_size=1, max_size=6).map(trim).filter(bool),
+    st.integers(1, 3),
 )
-def test_poly_gcd_matches_sympy(sympy, common, a, b):
-    p, q = pmul(common, a), pmul(common, b)
-    want = sympy.gcd(as_sympy(sympy, p), as_sympy(sympy, q)).monic()
-    got = poly_gcd(RatPoly(tuple(p)), RatPoly(tuple(q)))
-    assert [sympy.Rational(c.numerator, c.denominator) for c in got.coeffs] == list(
-        reversed(want.all_coeffs())
-    )
+def test_poly_gcd_matches_sympy(sympy, common, a, k):
+    """gcd(p, p') read off the chain's last term, for p = common^(k+1) * a."""
+    p = a
+    for _ in range(k + 1):
+        p = pmul(p, common)
+    assume(len(p) >= 2)
+    sp = as_sympy(sympy, p)
+    want = sympy.gcd(sp, sp.diff()).monic()
+    assert list(chain_gcd(p).coeffs) == as_coeffs(want)
 
 
 def test_poly_gcd_negative_lead_and_even_degree_drop(sympy):
-    # deg 6 against deg 4 with a negative leading coefficient: the classical
-    # pseudo-remainder multiplier lc^(6 - 4 + 1) is negative here
-    common = [Fraction(-2), Fraction(0), Fraction(3)]
-    p = pmul(common, [Fraction(1), Fraction(-1, 3), Fraction(2), Fraction(0), Fraction(-5)])
-    q = pmul(common, [Fraction(7), Fraction(-3), Fraction(-1)])
-    want = sympy.gcd(as_sympy(sympy, p), as_sympy(sympy, q)).monic()
-    got = poly_gcd(RatPoly(tuple(p)), RatPoly(tuple(q)))
-    assert got == RatPoly((Fraction(-2, 3), Fraction(0), Fraction(1)))
-    assert [sympy.Rational(c.numerator, c.denominator) for c in got.coeffs] == list(
-        reversed(want.all_coeffs())
-    )
+    # p = (3z^3 - 2)^2 (-z^4 - 3z - 3) has a negative leading coefficient and
+    # a chain that drops from degree 9 to 7, after which leading coefficients
+    # turn negative: the classical pseudo-remainder multiplier lc^(d + 1) is
+    # then negative, and a chain that kept that sign would miscount
+    common = [Fraction(-2), Fraction(0), Fraction(0), Fraction(3)]
+    p = pmul(pmul(common, common), [Fraction(c) for c in (-3, -3, 0, 0, -1)])
+    chain = _sturm_sequence(RatPoly(tuple(p)))
+    assert [len(t) - 1 for t in chain] == [10, 9, 7, 6, 5, 4, 3]
+    assert any(t[-1] < 0 for t in chain[2:])
+    sp = as_sympy(sympy, p)
+    assert chain_gcd(p) == RatPoly((Fraction(-2, 3), Fraction(0), Fraction(0), Fraction(1)))
+    assert list(chain_gcd(p).coeffs) == as_coeffs(sympy.gcd(sp, sp.diff()).monic())
+    for lo, hi in ((None, None), (None, Fraction(0)), (Fraction(0), None)):
+        want = sp.sqf_part().count_roots(lo, hi)
+        assert sturm_certificate(chain, lo, hi).count == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(rationals, min_size=2, max_size=3).map(trim), st.integers(1, 4)),
+        min_size=1,
+        max_size=3,
+    ),
+    nonzero_rationals,
+)
+def test_squarefree_parts_matches_sympy(sympy, factors, scale):
+    p = [scale]
+    for f, m in factors:
+        for _ in range(m):
+            p = pmul(p, f)
+    assume(len(p) >= 2)
+    _, want = as_sympy(sympy, p).sqf_list()
+    want = sorted((as_coeffs(f.monic()), m) for f, m in want)
+    got = sorted((list(f.coeffs), m) for f, m in squarefree_parts(RatPoly(tuple(p))))
+    assert got == want
 
 
 @pytest.mark.parametrize("sign", [1, -1])

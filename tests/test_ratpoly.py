@@ -6,11 +6,10 @@ import pytest
 from canstrip.ratpoly import (
     ConsistencyError,
     RatPoly,
+    _sturm_sequence,
     even_odd_split,
-    is_squarefree,
-    poly_gcd,
     squarefree_parts,
-    sturm_count,
+    sturm_certificate,
     symmetry_center,
 )
 
@@ -103,6 +102,8 @@ class TestSquarefree:
     def test_mixed(self):
         parts = squarefree_parts(P(0, 0, 1, 1))  # z^2 (z + 1)
         assert sorted(parts, key=lambda t: t[1]) == [(P(1, 1), 1), (P(0, 1), 2)]
+        # z (z - 1)^3: the tower has no factor of multiplicity 2
+        assert squarefree_parts(P(0, 1) * P(-1, 1) ** 3) == [(P(0, 1), 1), (P(-1, 1), 3)]
 
     def test_reconstruction(self):
         rng = random.Random(11)
@@ -117,6 +118,10 @@ class TestSquarefree:
             assert rebuilt * (prod.leading / rebuilt.leading) == prod
 
 
+def sturm_count(p, lo, hi):
+    return sturm_certificate(_sturm_sequence(p), lo, hi)
+
+
 class TestSturm:
     def test_half_line(self):
         cert = sturm_count(P(-1, 0, 1), None, Fraction(0))
@@ -125,9 +130,21 @@ class TestSturm:
     def test_no_real_roots(self):
         assert sturm_count(P(1, 0, 1), None, None).count == 0
 
-    def test_not_squarefree_rejected(self):
-        with pytest.raises(ValueError):
-            sturm_count(P(Fraction(1, 4), 1, 1), None, None)
+    def test_repeated_root_counted_once(self):
+        # (z + 1/2)^2 (z - 1): two distinct roots, the double one counted
+        # once, on the side of the interval it closes
+        p = P(Fraction(1, 4), 1, 1) * P(-1, 1)
+        assert sturm_count(p, None, None).count == 2
+        assert sturm_count(p, None, Fraction(-1, 2)).count == 1
+        assert sturm_count(p, Fraction(-1, 2), None).count == 1
+        # z^2 (z - 1)^3 (z + 2): signs just right of 0 and 1, where every
+        # term of the chain vanishes, still count the distinct roots
+        p = P(0, 1) ** 2 * P(-1, 1) ** 3 * P(2, 1)
+        assert sturm_count(p, None, None).count == 3
+        assert sturm_count(p, None, Fraction(0)).count == 2
+        assert sturm_count(p, Fraction(0), Fraction(1)).count == 1
+        assert sturm_count(p, Fraction(-2), Fraction(0)).count == 1
+        assert sturm_count(p, Fraction(1), None).count == 0
 
     def test_endpoint_convention(self):
         # (lo, hi]: a root at hi counts, at lo it does not
@@ -145,9 +162,11 @@ class TestSturm:
             assert sturm_count(p, None, None).count == len(roots)
 
     def test_gcd_and_squarefree_detect(self):
-        assert poly_gcd(P(-1, 1) * P(1, 1), P(-1, 1)) == P(-1, 1)
-        assert is_squarefree(P(-1, 0, 1))
-        assert not is_squarefree(P(1, 2, 1))
+        # the last term of the chain is gcd(p, p') up to a positive constant
+        p = P(-1, 1) ** 2 * P(1, 1)
+        assert RatPoly(_sturm_sequence(p)[-1]).monic() == P(-1, 1)
+        assert len(_sturm_sequence(P(-1, 0, 1))[-1]) == 1
+        assert len(_sturm_sequence(P(1, 2, 1))[-1]) == 2
 
 
 class TestSymmetry:

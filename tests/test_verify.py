@@ -6,7 +6,7 @@ from canstrip.hilbert import LevelTable, expand, hilbert_gp
 from canstrip.ratpoly import RatPoly
 from canstrip.root_system import all_simple_types, marked
 from canstrip.varieties import complete_intersection, double_cover, section_step
-from canstrip.verify import approx_roots, check_line, strip_report
+from canstrip.verify import _certify, approx_roots, check_line, strip_report
 
 from oracles import binom_poly, iterated_difference
 
@@ -46,6 +46,55 @@ class TestCheckLine:
         # (z^2+z+1)^2 has all roots on the line, detected via square-free parts
         line = check_line(P(1, 1, 1) * P(1, 1, 1))
         assert line.status == "certified"
+
+
+def around_half(*factors):
+    """p(z) = q((z + 1/2)^2) for q the product of the given factors of u."""
+    q = RatPoly.one()
+    for f in factors:
+        q = q * f
+    w2 = P(Fraction(1, 4), 1, 1)  # (z + 1/2)^2
+    p = RatPoly.zero()
+    for c in reversed(q.coeffs):
+        p = p * w2 + RatPoly.const(c)
+    return p
+
+
+class TestCertifyMultipleRoots:
+    """One Sturm sequence of the even part q, with a multiple root of q lying
+    exactly on an endpoint of the count, 0 or r^2."""
+
+    R2 = Fraction(1, 9)
+
+    def test_double_root_at_r2(self):
+        # q = (u - r^2)^2 (u + 1): roots -1 (on the line) and r^2 (a real
+        # pair at the segment's ends), so the segment holds with contact
+        line, segment = _certify(around_half(P(-self.R2, 1) ** 2, P(1, 1)), self.R2)
+        assert line.center == Fraction(-1, 2)
+        assert line.status == "violated" and line.certificates[0].count == 1
+        assert segment.status == "certified" and segment.segment_boundary
+        assert segment.segment_pairs == 1
+        assert [c.count for c in segment.certificates] == [2]
+        # q = (u - r^2)^2 (u - 2 r^2): every term of the chain vanishes at
+        # r^2, and the root beyond it must still be seen
+        p = around_half(P(-self.R2, 1) ** 2, P(-2 * self.R2, 1))
+        _, segment = _certify(p, self.R2)
+        assert segment.status == "violated" and segment.segment_boundary
+        assert segment.certificates[0].count == 1
+
+    def test_double_root_at_zero(self):
+        # q = u^2 (u + 1): a double root on the line's center, certified
+        line, segment = _certify(around_half(P(0, 1) ** 2, P(1, 1)), self.R2)
+        assert line.status == "certified" and line.certificates[0].count == 2
+        assert segment.status == "certified" and not segment.segment_boundary
+        assert segment.segment_pairs == 0
+        # q = u^2 (u - r^2/2): the root u = r^2/2 leaves the line but stays
+        # in the segment, so the line check fails and the segment holds
+        p = around_half(P(0, 1) ** 2, P(-self.R2 / 2, 1))
+        line, segment = _certify(p, self.R2)
+        assert line.status == "violated" and line.certificates[0].count == 1
+        assert segment.status == "certified" and segment.segment_pairs == 1
+        assert not segment.segment_boundary
 
 
 class TestStripReport:
