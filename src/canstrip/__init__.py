@@ -5,9 +5,8 @@ from .ratpoly import (
     ConsistencyError,
     RatPoly,
     SturmCertificate,
-    even_odd_split,
     squarefree_parts,
-    symmetry_center,
+    symmetric_split,
 )
 from .root_system import (
     MarkedSystem,
@@ -19,7 +18,6 @@ from .root_system import (
     canonicalize,
     extremal_roots,
     index_formulas,
-    level_of,
     mark,
     marked,
     rho_pair,
@@ -69,12 +67,10 @@ __all__ = [
     "complete_intersection",
     "degree_of",
     "double_cover",
-    "even_odd_split",
     "expand",
     "extremal_roots",
     "hilbert_gp",
     "index_formulas",
-    "level_of",
     "mark",
     "marked",
     "pell",
@@ -82,6 +78,6 @@ __all__ = [
     "section_step",
     "squarefree_parts",
     "strip_report",
-    "symmetry_center",
+    "symmetric_split",
     "validate",
 ]

@@ -16,56 +16,37 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .ratpoly import ConsistencyError, RatPoly, _from_integer, _scaled_value, _taylor_shift
 from .root_system import MarkedSystem
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LevelTable:
     """Exponents of one level's factors, keyed by the rho-pairing value k.
 
     A key k is stored as its numerator n = k * den over the table's one
     denominator `den` (1 in the simply-laced case), and `counts` maps the
     numerators, in increasing order, to their multiplicities, all positive.
-    `den` is as small as the keys allow, so equal tables compare equal.
-    `exponents` is the same table keyed by the rationals k.
+    Construction divides `den` and the numerators by their gcd, so `den` is
+    as small as the keys allow and equal tables compare equal.  `exponents`
+    is the same table keyed by the rationals k.
     """
 
     level: int
     den: int
     counts: dict[int, int]
 
-    def __init__(self, level: int, exponents: dict[Fraction, int]) -> None:
-        den = lcm(*(Fraction(k).denominator for k in exponents))
-        _fill(self, level, den, {int(k * den): h for k, h in sorted(exponents.items())})
-
-    @classmethod
-    def over(cls, level: int, den: int, counts: dict[int, int]) -> LevelTable:
-        """The table of the keys n/den, from numerators n in increasing order."""
-        g = gcd(den, *counts)
+    def __post_init__(self) -> None:
+        g = gcd(self.den, *self.counts)
         if g > 1:
-            den, counts = den // g, {n // g: h for n, h in counts.items()}
-        table = object.__new__(cls)
-        _fill(table, level, den, counts)
-        return table
+            object.__setattr__(self, "den", self.den // g)
+            object.__setattr__(self, "counts", {n // g: h for n, h in self.counts.items()})
 
     @property
     def exponents(self) -> dict[Fraction, int]:
         return {Fraction(n, self.den): h for n, h in self.counts.items()}
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(min(self.counts), self.den)
-
-    @property
-    def top(self) -> Fraction:
-        return Fraction(max(self.counts), self.den)
-
-    @property
-    def count(self) -> int:
-        return sum(self.counts.values())
 
     def check_symmetric(self, index: int) -> None:
         """Assert property (S): h at k matches h at level*index - k."""
@@ -92,12 +73,6 @@ class LevelTable:
             for (n1, h1), (n2, h2) in zip(lower, lower[1:])
             if h1 > h2
         ]
-
-
-def _fill(table: LevelTable, level: int, den: int, counts: dict[int, int]) -> None:
-    object.__setattr__(table, "level", level)
-    object.__setattr__(table, "den", den)
-    object.__setattr__(table, "counts", counts)
 
 
 def multiply_linear(base: RatPoly, factors: list, normalized: bool = False) -> RatPoly:
@@ -132,7 +107,6 @@ class HilbertData:
     description: str
     dim: int
     index: int
-    lmax: int
     levels: tuple[LevelTable, ...] = ()
     residual: RatPoly = field(default_factory=RatPoly.one)
     simply_laced: bool = True  # all root lengths equal; makes (U) a theorem
@@ -174,7 +148,7 @@ def validate(hd: HilbertData) -> RatPoly:
     is positive.
     """
     for table in hd.levels:
-        if not hd.lmax >= table.level >= 1:
+        if table.level < 1:
             raise ConsistencyError(f"{hd.description}: level {table.level} out of range")
         table.check_symmetric(hd.index)
         if hd.simply_laced:
@@ -213,22 +187,13 @@ def hilbert_gp(ms: MarkedSystem) -> HilbertData:
     Cached for the last mark asked for: a sweep visits each mark's cases one
     after another, and they share this object and its memoized sections.
     """
-    tables = []
-    for l, keys in ms.pairings.items():
-        table = LevelTable.over(l, ms.d_den, dict(Counter(keys)))  # keys come in increasing order
-        if table.count != len(ms.levels[l]):
-            raise ConsistencyError("lost roots while tabulating")
-        if table.b + table.top != l * ms.index:
-            raise ConsistencyError(
-                f"{ms.description}: level {l} keys span [{table.b}, {table.top}], "
-                f"expected b + top = {l * ms.index}"
-            )
-        tables.append(table)
+    # the keys come in increasing order, and `mark` has asserted through
+    # `extremal_roots` that each level's extremal keys sum to l * iota
+    tables = [LevelTable(l, ms.d_den, dict(Counter(keys))) for l, keys in ms.pairings.items()]
     hd = HilbertData(
         description=ms.description,
         dim=ms.dim,
         index=ms.index,
-        lmax=ms.lmax,
         levels=tables,
         residual=RatPoly.one(),
         simply_laced=len(set(ms.d_num)) == 1,

@@ -395,30 +395,20 @@ def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
     return parts
 
 
-def symmetry_center(p: RatPoly) -> Optional[tuple[Fraction, int]]:
-    """Detect the center c with p(z) = s*p(2c - z), s = (-1)^deg p.
+def symmetric_split(p: RatPoly) -> Optional[tuple[Fraction, RatPoly]]:
+    """Find the center c and the even part q with p = w^eps * q(w^2), w = z - c.
 
-    The only possible center is -a_{n-1}/(n*a_n); the identity is then
-    checked coefficient by coefficient.  Returns (c, s) or None.
+    The only possible center is c = -a_{n-1}/(n*a_n).  One Taylor shift gives
+    p(w + c), and p(2c - z) = (-1)^n * p(z) holds exactly when that shift has
+    no monomial of parity 1 - eps, eps = n mod 2; its monomials of parity eps
+    are then q.  Returns (c, q), or None when p is not symmetric.
     """
     n = p.degree
     if n < 1:
         raise ValueError("need deg >= 1")
     c = Fraction(-p.ints[n - 1], n * p.ints[n])
-    s = (-1) ** n
-    return (c, s) if p.compose_affine(-1, 2 * c) == p * s else None
-
-
-def even_odd_split(p: RatPoly, center: Fraction) -> tuple[int, RatPoly]:
-    """Write p = w^eps * q(w^2) with w = z - center.
-
-    Requires p symmetric about `center` with sign (-1)^deg p; eps is then
-    deg p mod 2 and q is returned with exact coefficients.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    q = p.compose_affine(1, Fraction(center))
-    eps = p.degree % 2
-    if any(q.ints[1 - eps :: 2]):
-        raise ValueError(f"polynomial is not symmetric about {center}")
-    return eps, _from_integer(q.ints[eps::2], q.content)
+    shifted = p.compose_affine(1, c)
+    eps = n % 2
+    if any(shifted.ints[1 - eps :: 2]):
+        return None
+    return c, _from_integer(shifted.ints[eps::2], shifted.content)

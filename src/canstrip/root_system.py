@@ -258,10 +258,6 @@ def rho_pair(ms: MarkedSystem, a: Root) -> Fraction:
     return Fraction(sum(c * di for c, di in zip(a, ms.d_num)), ms.d_den)
 
 
-def level_of(ms: MarkedSystem, a: Root) -> int:
-    return a[ms.node - 1]
-
-
 def index_formulas(ms: MarkedSystem) -> tuple[Fraction, Fraction]:
     """The index computed two independent ways.
 

@@ -60,7 +60,7 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
             if e_minus > 0:
                 minus.append((l, pos, q, e_minus))
         if kept:
-            new_table = LevelTable.over(l, q, kept)
+            new_table = LevelTable(l, q, kept)
             # with equal root lengths the level supports have no holes and
             # the bottom exponent survives every cut; mixed lengths can lose
             # it (C3/P1 has no level-1 key at 3, so a degree-2 cut drops b)
@@ -83,7 +83,6 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
         description=desc,
         dim=new_dim,
         index=new_index,
-        lmax=max((t.level for t in new_tables), default=0),
         levels=new_tables,
         residual=residual,
         simply_laced=hd.simply_laced,

@@ -27,13 +27,11 @@ from .ratpoly import (
     RatPoly,
     SturmCertificate,
     _sturm_sequence,
-    even_odd_split,
     squarefree_parts,
     sturm_certificate,
-    symmetry_center,
+    symmetric_split,
 )
 
-HYPOTHESES = ("CS", "NCS", "TCS", "CL")
 # decimal digits a double carries; advisory approximations aim no finer
 DOUBLE_DIGITS = sys.float_info.dig
 
@@ -44,7 +42,6 @@ class LineCheck:
 
     status: str  # "certified" | "violated" | "not_applicable"
     center: Optional[Fraction]
-    sign: Optional[int]
     certificates: list[SturmCertificate] = field(default_factory=list)
     # roots strictly off the line but real and within the allowed radius
     segment_pairs: int = 0
@@ -55,44 +52,43 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     """Certify all roots of p on its symmetry line and, second, on the line
     or real at squared distance up to radius2 from the center.
 
-    The center and the even part q are computed once, and one Sturm sequence
-    of q serves both counts.  Its last term is gcd(q, q'), so q has
-    deg q - deg(last) distinct roots, and each check holds exactly when the
-    count on (-oo, x] (x = 0, then radius2) reaches that number.  For
-    radius2 = 0 the two checks coincide and the same object is returned
-    twice.
+    One Taylor shift to the center decides the symmetry and gives the even
+    part q (`symmetric_split`), and one Sturm sequence of q serves both
+    counts.  Its last term is gcd(q, q'), so q has deg q - deg(last)
+    distinct roots, and each check holds exactly when the count on (-oo, x]
+    (x = 0, then radius2) reaches that number.  For radius2 = 0 the two
+    checks coincide and the same object is returned twice.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        line = LineCheck("not_applicable", None, None)
+        line = LineCheck("not_applicable", None)
         return line, line
-    found = symmetry_center(p)
+    found = symmetric_split(p)
     if found is None:
         raise ValueError("polynomial has no symmetry center")
-    center, sign = found
-    _, q = even_odd_split(p, center)
+    center, q = found
     if q.degree < 1:
-        line = LineCheck("certified", center, sign)
+        line = LineCheck("certified", center)
         return line, line
     chain = _sturm_sequence(q)
     distinct = q.degree - (len(chain[-1]) - 1)
     on_line = sturm_certificate(chain, None, Fraction(0))
     line = LineCheck(
-        "certified" if on_line.count == distinct else "violated", center, sign, [on_line]
+        "certified" if on_line.count == distinct else "violated", center, [on_line]
     )
     if radius2 <= 0:
         return line, line
     cert = sturm_certificate(chain, None, radius2)
     status = "certified" if cert.count == distinct else "violated"
     pairs = cert.count - on_line.count
-    return line, LineCheck(status, center, sign, [cert], pairs, q(radius2) == 0)
+    return line, LineCheck(status, center, [cert], pairs, q(radius2) == 0)
 
 
 def check_line(p: RatPoly) -> LineCheck:
     """Certify that every root of p lies on its own vertical symmetry line.
 
-    The center comes from `symmetry_center` (a ValueError if there is none);
+    The center comes from `symmetric_split` (a ValueError if there is none);
     the roots lie on the line Re(z) = center iff the even-part polynomial has
     only real non-positive roots, which Sturm counts decide exactly.
     """
@@ -270,9 +266,9 @@ def strip_report(hd: HilbertData) -> StripReport:
     try:
         line, dichotomy = _certify(res, radius2)
     except ValueError:
-        line = dichotomy = LineCheck("violated", None, None)
+        line = dichotomy = LineCheck("violated", None)
     if iota > 0 and line.status != "not_applicable" and line.center != Fraction(-1, 2):
-        line = dichotomy = LineCheck("violated", line.center, line.sign)
+        line = dichotomy = LineCheck("violated", line.center)
     res_roots = res.degree >= 1
     verdicts: dict[str, str] = {}
     witnesses: dict[str, str] = {}

@@ -52,6 +52,24 @@ def pcompose_affine(p, a, b):
     return acc
 
 
+def symmetric_even_part(p):
+    """(c, q) when p(2c - z) = (-1)^n p(z) for c = -a_(n-1)/(n a_n), the only
+    possible center, with q read off p(z + c) = w^eps q(w^2), eps = n mod 2;
+    None when the reflection identity fails."""
+    n = len(p) - 1
+    c = -p[n - 1] / (n * p[n])
+    if pcompose_affine(p, -1, 2 * c) != [(-1) ** n * x for x in p]:
+        return None
+    return c, pshift(p, -c)[n % 2 :: 2]
+
+
+def interleave(q, eps):
+    """w^eps q(w^2) as a coefficient list."""
+    out = [Fraction(0)] * (eps + 2 * len(q) - 1)
+    out[eps::2] = q
+    return out
+
+
 def peval(p, x):
     acc = Fraction(0)
     for c in reversed(p):

@@ -62,7 +62,7 @@ def test_criterion_01_e6_p4_golden(capsys):
     with criterion(capsys, 1, "E6/P4 golden values", notes):
         ms = marked("E", 6, 4)
         hd = hilbert_gp(ms)
-        assert (hd.dim, hd.index, hd.lmax) == (29, 7, 3)
+        assert (hd.dim, hd.index, max(t.level for t in hd.levels)) == (29, 7, 3)
         tables = {t.level: {int(k): h for k, h in t.exponents.items()} for t in hd.levels}
         assert tables == {
             1: {1: 1, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},

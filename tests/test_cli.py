@@ -145,10 +145,13 @@ class TestGolden:
          "4e4b776d922821c519d56b25c3ea642d2d63b4be8406170ffe05b9bd4c1ffee8"),
         (("ci", "--type", "E8", "--node", "4", "--degrees", "1,1", "--format", "json"),
          "a2d2c893b7a3212426756d4bc88192590fd8b7eace2af68aea9a21118e2f466b"),
+        (("sweep", "--max-rank", "10", "--max-total-degree", "0", "--format", "json"),
+         "5a16d30d168ff1b6d23c1454a5a9e5cc5f198bbb30c65751f6645d06e0e5304c"),
     ])
     def test_benchmark_output_bytes(self, capsys, argv, sha256):
-        # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4
-        # and its codimension-two linear section, byte for byte
+        # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4,
+        # its codimension-two linear section and every mark's level tables
+        # (the rank <= 10 catalogue of G/P), byte for byte
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

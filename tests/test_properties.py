@@ -23,18 +23,22 @@ from canstrip.ratpoly import (  # noqa: E402
     _sturm_sequence,
     squarefree_parts,
     sturm_certificate,
+    symmetric_split,
 )
 from canstrip.root_system import all_simple_types, marked  # noqa: E402
 from canstrip.varieties import section_step  # noqa: E402
 
 from oracles import (  # noqa: E402
     cover_sum,
+    interleave,
     iterated_difference,
     padd,
     pcompose_affine,
     peval,
     pmul,
+    pshift,
     psub,
+    symmetric_even_part,
     trim,
 )
 
@@ -129,6 +133,36 @@ def test_exact_evaluation_matches_horner(coeffs, x):
 def test_compose_affine_matches_horner(coeffs, a, b):
     got = RatPoly(tuple(coeffs)).compose_affine(a, b)
     assert list(got.coeffs) == pcompose_affine(trim(coeffs), a, b)
+
+
+@st.composite
+def symmetry_candidates(draw):
+    """A random polynomial, a symmetric one w^eps q(w^2) with w = z - c, or
+    a symmetric one with one coefficient below the leading one perturbed."""
+    kind = draw(st.sampled_from(["random", "symmetric", "perturbed"]))
+    if kind == "random":
+        return draw(st.lists(rationals, min_size=1, max_size=8)) + [draw(nonzero_rationals)]
+    q = draw(st.lists(rationals, max_size=4)) + [draw(nonzero_rationals)]
+    eps = draw(st.integers(0, 1)) if len(q) > 1 else 1
+    p = pshift(interleave(q, eps), draw(rationals))
+    if kind == "perturbed":
+        p[draw(st.integers(0, len(p) - 2))] += draw(nonzero_rationals)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetry_candidates())
+def test_symmetric_split_matches_the_reflection_identity(p):
+    """One shift decides the symmetry exactly when p(2c - z) = (-1)^n p(z)
+    holds, and its even part q rebuilds p as w^eps q(w^2), w = z - c."""
+    got = symmetric_split(RatPoly(tuple(p)))
+    want = symmetric_even_part(p)
+    if want is None:
+        assert got is None
+        return
+    c, q = want
+    assert got == (c, RatPoly(tuple(q)))
+    assert pshift(interleave(q, (len(p) - 1) % 2), c) == p
 
 
 def sturm_count(p, lo, hi):

@@ -7,10 +7,9 @@ from canstrip.ratpoly import (
     ConsistencyError,
     RatPoly,
     _sturm_sequence,
-    even_odd_split,
     squarefree_parts,
     sturm_certificate,
-    symmetry_center,
+    symmetric_split,
 )
 
 from oracles import binom_poly, pshift, psub
@@ -171,28 +170,26 @@ class TestSturm:
 
 class TestSymmetry:
     def test_center_minus_one(self):
-        assert symmetry_center(P(1, 2, 1)) == (Fraction(-1), 1)
+        assert symmetric_split(P(1, 2, 1)) == (Fraction(-1), P(0, 1))
 
     def test_odd_degree(self):
-        assert symmetry_center(P(-1, 2)) == (Fraction(1, 2), -1)
+        assert symmetric_split(P(-1, 2)) == (Fraction(1, 2), P(2))
 
     def test_center_minus_half(self):
-        assert symmetry_center(P(1, 1, 1)) == (Fraction(-1, 2), 1)
+        assert symmetric_split(P(1, 1, 1)) == (Fraction(-1, 2), P(Fraction(3, 4), 1))
 
     def test_asymmetric(self):
-        assert symmetry_center(P(1, 0, 0, 1)) is None
+        assert symmetric_split(P(1, 0, 0, 1)) is None
 
     def test_even_odd_split(self):
-        eps, q = even_odd_split(P(1, 1, 1), Fraction(-1, 2))
-        assert (eps, q) == (0, P(Fraction(3, 4), 1))
-        eps, q = even_odd_split(P(1, 4, 4), Fraction(-1, 2))
-        assert (eps, q) == (0, P(0, 4))
-        eps, q = even_odd_split(P(0, 0, 0, 1), Fraction(0))
-        assert (eps, q) == (1, P(0, 1))
+        assert symmetric_split(P(1, 4, 4)) == (Fraction(-1, 2), P(0, 4))
+        assert symmetric_split(P(0, 0, 0, 1)) == (Fraction(0), P(0, 1))
 
     def test_split_rejects_asymmetric(self):
+        # centered at 0 (no z^2 term) but with an even monomial
+        assert symmetric_split(P(1, 1, 0, 1)) is None
         with pytest.raises(ValueError):
-            even_odd_split(P(1, 1, 0, 1), Fraction(0))
+            symmetric_split(P(3))
 
     def test_split_round_trip(self):
         rng = random.Random(3)
@@ -207,6 +204,4 @@ class TestSymmetry:
             q_of_w2 = RatPoly(tuple(interleaved[:-1]))
             p_in_w = q_of_w2 * (RatPoly.variable() ** eps)
             p = p_in_w.compose_affine(1, -c)
-            assert symmetry_center(p) == (c, (-1) ** p.degree)
-            got_eps, got_q = even_odd_split(p, c)
-            assert (got_eps, got_q) == (eps, q)
+            assert symmetric_split(p) == (c, q)

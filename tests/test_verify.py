@@ -96,6 +96,17 @@ class TestCertifyMultipleRoots:
         assert segment.status == "certified" and segment.segment_pairs == 1
         assert not segment.segment_boundary
 
+    def test_one_taylor_shift_per_residual(self, monkeypatch):
+        # the shift that finds the center also decides the symmetry and gives q
+        shifted = []
+        shift = RatPoly.compose_affine
+        monkeypatch.setattr(
+            RatPoly, "compose_affine", lambda p, a, b: shifted.append(p) or shift(p, a, b)
+        )
+        p = around_half(P(0, 1) ** 2, P(-self.R2 / 2, 1))
+        _certify(p, self.R2)
+        assert shifted == [p]
+
 
 class TestStripReport:
     def test_e6_p4(self):
@@ -205,7 +216,7 @@ def test_keys_and_roots_stay_exact():
     """Level-table keys and rational roots are int or Fraction, never float,
     and the roots strip_report reads off its integer tables are the exact
     -k/(l*iota) of every factor, on each rank <= 4 mark, a section and a cover.
-    A table rebuilt from its rational keys is the same table."""
+    A table rebuilt over an unreduced denominator is the same table."""
     seen_fractional = False
     for t in all_simple_types(4):
         for node in range(1, t.rank + 1):
@@ -213,7 +224,8 @@ def test_keys_and_roots_stay_exact():
             for cut in (hd, section_step(hd, 1, "intersection"), section_step(hd, 1, "cover")):
                 want = {}
                 for table in cut.levels:
-                    assert LevelTable(table.level, table.exponents) == table
+                    scaled = {6 * n: h for n, h in table.counts.items()}
+                    assert LevelTable(table.level, 6 * table.den, scaled) == table
                     for k, h in table.exponents.items():
                         assert type(k) in (int, Fraction), (cut.description, k)
                         seen_fractional |= Fraction(k).denominator > 1
