@@ -1,31 +1,34 @@
 """Certification of the strip and line hypotheses with exact witnesses.
 
 Verdicts are decided only by exact rational roots read off the factored form
-and by Sturm certificates on the residual's even part.  Floating-point root
-approximations are available for display and cross-checking, and never feed
-a verdict.
+and by root counts on the residual's even part: exact signs alternating at
+points that floats proposed, or else a Sturm sequence.  A float only ever
+proposes points or displays approximations, and never feeds a verdict.
 
 With w = z - center, a symmetric polynomial is w^eps * q(w^2), and a root of
 q at u corresponds to roots center +- sqrt(u).  So "all roots on the vertical
 line" means q has only real roots u <= 0, and "on the line or real within
 distance r of the center" means q has only real roots u <= r^2.  Both are
-exact Sturm counts.
+exact counts of q's roots on (-oo, 0] and (-oo, r^2].
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .hilbert import HilbertData, expand
 from .ratpoly import (
     ConsistencyError,
     RatPoly,
     SturmCertificate,
+    _scaled_value,
     _sturm_sequence,
     squarefree_parts,
     sturm_certificate,
@@ -34,6 +37,14 @@ from .ratpoly import (
 
 # decimal digits a double carries; advisory approximations aim no finer
 DOUBLE_DIGITS = sys.float_info.dig
+# even parts below this degree go straight to their Sturm chain, which is
+# cheaper there than proposing and checking points (on the rank <= 8 sweep's
+# residuals, Sturm is faster through degree 21 and slower from 23 on)
+ALTERNATION_MIN_DEGREE = 22
+# sweeps of the float proposer before a residual falls back to Sturm, and
+# before the advisory roots are reported as not converged
+CERTIFY_SWEEPS = 60
+APPROX_SWEEPS = 500
 
 
 @dataclass
@@ -53,11 +64,15 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     or real at squared distance up to radius2 from the center.
 
     One Taylor shift to the center decides the symmetry and gives the even
-    part q (`symmetric_split`), and one Sturm sequence of q serves both
-    counts.  Its last term is gcd(q, q'), so q has deg q - deg(last)
-    distinct roots, and each check holds exactly when the count on (-oo, x]
-    (x = 0, then radius2) reaches that number.  For radius2 = 0 the two
-    checks coincide and the same object is returned twice.
+    part q (`symmetric_split`).  Each check holds exactly when q's count of
+    distinct roots on (-oo, x] (x = 0, then radius2) reaches all of its
+    distinct roots.  From degree ALTERNATION_MIN_DEGREE on, exact signs
+    alternating at n + 1 points prove that q's n roots are real and simple,
+    which fixes its Sturm certificates without building the chain
+    (`_alternation_certificate`).  Otherwise, or when no such points are
+    found, one Sturm sequence of q serves both counts: its last term is
+    gcd(q, q'), so q has deg q - deg(last) distinct roots.  For radius2 = 0
+    the two checks coincide and the same object is returned twice.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -71,18 +86,102 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     if q.degree < 1:
         line = LineCheck("certified", center)
         return line, line
-    chain = _sturm_sequence(q)
-    distinct = q.degree - (len(chain[-1]) - 1)
-    on_line = sturm_certificate(chain, None, Fraction(0))
+    points = _alternating_points(q) if q.degree >= ALTERNATION_MIN_DEGREE else None
+    if points is None:
+        chain = _sturm_sequence(q)
+        distinct = q.degree - (len(chain[-1]) - 1)
+
+        def certificate(x: Fraction) -> SturmCertificate:
+            return sturm_certificate(chain, None, x)
+
+    else:
+        distinct = q.degree
+
+        def certificate(x: Fraction) -> SturmCertificate:
+            return _alternation_certificate(q, points, x)
+
+    on_line = certificate(Fraction(0))
     line = LineCheck(
         "certified" if on_line.count == distinct else "violated", center, [on_line]
     )
     if radius2 <= 0:
         return line, line
-    cert = sturm_certificate(chain, None, radius2)
+    cert = certificate(radius2)
     status = "certified" if cert.count == distinct else "violated"
     pairs = cert.count - on_line.count
     return line, LineCheck(status, center, [cert], pairs, q(radius2) == 0)
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _alternating_points(q: RatPoly) -> Optional[list[Fraction]]:
+    """n + 1 dyadic points p_0 < ... < p_n at which q, of degree n, takes
+    strictly alternating non-zero signs, or None.
+
+    The points are proposed in doubles.  `_aberth`'s sweeps run until each
+    iterate's uncertainty, its distance |Im y| from the real axis plus its
+    last step, is under a quarter of the gap to either neighbour's real
+    part.  They give up after CERTIFY_SWEEPS, or sooner once every iterate
+    is frozen without such a separation (a member clearly off the axis, or
+    two merging).  The real parts then get one short dyadic between each
+    two neighbours (`_between`), and a power of two beyond either end.
+    Only exact signs decide: q's sign at each point is an integer Horner
+    evaluation (`_scaled_value`), and must be sign(lead) * (-1)^(n - k) at
+    p_k, the sign q has left of all its roots, flipped once per gap.
+    """
+    n = q.degree
+    shift, sweeps = _aberth(q.ints)
+    for sweep, (ys, steps) in enumerate(sweeps, 1):
+        # each iterate with its uncertainty |Im y| + |dy|, by real part
+        spots = sorted((y.real, abs(y.imag) + s) for y, s in zip(ys, steps))
+        if all(math.isfinite(x) and math.isfinite(r) for x, r in spots) and all(
+            4 * max(r, t) < b - a for (a, r), (b, t) in zip(spots, spots[1:])
+        ):
+            break
+        if sweep == CERTIFY_SWEEPS:
+            return None
+    else:  # every iterate frozen, and still not separated
+        return None
+    xs = [x for x, _ in spots]
+    end = Fraction(2) ** (math.frexp(max(-xs[0], xs[-1]))[1] + 1)
+    cuts = [-end] + [_between(a, b) for a, b in zip(xs, xs[1:])] + [end]
+    scale = Fraction(2) ** shift
+    points = [c * scale for c in cuts]
+    lead = _sign(q.ints[-1])
+    for k, x in enumerate(points):
+        if _sign(_scaled_value(q.ints, x)) != lead * (-1) ** (n - k):
+            return None
+    return points
+
+
+def _between(a: float, b: float) -> Fraction:
+    """The multiple of 2^k nearest (a + b)/2, for the largest k with
+    2^k <= (b - a)/2: a short dyadic in the middle half of a < b."""
+    step = Fraction(2) ** (math.frexp(b - a)[1] - 2)
+    return round((Fraction(a) + Fraction(b)) / (2 * step)) * step
+
+
+def _alternation_certificate(q: RatPoly, points: list[Fraction], x: Fraction) -> SturmCertificate:
+    """sturm_certificate(_sturm_sequence(q), None, x), read off the points
+    at which q's signs alternate (`_alternating_points`).
+
+    Alternation gives q a root in each of the n gaps between the n + 1
+    points, so q of degree n has n simple real roots.  Its Sturm chain then
+    counts n roots with at most one variation per term, so it has exactly
+    n + 1 terms, n variations at -oo and none at +oo.  The count c on
+    (-oo, x] is the number of gaps wholly left of x, plus one when x lies
+    in a gap and the exact sign of q(x) is no longer q's sign at the gap's
+    left end (a root exactly at x counts); so the certificate is
+    (None, x, n + 1, n, n - c, c).
+    """
+    n = len(points) - 1
+    j = bisect_right(points, x)  # p_0 .. p_(j-1) are <= x
+    count = max(j - 1, 0)
+    if 0 < j <= n and _sign(_scaled_value(q.ints, x)) != _sign(q.ints[-1]) * (-1) ** (n - j + 1):
+        count += 1  # q(x) has left the sign of q(p_(j-1)): the root is at or left of x
+    return SturmCertificate(None, x, n + 1, n, n - count, count)
 
 
 def check_line(p: RatPoly) -> LineCheck:
@@ -90,7 +189,7 @@ def check_line(p: RatPoly) -> LineCheck:
 
     The center comes from `symmetric_split` (a ValueError if there is none);
     the roots lie on the line Re(z) = center iff the even-part polynomial has
-    only real non-positive roots, which Sturm counts decide exactly.
+    only real non-positive roots, which exact root counts decide.
     """
     return _certify(p, Fraction(0))[0]
 
@@ -103,84 +202,114 @@ class ApproxRoot:
     converged: bool
 
 
-def _floats(p: RatPoly) -> Optional[list[float]]:
-    """p's coefficients as doubles, or None when one of them overflows."""
+def _double(c: int, e: int) -> float:
+    """c * 2^e as a double, for an integer c of any size (0.0 on underflow)."""
+    extra = max(c.bit_length() - 64, 0)
+    return math.ldexp(float(c >> extra), e + extra)
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, saturating to +-inf when it overflows."""
     try:
-        return [float(c) for c in p.coeffs]
+        return math.ldexp(x, e)
     except OverflowError:
-        return None
+        return math.copysign(math.inf, x)
 
 
-def _horner(cs: list[float], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
+def _horner(terms: list[tuple[float, float]], y: complex) -> tuple[complex, complex, float]:
+    """The value and the derivative at y of sum c_i y^i, and the sum of
+    |c_i| |y|^i, which bounds the rounding error of the value over eps;
+    `terms` holds the pairs (c_i, |c_i|) from the top degree down."""
+    (c, a), *rest = terms
+    p, d, e, r = complex(c), 0j, a, abs(y)
+    for c, a in rest:
+        d = d * y + p
+        p = p * y + c
+        e = e * r + a
+    return p, d, e
 
 
-def _abs_value(cs: Optional[list[float]], z: complex) -> float:
-    """|p(z)| from p's doubles `cs`; inf when a coefficient or the value
-    does not fit a double."""
-    if cs is None:
-        return float("inf")
-    try:
-        return abs(_horner(cs, z))
-    except OverflowError:
-        return float("inf")
+def _aberth(ints: Sequence[int]) -> tuple[int, Iterator[tuple[list[complex], list[float]]]]:
+    """Ehrlich-Aberth iteration in doubles on the roots of sum ints[i] z^i.
 
-
-def _aberth(f: RatPoly, digits: int) -> tuple[list[complex], bool]:
-    """Simultaneous (Ehrlich-Aberth) iteration on a square-free polynomial.
-
-    Returns the iterates and whether they settled to `digits` digits; after
-    the last restart, or when the doubles overflow, the unsettled iterates
-    are returned as they stand.  A factor whose monic coefficients do not
-    fit a double has no iterates and reports NaN.
+    Returns a shift s and a generator of sweeps.  The iteration
+    runs on y = z / 2^s, where s balances the Newton polygon of (i, log2
+    |ints[i]|), with coefficients ints[i] * 2^(s*i - t) as doubles (t makes
+    the largest about 1), so coefficients and roots of any size fit.  It
+    starts on the polygon's circles (Bini, Numer. Algorithms 13, 1996) and
+    evaluates through the reversed polynomial when |y| > 1, so no power of
+    an iterate overflows.  After each sweep it yields the iterates (the
+    same list, updated in place) and the size |dy| of each iterate's last
+    step.  An iterate whose value is within the rounding error of its
+    evaluation is as good as doubles allow: it takes that last step and is
+    then frozen, keeping the step as its uncertainty.  The generator ends
+    once every iterate is frozen; the caller may stop it sooner.
     """
-    n = f.degree
-    fm = f.monic()
-    fc, dc = _floats(fm), _floats(fm.derivative())
-    if fc is None or dc is None:
-        return [complex("nan+nanj")] * n, False
-    radius = 1.0 + max(abs(c) for c in fc[:-1]) if n else 1.0
-    tol = 10.0 ** (-digits)
-    for attempt in range(5):
-        r = radius * (1.0 + 0.7 * attempt)
-        zs = [
-            r * cmath.exp(2j * cmath.pi * (k + 0.354 + 0.1 * attempt) / n)
-            for k in range(n)
-        ]
-        try:
-            for _ in range(400):
-                moved = 0.0
-                for i in range(n):
-                    fv = _horner(fc, zs[i])
-                    dv = _horner(dc, zs[i])
-                    if dv == 0:
-                        zs[i] += 1e-6 + 1e-6j
-                        moved = float("inf")
-                        continue
-                    w = fv / dv
-                    s = sum(1.0 / (zs[i] - zs[j]) for j in range(n) if j != i)
-                    denom = 1.0 - w * s
-                    step = w if denom == 0 else w / denom
-                    zs[i] -= step
-                    moved = max(moved, abs(step) / max(1.0, abs(zs[i])))
-                if moved < tol:
-                    return zs, all(cmath.isfinite(z) for z in zs)
-        except (OverflowError, ZeroDivisionError):  # iterates left the doubles
-            return zs, False
-    return zs, False
+    n = len(ints) - 1
+    logs = {i: math.log2(abs(c)) for i, c in enumerate(ints) if c}
+    lo = min(logs)
+    shift = round((logs[lo] - logs[n]) / (n - lo)) if n > lo else 0
+    top = round(max(v + shift * i for i, v in logs.items()))
+    cs = [_double(c, shift * i - top) for i, c in enumerate(ints)]
+    terms = [(c, abs(c)) for c in reversed(cs)]
+    rev = terms[::-1]  # the reversed polynomial's terms, top degree first
+    # upper convex hull of the Newton polygon: each edge (k, l) holds l - k
+    # roots on the circle of log2-radius (L_k - L_l)/(l - k), less the shift
+    hull: list[int] = []
+    for i in sorted(logs):
+        while len(hull) > 1 and (logs[hull[-1]] - logs[hull[-2]]) * (i - hull[-1]) <= (
+            logs[i] - logs[hull[-1]]
+        ) * (hull[-1] - hull[-2]):
+            hull.pop()
+        hull.append(i)
+    ys: list[complex] = []
+    for k, l in zip(hull, hull[1:]):
+        radius = math.ldexp(1.0, max(-1000, min(1000, round(
+            (logs[k] - logs[l]) / (l - k) - shift))))
+        ys += [radius * cmath.exp(1j * (2 * math.pi * (j / (l - k) + k / n) + 0.7))
+               for j in range(l - k)]
+    # roots at 0 (a zero constant term) start just inside the smallest circle
+    small = min((abs(y) for y in ys), default=1.0) / 1024
+    ys = [small * cmath.exp(1j * (2 * math.pi * j / lo + 0.4)) for j in range(lo)] + ys
+
+    def sweeps():
+        steps = [0.0] * n
+        live = range(n)
+        while live:
+            still = []
+            for i in live:
+                y = ys[i]
+                try:
+                    if abs(y) <= 1:
+                        p, d, e = _horner(terms, y)
+                        w = p / d
+                    else:
+                        x = 1 / y
+                        p, d, e = _horner(rev, x)
+                        w = y * p / (n * p - x * d)
+                    s = sum([1 / (y - v) for v in ys[:i]]) + sum([1 / (y - v) for v in ys[i + 1 :]])
+                    step = w / (1 - w * s)
+                except (ZeroDivisionError, OverflowError):  # two equal iterates, say
+                    p, e, step = math.nan, 0.0, y * 2.0**-20 + 2.0**-40
+                ys[i] = y - step
+                steps[i] = abs(step)
+                if not abs(p) <= sys.float_info.epsilon * e:  # a NaN stays live
+                    still.append(i)
+            live = still
+            yield ys, steps
+
+    return shift, sweeps()
 
 
 def approx_roots(p: RatPoly, digits: int = 12) -> list[ApproxRoot]:
     """Float approximations of all roots, with multiplicities and residuals.
 
     Multiplicities come from the exact square-free decomposition; each
-    square-free factor is handled by Ehrlich-Aberth iteration, aiming at
-    `digits` digits but at most DOUBLE_DIGITS.  A factor whose iteration does
-    not settle keeps its last iterates, marked not converged; a residual
-    too large for a double reads inf.  Advisory only: nothing here
+    square-free factor runs the Ehrlich-Aberth sweeps of `_aberth` until
+    every relative step is at most 10^-digits (digits at most
+    DOUBLE_DIGITS), or until its iterates freeze or APPROX_SWEEPS sweeps
+    pass; unsettled iterates are kept, marked not converged.  A root or a
+    residual too large for a double reads inf.  Advisory only: nothing here
     certifies anything.
     """
     if p.degree < 1:
@@ -188,14 +317,27 @@ def approx_roots(p: RatPoly, digits: int = 12) -> list[ApproxRoot]:
     if digits < 1:
         raise ValueError("need digits >= 1")
     digits = min(digits, DOUBLE_DIGITS)
-    pc = _floats(p)
+    tol = 10.0 ** (-digits)
+    try:
+        pc = [(c, abs(c)) for c in map(float, reversed(p.coeffs))]
+    except OverflowError:
+        pc = None
     out = []
     for f, mult in squarefree_parts(p):
-        zs, converged = _aberth(f, digits)
-        for z in zs:
-            if abs(z.imag) < 10.0 ** (-digits):
+        shift, sweeps = _aberth(f.ints)
+        for _, (ys, steps) in zip(range(APPROX_SWEEPS), sweeps):
+            converged = all(s <= tol * abs(y) for y, s in zip(ys, steps))
+            if converged:
+                break
+        for y in ys:
+            z = complex(_ldexp(y.real, shift), _ldexp(y.imag, shift))
+            if abs(z.imag) < tol * max(1.0, abs(z)):
                 z = complex(z.real, 0.0)
-            out.append(ApproxRoot(z, mult, _abs_value(pc, z), converged))
+            try:
+                residual = abs(_horner(pc, z)[0]) if pc else math.inf
+            except OverflowError:
+                residual = math.inf
+            out.append(ApproxRoot(z, mult, residual, converged))
     out.sort(key=lambda r: (round(r.value.real, 9), round(r.value.imag, 9)))
     return out
 

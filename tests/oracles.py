@@ -135,3 +135,14 @@ def fraction_rho_pair(d, root):
     for c, dj in zip(root, d):
         total += c * dj
     return total
+
+
+def alternates(coeffs, points):
+    """True when the polynomial takes strictly alternating non-zero signs at
+    deg + 1 strictly increasing points, by Fraction Horner alone: it then
+    has a simple real root between each two neighbours, and no other."""
+    coeffs = trim(coeffs)
+    if len(points) != len(coeffs) or any(a >= b for a, b in zip(points, points[1:])):
+        return False
+    values = [peval(coeffs, x) for x in points]
+    return all(values) and all((a > 0) != (b > 0) for a, b in zip(values, values[1:]))

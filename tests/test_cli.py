@@ -94,6 +94,22 @@ class TestGp:
         assert "approx roots (advisory, iteration did not converge):" in out
 
 
+    def test_large_residuals_get_finite_advisory_roots(self, capsys):
+        # the degree-88 square-free factor of E8/P4 cut by a cubic has
+        # coefficients past the doubles; its roots are proposed on a scaled
+        # variable, so every root is a number, settled or not
+        code, out, err = run(
+            capsys, "ci", "--type", "E8", "--node", "4", "--degrees", "3",
+            "--digits", "6", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        report = strict_json(out)
+        values = report["approx_roots"]["values"]
+        assert sum(v["mult"] for v in values) == report["dim"] == 105
+        assert all(v["re"] is not None and v["im"] is not None for v in values)
+        assert all(v["residual"] is not None for v in values)
+
+
 class TestErrors:
     def test_unwritable_out_path(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x"
@@ -147,11 +163,18 @@ class TestGolden:
          "a2d2c893b7a3212426756d4bc88192590fd8b7eace2af68aea9a21118e2f466b"),
         (("sweep", "--max-rank", "10", "--max-total-degree", "0", "--format", "json"),
          "5a16d30d168ff1b6d23c1454a5a9e5cc5f198bbb30c65751f6645d06e0e5304c"),
+        (("sweep", "--max-rank", "8", "--max-total-degree", "3", "--format", "csv", "--jobs", "1"),
+         "394ddcc345b53be60ae87b97213a9047c770f52842d8b2545f5e4c61d6c3c239"),
+        (("ci", "--type", "E8", "--node", "4", "--degrees", "2,8", "--format", "json"),
+         "6324d17246b27a6a974ff1724a8345726c751826d62cd49c073570cb2d79ebe4"),
     ])
     def test_benchmark_output_bytes(self, capsys, argv, sha256):
         # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4,
         # its codimension-two linear section and every mark's level tables
-        # (the rank <= 10 catalogue of G/P), byte for byte
+        # (the rank <= 10 catalogue of G/P), byte for byte; then the rank <= 8
+        # sweep, whose 1122 cases hold 19 even parts of degree 23 to 44 (past
+        # the sign-alternation cutoff), and E8/P4 cut by (2, 8), whose even
+        # part has degree 52 and 394-bit coefficients
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
@@ -268,14 +291,19 @@ class TestCheck:
 
     @pytest.mark.parametrize("coeffs", ["1e400,0,1", "1,0,1e-400", "1e300,0,1"])
     def test_digits_beyond_the_doubles_keep_the_exit_code(self, capsys, coeffs):
-        # the monic factor z^2 + 10^400 has no double coefficients, and the
-        # iterates for z^2 + 10^300 overflow: neither may count as settled
+        # z^2 + 10^400 has no double coefficients and z^2 + 10^300 squares
+        # past the doubles; the proposer runs on y = z / 2^s with balanced
+        # coefficients, so both settle on +-root*i, and a residual that
+        # does not fit a double is written as null
         plain, _, _ = run(capsys, "check", "--coeffs", coeffs)
         code, out, err = run(capsys, "check", "--coeffs", coeffs, "--digits", "3", "--format", "json")
         assert code == plain == 0 and err == ""
         block = strict_json(out)["approx_roots"]
-        assert block["converged"] is False
-        assert sum(v["mult"] for v in block["values"]) == 2
+        assert block["converged"] is True
+        assert [v["mult"] for v in block["values"]] == [1, 1]
+        root = 1e150 if coeffs == "1e300,0,1" else 1e200
+        assert sorted(v["im"] for v in block["values"]) == pytest.approx([-root, root], rel=1e-3)
+        assert all(abs(v["re"]) < 1e-3 * root for v in block["values"])
 
 
 ABELIAN_SPECS = {
@@ -335,7 +363,7 @@ BARE_GOLDENS = [
     (("abelian", "threefold", "--format", "json"), 0,
      "b4b04578a0be5ba2774255ac31321eebb1c9632d82d800ffca9e4b1f96172229"),
     (("abelian", "surface", "--digits", "6", "--format", "json"), 0,
-     "fa92801eb572bd1b58b5dd168421527489f53883da7d6480c02a9a1ebe24584f"),
+     "8618cc59ee14fe6202fb8c8d3956f4ac5df93e1446fa2d03b63516282518c5d7"),
 ]
 
 

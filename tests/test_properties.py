@@ -1,6 +1,7 @@
 """Property tests of the integer kernels against independent references:
 the Fraction arithmetic in `oracles` (products, Horner evaluation and
-substitution, iterated differences), and sympy's root counts, gcds and
+substitution, iterated differences, sign alternation), the Sturm path for
+the sign-alternation certificates, and sympy's root counts, gcds and
 square-free factorizations (sympy is used only here, never by the package).
 A fuzz of the command line checks the exit-code contract."""
 
@@ -27,8 +28,15 @@ from canstrip.ratpoly import (  # noqa: E402
 )
 from canstrip.root_system import all_simple_types, marked  # noqa: E402
 from canstrip.varieties import section_step  # noqa: E402
+from canstrip.verify import (  # noqa: E402
+    ALTERNATION_MIN_DEGREE,
+    LineCheck,
+    _alternating_points,
+    _certify,
+)
 
 from oracles import (  # noqa: E402
+    alternates,
     cover_sum,
     interleave,
     iterated_difference,
@@ -201,6 +209,69 @@ def test_sturm_count_matches_sympy(sympy, roots, extra, sign, data):
     if lo is not None and peval(coeffs, lo) == 0:
         want -= 1
     assert cert.count == want
+
+
+@st.composite
+def even_parts(draw):
+    """(q, r2, kind): q of degree >= ALTERNATION_MIN_DEGREE with distinct
+    rational roots spread geometrically, mostly negative but a few positive
+    on either side of r2, then one more feature: none, a root exactly at 0
+    or at r2, a repeated root, or a complex-conjugate pair."""
+    r2 = draw(st.sampled_from([Fraction(0), Fraction(1, 36), Fraction(9, 100), Fraction(25, 196)]))
+    n = ALTERNATION_MIN_DEGREE + draw(st.integers(0, 6))
+    exponents = draw(st.lists(st.integers(-14, 30), min_size=n, max_size=n, unique=True))
+    positive = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    roots = [
+        (1 if i in positive else -1) * Fraction(round(1.25**e * 64) or 1, 64)
+        for i, e in enumerate(exponents)
+    ]
+    assume(len(set(roots)) == n)
+    kind = draw(st.sampled_from(["simple", "at 0", "at r2", "repeated", "pair"]))
+    extra = [Fraction(1)]
+    if kind == "at 0" or (kind == "at r2" and not r2):
+        roots.append(Fraction(0))
+    elif kind == "at r2":
+        roots.append(r2)
+    elif kind == "repeated":
+        roots.append(draw(st.sampled_from(roots)))
+    elif kind == "pair":  # (u - a)^2 + b^2
+        a = Fraction(draw(st.integers(-640, 64)), 64)
+        b = Fraction(draw(st.integers(1, 64)), 64)
+        extra = [a * a + b * b, -2 * a, Fraction(1)]
+    return RatPoly(tuple(from_roots(roots, extra))), r2, kind
+
+
+def sturm_only(p, r2):
+    """What _certify returns, built from one Sturm sequence of q alone."""
+    center, q = symmetric_split(p)
+    chain = _sturm_sequence(q)
+    distinct = q.degree - (len(chain[-1]) - 1)
+    on_line = sturm_certificate(chain, None, Fraction(0))
+    line = LineCheck("certified" if on_line.count == distinct else "violated", center, [on_line])
+    if not r2:
+        return line, line
+    cert = sturm_certificate(chain, None, r2)
+    status = "certified" if cert.count == distinct else "violated"
+    return line, LineCheck(status, center, [cert], cert.count - on_line.count, q(r2) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_parts())
+def test_alternation_certifies_as_sturm_does(case):
+    """The sign-alternation path gives the Sturm path's LineChecks, byte for
+    byte: statuses, certificates, segment pairs and boundary contact.  It
+    finds alternating points (accepted by the Fraction oracle) for every
+    square-free real-rooted q drawn here, and none for a repeated root or a
+    complex pair, which fall back to Sturm."""
+    q, r2, kind = case
+    p = RatPoly(tuple(interleave(list(q.coeffs), 0))).compose_affine(1, Fraction(1, 2))
+    assert symmetric_split(p) == (Fraction(-1, 2), q)
+    assert _certify(p, r2) == sturm_only(p, r2)
+    points = _alternating_points(q)
+    if kind in ("repeated", "pair"):
+        assert points is None
+    else:
+        assert alternates(list(q.coeffs), points)
 
 
 def chain_gcd(coeffs):

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from canstrip import verify
 from canstrip.hilbert import LevelTable, expand, hilbert_gp
-from canstrip.ratpoly import RatPoly
+from canstrip.ratpoly import RatPoly, symmetric_split
 from canstrip.root_system import all_simple_types, marked
 from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import _certify, approx_roots, check_line, strip_report
 
-from oracles import binom_poly, iterated_difference
+from oracles import alternates, binom_poly, iterated_difference
 
 
 def P(*coeffs):
@@ -106,6 +107,96 @@ class TestCertifyMultipleRoots:
         p = around_half(P(0, 1) ** 2, P(-self.R2 / 2, 1))
         _certify(p, self.R2)
         assert shifted == [p]
+
+
+def geometric_roots(n):
+    """n well-separated negative rationals -round(1.25^k * 64)/64."""
+    return [P(Fraction(round(1.25**k * 64), 64), 1) for k in range(-8, n - 8)]
+
+
+class TestAlternation:
+    """Sign alternation at float-proposed points, checked exactly, with the
+    Sturm chain as the fallback."""
+
+    N = verify.ALTERNATION_MIN_DEGREE + 2
+    R2 = Fraction(9, 100)
+
+    @pytest.fixture(scope="class")
+    def hard_points(self):
+        # the even parts of the three hard-residuals cases and E8/P4 cut by
+        # (2, 8), with the points the fast path certified them by
+        seen = []
+        found = verify._alternating_points
+
+        def spy(q):
+            seen.append((q, found(q)))
+            return seen[-1][1]
+
+        e8 = marked("E", 8, 4)
+        verify._alternating_points = spy
+        try:
+            for hd in (complete_intersection(e8, [3]), double_cover(e8, 9),
+                       complete_intersection(e8, [1, 1]), complete_intersection(e8, [2, 8])):
+                assert strip_report(hd).all_applicable_hold
+        finally:
+            verify._alternating_points = found
+        return seen
+
+    def test_oracle_accepts_the_fast_path_points(self, hard_points):
+        assert sorted(q.degree for q, _ in hard_points) == [37, 44, 52, 53]
+        for q, points in hard_points:
+            coeffs = list(q.coeffs)
+            assert points is not None and alternates(coeffs, points)
+            # one point moved across the root to its left, to just right of
+            # its left neighbour, breaks the alternation
+            for k in (1, len(points) // 2, len(points) - 1):
+                moved = list(points)
+                moved[k] = points[k - 1] + (points[k] - points[k - 1]) / 2**40
+                assert not alternates(coeffs, moved)
+
+    @pytest.mark.parametrize("garbage", ["wrong reals", "nan", "off axis", "nothing"])
+    def test_failed_proposer_falls_back_to_the_same_checks(self, monkeypatch, garbage):
+        p = around_half(*geometric_roots(self.N), P(-self.R2 / 2, 1))
+        q = symmetric_split(p)[1]
+        assert verify._alternating_points(q) is not None
+        want = _certify(p, self.R2)
+        assert want[1].status == "certified" and want[1].segment_pairs == 1
+
+        def proposer(ints):
+            n = len(ints) - 1
+            ys = {
+                "wrong reals": [complex(k, 0) for k in range(n)],
+                "nan": [complex("nan")] * n,
+                "off axis": [complex(-1, (-1) ** k) for k in range(n)],
+                "nothing": [],
+            }[garbage]
+            sweeps = iter([]) if garbage == "nothing" else iter(lambda: (ys, [0.0] * n), None)
+            return 0, sweeps
+
+        monkeypatch.setattr(verify, "_aberth", proposer)
+        assert verify._alternating_points(q) is None
+        assert _certify(p, self.R2) == want
+
+    def test_a_complex_pair_gives_up_within_the_cap(self, monkeypatch):
+        # a conjugate pair at -1/2 +- i among well-separated real roots: the
+        # iterates settle with two members off the axis, the proposer gives
+        # up before its sweep cap, and Sturm decides
+        p = around_half(*geometric_roots(self.N), P(Fraction(5, 4), 1, 1))
+        q = symmetric_split(p)[1]
+        assert q.degree >= verify.ALTERNATION_MIN_DEGREE
+        sweeps = []
+        propose = verify._aberth
+
+        def counted(ints):
+            shift, gen = propose(ints)
+            return shift, (sweeps.append(1) or s for s in gen)
+
+        monkeypatch.setattr(verify, "_aberth", counted)
+        assert verify._alternating_points(q) is None
+        assert 0 < len(sweeps) < verify.CERTIFY_SWEEPS
+        line, segment = _certify(p, self.R2)
+        assert line.status == segment.status == "violated"
+        assert line.certificates[0].count == segment.certificates[0].count == self.N
 
 
 class TestStripReport:
