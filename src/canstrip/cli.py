@@ -118,7 +118,7 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
         "factored": [
             {
                 "level": t.level,
-                "exponents": [{"k": str(Fraction(n, t.den)), "h": h} for n, h in t.counts.items()],
+                "exponents": [{"k": str(k), "h": h} for k, h in t.exponents.items()],
             }
             for t in hd.levels
         ],
@@ -133,7 +133,7 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
         "certificates": [c.as_dict() for c in rep.certificates],
     }
     if digits is not None:
-        poly = expand(hd, "anticanonical" if hd.index > 0 else "ample_generator")
+        poly = expand(hd).compose_affine(hd.index, 0) if hd.index > 0 else expand(hd)
         if poly.degree >= 1:
             report["approx_roots"] = _approx_block(poly, digits)
     return report
@@ -283,20 +283,16 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
     """Certify the line hypothesis for a bare polynomial and emit its report:
     `fields` are the command's own keys, `heading` starts the text line of H(z),
     and `note` is reported when H has no symmetry center."""
-    try:
-        line = check_line(poly)
-        verdict = "fails" if line.status == "violated" else "holds"
-        center, certs, note = line.center, line.certificates, None
-    except ValueError:
-        verdict, center, certs = "fails", None, []
+    line = check_line(poly)
+    verdict = "fails" if line.status == "violated" else "holds"
     report = dict(
         fields,
         polynomial=[str(c) for c in poly.coeffs],
-        center=None if center is None else str(center),
+        center=None if line.center is None else str(line.center),
         verdicts={"CL": verdict},
-        certificates=[c.as_dict() for c in certs],
+        certificates=[c.as_dict() for c in line.certificates],
     )
-    if note:
+    if note and line.center is None:
         report["note"] = note
     if args.digits is not None and poly.degree >= 1:
         report["approx_roots"] = _approx_block(poly, args.digits)
@@ -304,7 +300,7 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
         _emit(canonical_json(report), args.out)
     else:
         lines = [f"{heading}H(z) = {poly}", f"symmetry center: {report['center']}", f"CL {verdict}"]
-        if note:
+        if "note" in report:
             lines.append(note)
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if verdict == "holds" else 1
@@ -328,9 +324,23 @@ def cmd_abelian(args) -> int:
     return _bare_command(args, poly, fields, f"{description}: ")
 
 
+def _coefficient(text: str) -> Fraction:
+    """A rational coefficient, refused unless the report can print it: its
+    exponent, numerator and denominator within Python's digit limit for
+    int-str conversion.  The exponent is checked first: Fraction would spend
+    seconds and more building 10^e for a large e."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)$", text, re.IGNORECASE)
+    if not limit or not exponent or abs(int(exponent[1])) <= limit:
+        c = Fraction(text)
+        if not limit or max(abs(c.numerator), c.denominator) < 10**limit:
+            return c
+    raise ValueError(f"{text!r} has an exponent, numerator or denominator beyond {limit} digits")
+
+
 def cmd_check(args) -> int:
     try:
-        coeffs = [Fraction(part.strip()) for part in args.coeffs.split(",")]
+        coeffs = [_coefficient(part.strip()) for part in args.coeffs.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad coefficient list: {exc}") from exc
     poly = RatPoly(tuple(coeffs))

@@ -119,15 +119,9 @@ class HilbertData:
         object.__setattr__(self, "poly", multiply_linear(self.residual, factors, normalized=True))
 
 
-def expand(hd: HilbertData, variable: str = "ample_generator") -> RatPoly:
-    """The expansion, multiplied out once when hd was built, in the requested variable."""
-    if variable == "ample_generator":
-        return hd.poly
-    if variable == "anticanonical":
-        if hd.index <= 0:
-            raise ValueError("anticanonical variable needs a positive index")
-        return hd.poly.compose_affine(hd.index, 0)
-    raise ValueError(f"unknown variable {variable!r}")
+def expand(hd: HilbertData) -> RatPoly:
+    """The expansion in the ample-generator variable, multiplied out with hd."""
+    return hd.poly
 
 
 def degree_of(hd: HilbertData) -> int:
@@ -139,8 +133,8 @@ def degree_of(hd: HilbertData) -> int:
     return int(value)
 
 
-def validate(hd: HilbertData) -> RatPoly:
-    """Assert the structural invariants; returns the expanded polynomial.
+def validate(hd: HilbertData) -> None:
+    """Assert the structural invariants.
 
     Symmetry of every table (unimodality too, for simply-laced marks), the
     expected degree, the anticanonical symmetry H(-iota-z) = (-1)^dim H(z),
@@ -177,7 +171,6 @@ def validate(hd: HilbertData) -> RatPoly:
             )
     if hd.index > 0 and ints[0] * num != den:
         raise ConsistencyError(f"{hd.description}: chi(O) = {Fraction(ints[0] * num, den)} != 1")
-    return H
 
 
 @lru_cache(maxsize=1)

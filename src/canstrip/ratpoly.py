@@ -13,7 +13,7 @@ Every operation is exact; floats never enter any verdict-relevant path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
@@ -134,9 +134,6 @@ class RatPoly:
         """Exact Horner evaluation at an int or a Fraction."""
         ints, den = self.ints, x.denominator
         return self.content * Fraction(_scaled_value(ints, x) * den, den ** len(ints))
-
-    def derivative(self) -> RatPoly:
-        return _from_integer([i * v for i, v in enumerate(self.ints) if i], self.content)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> RatPoly:
         """Return p(a*z + b), exactly.  a must be non-zero.
@@ -292,28 +289,16 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class SturmCertificate:
-    """Exact count of the distinct real roots of a polynomial.
+    """Exact count of the distinct real roots of a polynomial in (-oo, hi]."""
 
-    The interval convention is (lo, hi]: a root exactly at hi is counted,
-    one exactly at lo is not.  `None` endpoints mean -oo / +oo.
-    """
-
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    hi: Fraction
     chain_length: int
     variations_lo: int
     variations_hi: int
     count: int
 
     def as_dict(self) -> dict:
-        return {
-            "lo": None if self.lo is None else str(self.lo),
-            "hi": None if self.hi is None else str(self.hi),
-            "chain_length": self.chain_length,
-            "variations_lo": self.variations_lo,
-            "variations_hi": self.variations_hi,
-            "count": self.count,
-        }
+        return {**asdict(self), "lo": None, "hi": str(self.hi)}
 
 
 def _sturm_sequence(p: RatPoly) -> list[list[int]]:
@@ -323,8 +308,8 @@ def _sturm_sequence(p: RatPoly) -> list[list[int]]:
     the same signs everywhere.  The last term is gcd(p, p') up to a
     constant, so p has deg p - deg(last) distinct roots, and dividing the
     chain by it leaves a Sturm sequence of p's square-free part with the
-    same signs wherever the gcd does not vanish.  Signs taken just right of
-    each endpoint (`_sign_at`) never vanish, so `sturm_certificate` counts
+    same signs wherever the gcd does not vanish.  Signs taken at -oo and
+    just right of x (`_sign_at`) never vanish, so `sturm_certificate` counts
     distinct roots whether p is square-free or not.
     """
     if p.degree < 1:
@@ -339,36 +324,29 @@ def _sturm_sequence(p: RatPoly) -> list[list[int]]:
     return chain
 
 
-def _sign_at(s: list[int], x: Optional[Fraction], side: str) -> int:
-    """Sign of s just right of x: the sign of the first derivative of s that
-    does not vanish at x (at -oo / +oo for side lo / hi when x is None)."""
-    if x is None:
-        lead = (s[-1] > 0) - (s[-1] < 0)
-        return lead if side == "hi" else lead * (-1) ** (len(s) - 1)
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_at(s: list[int], x: Fraction) -> int:
+    """Sign of s just right of x: that of its first derivative not vanishing at x."""
     acc = _scaled_value(s, x)
     while not acc:
         s = [i * v for i, v in enumerate(s) if i]
         acc = _scaled_value(s, x)
-    return (acc > 0) - (acc < 0)
+    return _sign(acc)
 
 
-def _variations(chain: list[list[int]], x: Optional[Fraction], side: str) -> int:
-    signs = [_sign_at(q, x, side) for q in chain]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_certificate(
-    chain: list[list[int]], lo: Optional[Fraction], hi: Optional[Fraction]
-) -> SturmCertificate:
-    """Count the distinct real roots in (lo, hi] from a prebuilt Sturm chain."""
-    if lo is not None and hi is not None and not lo < hi:
-        raise ValueError("need lo < hi")
-    v_lo = _variations(chain, lo, "lo")
-    v_hi = _variations(chain, hi, "hi")
+def sturm_certificate(chain: list[list[int]], x: Fraction) -> SturmCertificate:
+    """Count the distinct real roots in (-oo, x] from a prebuilt Sturm chain."""
+    # at -oo each term has the sign of its leading coefficient times (-1)^degree
+    at_lo = [_sign(s[-1]) * (-1) ** (len(s) - 1) for s in chain]
+    at_x = [_sign_at(s, x) for s in chain]
+    v_lo, v_hi = (sum(a != b for a, b in zip(v, v[1:])) for v in (at_lo, at_x))
     n = v_lo - v_hi
     if n < 0:
         raise ConsistencyError("negative Sturm count")
-    return SturmCertificate(lo, hi, len(chain), v_lo, v_hi, n)
+    return SturmCertificate(x, len(chain), v_lo, v_hi, n)
 
 
 def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:

@@ -29,6 +29,7 @@ from .ratpoly import (
     RatPoly,
     SturmCertificate,
     _scaled_value,
+    _sign,
     _sturm_sequence,
     squarefree_parts,
     sturm_certificate,
@@ -64,24 +65,22 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     or real at squared distance up to radius2 from the center.
 
     One Taylor shift to the center decides the symmetry and gives the even
-    part q (`symmetric_split`).  Each check holds exactly when q's count of
-    distinct roots on (-oo, x] (x = 0, then radius2) reaches all of its
-    distinct roots.  From degree ALTERNATION_MIN_DEGREE on, exact signs
-    alternating at n + 1 points prove that q's n roots are real and simple,
-    which fixes its Sturm certificates without building the chain
-    (`_alternation_certificate`).  Otherwise, or when no such points are
-    found, one Sturm sequence of q serves both counts: its last term is
-    gcd(q, q'), so q has deg q - deg(last) distinct roots.  For radius2 = 0
-    the two checks coincide and the same object is returned twice.
+    part q (`symmetric_split`, which raises on the zero polynomial); a p
+    with no center violates both checks, with center None.  Each check holds
+    exactly when q's count of distinct roots on (-oo, x] (x = 0, then
+    radius2) reaches all of its distinct roots.  From degree
+    ALTERNATION_MIN_DEGREE on, exact signs alternating at n + 1 points prove
+    that q's n roots are real and simple, which fixes its Sturm certificates
+    without building the chain (`_alternation_certificate`).  Otherwise, or
+    when no such points are found, one Sturm sequence of q serves both
+    counts: its last term is gcd(q, q'), so q has deg q - deg(last) distinct
+    roots.  For radius2 = 0 the two checks coincide and the same object is
+    returned twice.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        line = LineCheck("not_applicable", None)
+    found = symmetric_split(p) if p.degree else None
+    if found is None:  # a constant, or no symmetry center
+        line = LineCheck("violated" if p.degree else "not_applicable", None)
         return line, line
-    found = symmetric_split(p)
-    if found is None:
-        raise ValueError("polynomial has no symmetry center")
     center, q = found
     if q.degree < 1:
         line = LineCheck("certified", center)
@@ -92,7 +91,7 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
         distinct = q.degree - (len(chain[-1]) - 1)
 
         def certificate(x: Fraction) -> SturmCertificate:
-            return sturm_certificate(chain, None, x)
+            return sturm_certificate(chain, x)
 
     else:
         distinct = q.degree
@@ -110,10 +109,6 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     status = "certified" if cert.count == distinct else "violated"
     pairs = cert.count - on_line.count
     return line, LineCheck(status, center, [cert], pairs, q(radius2) == 0)
-
-
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
 
 
 def _alternating_points(q: RatPoly) -> Optional[list[Fraction]]:
@@ -164,7 +159,7 @@ def _between(a: float, b: float) -> Fraction:
 
 
 def _alternation_certificate(q: RatPoly, points: list[Fraction], x: Fraction) -> SturmCertificate:
-    """sturm_certificate(_sturm_sequence(q), None, x), read off the points
+    """sturm_certificate(_sturm_sequence(q), x), read off the points
     at which q's signs alternate (`_alternating_points`).
 
     Alternation gives q a root in each of the n gaps between the n + 1
@@ -174,22 +169,23 @@ def _alternation_certificate(q: RatPoly, points: list[Fraction], x: Fraction) ->
     (-oo, x] is the number of gaps wholly left of x, plus one when x lies
     in a gap and the exact sign of q(x) is no longer q's sign at the gap's
     left end (a root exactly at x counts); so the certificate is
-    (None, x, n + 1, n, n - c, c).
+    (x, n + 1, n, n - c, c).
     """
     n = len(points) - 1
     j = bisect_right(points, x)  # p_0 .. p_(j-1) are <= x
     count = max(j - 1, 0)
     if 0 < j <= n and _sign(_scaled_value(q.ints, x)) != _sign(q.ints[-1]) * (-1) ** (n - j + 1):
         count += 1  # q(x) has left the sign of q(p_(j-1)): the root is at or left of x
-    return SturmCertificate(None, x, n + 1, n, n - count, count)
+    return SturmCertificate(x, n + 1, n, n - count, count)
 
 
 def check_line(p: RatPoly) -> LineCheck:
     """Certify that every root of p lies on its own vertical symmetry line.
 
-    The center comes from `symmetric_split` (a ValueError if there is none);
-    the roots lie on the line Re(z) = center iff the even-part polynomial has
-    only real non-positive roots, which exact root counts decide.
+    The center comes from `symmetric_split`; without one the check is
+    violated, with center None.  The roots lie on the line Re(z) = center iff
+    the even-part polynomial has only real non-positive roots, which exact
+    root counts decide.
     """
     return _certify(p, Fraction(0))[0]
 
@@ -405,10 +401,7 @@ def strip_report(hd: HilbertData) -> StripReport:
     else:
         D, res, radius2 = 1, expand(hd), Fraction(0)
     numerators = sorted(roots)
-    try:
-        line, dichotomy = _certify(res, radius2)
-    except ValueError:
-        line = dichotomy = LineCheck("violated", None)
+    line, dichotomy = _certify(res, radius2)
     if iota > 0 and line.status != "not_applicable" and line.center != Fraction(-1, 2):
         line = dichotomy = LineCheck("violated", line.center)
     res_roots = res.degree >= 1

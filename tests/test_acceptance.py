@@ -6,6 +6,7 @@ nothing.  Run with plain `pytest`; the per-criterion lines bypass capture.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -302,9 +303,11 @@ def test_criterion_10_exit_code_contract(capsys):
     notes = []
     with criterion(capsys, 10, "exit codes 0/1/2 from scripted invocations", notes):
         def invoke(*args):
+            # the child imports canstrip from the same path as this process
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
             proc = subprocess.run(
                 [sys.executable, "-m", "canstrip", *args],
-                capture_output=True, text=True, timeout=120,
+                capture_output=True, text=True, timeout=120, env=env,
             )
             return proc.returncode
 

@@ -167,6 +167,14 @@ class TestGolden:
          "394ddcc345b53be60ae87b97213a9047c770f52842d8b2545f5e4c61d6c3c239"),
         (("ci", "--type", "E8", "--node", "4", "--degrees", "2,8", "--format", "json"),
          "6324d17246b27a6a974ff1724a8345726c751826d62cd49c073570cb2d79ebe4"),
+        (("gp", "--type", "E6", "--node", "4", "--digits", "8", "--format", "json"),
+         "d0faeb9291abb8bd7dd44679d4ec8f9d9fe324c83f4aa6ec3adbc291a34be701"),
+        (("cover", "--type", "E7", "--node", "7", "--degree", "2", "--digits", "12",
+          "--format", "json"),
+         "33c63eb3ccbd689e78a042e26d66c1ac19da93cd75411cb2207e16336f5bcf62"),
+        (("ci", "--type", "A", "--rank", "2", "--node", "1", "--degrees", "3", "--digits", "3",
+          "--format", "json"),
+         "ef58075292c07dfc0f0dd1d932f4ca73ef247fb292cd92f40a50ca0ea069595a"),
     ])
     def test_benchmark_output_bytes(self, capsys, argv, sha256):
         # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4,
@@ -174,7 +182,9 @@ class TestGolden:
         # (the rank <= 10 catalogue of G/P), byte for byte; then the rank <= 8
         # sweep, whose 1122 cases hold 19 even parts of degree 23 to 44 (past
         # the sign-alternation cutoff), and E8/P4 cut by (2, 8), whose even
-        # part has degree 52 and 394-bit coefficients
+        # part has degree 52 and 394-bit coefficients; last, the advisory
+        # roots of two Fano varieties (in the anticanonical variable) and of
+        # a plane cubic curve (index 0, in the ample-generator variable)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
@@ -266,6 +276,24 @@ class TestCheck:
     def test_bad_coeffs(self, capsys):
         code, _, _ = run(capsys, "check", "--coeffs", "1,zz")
         assert code == 2
+
+    @pytest.mark.parametrize("coeffs", ["1e99999999,1", "1e5000,0,1", "1" * 4300 + "e1,1"],
+                             ids=["huge exponent", "long value", "long mantissa"])
+    def test_unprintable_coefficient_is_refused_at_once(self, coeffs):
+        # Fraction alone would spend seconds on 10^99999999, and 10^5000 and
+        # a 4300-digit mantissa times 10 have more digits than Python
+        # converts to a string
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-m", "canstrip", "check", "--coeffs", coeffs],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: bad coefficient list: ")
+        assert done.stderr.count("\n") == 1 and done.stderr.count("error:") == 1
+
+    @pytest.mark.parametrize("coeff", ["1e400", "-1e-400", "1e300", "3e-320"])
+    def test_large_printable_coefficients_are_accepted(self, capsys, coeff):
+        code, _, err = run(capsys, "check", "--coeffs", f"1,{coeff}")
+        assert (code, err) == (0, "")
 
     def test_digits_beyond_a_double_are_capped(self, capsys):
         code, out, err = run(

@@ -118,38 +118,43 @@ class TestSquarefree:
 
 
 def sturm_count(p, lo, hi):
-    return sturm_certificate(_sturm_sequence(p), lo, hi)
+    """Distinct real roots of p in (lo, hi], as the difference of two counts
+    on (-oo, x]; an infinite endpoint (None) becomes -+(1 + max|a_i/a_n|),
+    which lies past every root."""
+    chain = _sturm_sequence(p)
+    bound = 1 + max(abs(c) for c in p.monic().coeffs)
+    lo, hi = -bound if lo is None else lo, bound if hi is None else hi
+    return sturm_certificate(chain, hi).count - sturm_certificate(chain, lo).count
 
 
 class TestSturm:
     def test_half_line(self):
-        cert = sturm_count(P(-1, 0, 1), None, Fraction(0))
-        assert cert.count == 1
+        assert sturm_count(P(-1, 0, 1), None, Fraction(0)) == 1
 
     def test_no_real_roots(self):
-        assert sturm_count(P(1, 0, 1), None, None).count == 0
+        assert sturm_count(P(1, 0, 1), None, None) == 0
 
     def test_repeated_root_counted_once(self):
         # (z + 1/2)^2 (z - 1): two distinct roots, the double one counted
         # once, on the side of the interval it closes
         p = P(Fraction(1, 4), 1, 1) * P(-1, 1)
-        assert sturm_count(p, None, None).count == 2
-        assert sturm_count(p, None, Fraction(-1, 2)).count == 1
-        assert sturm_count(p, Fraction(-1, 2), None).count == 1
+        assert sturm_count(p, None, None) == 2
+        assert sturm_count(p, None, Fraction(-1, 2)) == 1
+        assert sturm_count(p, Fraction(-1, 2), None) == 1
         # z^2 (z - 1)^3 (z + 2): signs just right of 0 and 1, where every
         # term of the chain vanishes, still count the distinct roots
         p = P(0, 1) ** 2 * P(-1, 1) ** 3 * P(2, 1)
-        assert sturm_count(p, None, None).count == 3
-        assert sturm_count(p, None, Fraction(0)).count == 2
-        assert sturm_count(p, Fraction(0), Fraction(1)).count == 1
-        assert sturm_count(p, Fraction(-2), Fraction(0)).count == 1
-        assert sturm_count(p, Fraction(1), None).count == 0
+        assert sturm_count(p, None, None) == 3
+        assert sturm_count(p, None, Fraction(0)) == 2
+        assert sturm_count(p, Fraction(0), Fraction(1)) == 1
+        assert sturm_count(p, Fraction(-2), Fraction(0)) == 1
+        assert sturm_count(p, Fraction(1), None) == 0
 
     def test_endpoint_convention(self):
         # (lo, hi]: a root at hi counts, at lo it does not
         p = P(0, 1)
-        assert sturm_count(p, Fraction(-1), Fraction(0)).count == 1
-        assert sturm_count(p, Fraction(0), Fraction(1)).count == 0
+        assert sturm_count(p, Fraction(-1), Fraction(0)) == 1
+        assert sturm_count(p, Fraction(0), Fraction(1)) == 0
 
     def test_product_of_linear_factors(self):
         rng = random.Random(5)
@@ -158,7 +163,7 @@ class TestSturm:
             p = RatPoly.one()
             for r in roots:
                 p = p * P(-r, 1)
-            assert sturm_count(p, None, None).count == len(roots)
+            assert sturm_count(p, None, None) == len(roots)
 
     def test_gcd_and_squarefree_detect(self):
         # the last term of the chain is gcd(p, p') up to a positive constant

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from canstrip import verify
-from canstrip.hilbert import LevelTable, expand, hilbert_gp
+from canstrip.hilbert import HilbertData, LevelTable, expand, hilbert_gp
 from canstrip.ratpoly import RatPoly, symmetric_split
 from canstrip.root_system import all_simple_types, marked
 from canstrip.varieties import complete_intersection, double_cover, section_step
@@ -34,14 +34,15 @@ class TestCheckLine:
 
     def test_constant(self):
         assert check_line(P(5)).status == "not_applicable"
+        with pytest.raises(ValueError):
+            check_line(RatPoly.zero())
 
     def test_linear(self):
         line = check_line(P(1, 2))
         assert line.status == "certified" and line.center == Fraction(-1, 2)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            check_line(P(1, 0, 0, 1))
+        assert check_line(P(1, 0, 0, 1)) == verify.LineCheck("violated", None)
 
     def test_multiplicity_handling(self):
         # (z^2+z+1)^2 has all roots on the line, detected via square-free parts
@@ -252,6 +253,25 @@ class TestStripReport:
         assert rep.verdicts["CL"] == "holds"
         assert rep.residual_line == Fraction(1)  # -iota/2 with iota = -2
 
+    def test_residual_without_a_center(self):
+        # 1 + z^3 has no symmetry center, so the line check fails with no center
+        hd = HilbertData("no center", dim=3, index=-1, residual=P(1, 0, 0, 1))
+        rep = strip_report(hd)
+        assert rep.residual_on_line == "violated" and rep.residual_line is None
+        assert rep.verdicts["CL"] == "fails"
+        assert rep.witnesses["CL"] == "roots off the symmetry line"
+        assert rep.certificates == []
+
+    def test_residual_centered_off_minus_half(self):
+        # z^2 + 1 with index 3 is 9z^2 + 1 in the anticanonical variable,
+        # centered at 0 instead of -1/2
+        hd = HilbertData("off center", dim=2, index=3, residual=P(1, 0, 1))
+        rep = strip_report(hd)
+        assert rep.residual_on_line == "violated" and rep.residual_line == 0
+        assert rep.verdicts["CL"] == rep.verdicts["TCS"] == "fails"
+        assert rep.witnesses["CL"] == "residual roots escape the certified region"
+        assert rep.witnesses["TCS"] == "residual roots escape the certified region"
+
     def test_all_applicable_hold(self):
         assert strip_report(hilbert_gp(marked("A", 3, 1))).all_applicable_hold
         assert strip_report(double_cover(marked("A", 1, 1), 2)).all_applicable_hold
@@ -272,7 +292,7 @@ class TestApproxRoots:
 
     def test_e6_p4_anticanonical(self):
         hd = hilbert_gp(marked("E", 6, 4))
-        poly = expand(hd, "anticanonical")
+        poly = expand(hd).compose_affine(hd.index, 0)
         roots = approx_roots(poly, digits=10)
         assert sum(r.multiplicity for r in roots) == 29
         exact = {}
