@@ -284,6 +284,8 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
     `fields` are the command's own keys, `heading` starts the text line of H(z),
     and `note` is reported when H has no symmetry center."""
     line = check_line(poly)
+    if line.center is not None:  # printed below, and built from several coefficients
+        _printable(line.center, f"the symmetry center of the {fields['description']}")
     verdict = "fails" if line.status == "violated" else "holds"
     report = dict(
         fields,
@@ -309,7 +311,8 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
 def cmd_abelian(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
-            spec = abelian_spec_from_json(json.load(fh))
+            # int() alone would refuse a long integer with Python's own message
+            spec = abelian_spec_from_json(json.load(fh, parse_int=lambda t: int(_coefficient(t))))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read spec file: {exc}") from exc
     poly = abelian_ci(spec)
@@ -324,18 +327,26 @@ def cmd_abelian(args) -> int:
     return _bare_command(args, poly, fields, f"{description}: ")
 
 
-def _coefficient(text: str) -> Fraction:
-    """A rational coefficient, refused unless the report can print it: its
-    exponent, numerator and denominator within Python's digit limit for
-    int-str conversion.  The exponent is checked first: Fraction would spend
-    seconds and more building 10^e for a large e."""
+def _printable(c: Fraction, name: str) -> Fraction:
+    """c, refused unless its numerator and denominator are within Python's
+    digit limit for int-str conversion, so that the report can print it."""
     limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and max(abs(c.numerator), c.denominator) >= 10**limit:
+        raise ValueError(f"{name} has more than {limit} digits")
+    return c
+
+
+def _coefficient(text: str) -> Fraction:
+    """A rational coefficient the report can print.  Its digit strings and its
+    exponent are checked first: int() refuses a string past the limit, and
+    Fraction would spend seconds and more building 10^e for a large e."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    runs = re.findall(r"\d+(?:_\d+)*", text)
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)$", text, re.IGNORECASE)
-    if not limit or not exponent or abs(int(exponent[1])) <= limit:
-        c = Fraction(text)
-        if not limit or max(abs(c.numerator), c.denominator) < 10**limit:
-            return c
-    raise ValueError(f"{text!r} has an exponent, numerator or denominator beyond {limit} digits")
+    if limit and (any(len(r.replace("_", "")) > limit for r in runs)
+                  or exponent and abs(int(exponent[1])) > limit):
+        raise ValueError(f"{text!r} has more than {limit} digits")
+    return _printable(Fraction(text), repr(text))
 
 
 def cmd_check(args) -> int:

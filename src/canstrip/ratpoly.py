@@ -4,10 +4,10 @@ A polynomial is stored in one normal form: a primitive integer coefficient
 tuple `ints` (lowest degree first, no trailing zeros, gcd 1) times a positive
 rational `content`; the zero polynomial is ((), 0).  The form is unique, so
 equality and hashing compare it directly, and every kernel (products, sums,
-shifts, evaluation and Sturm chains, whose last term is gcd(p, p')) multiplies
-and adds plain integers and never reduces a fraction.  `coeffs`, the
-`Fraction` coefficients, is derived on demand for printing, floats and
-polynomial division.
+shifts, evaluation, pseudo-division and the Sturm chains built on it, whose
+last term is gcd(p, p')) multiplies and adds plain integers and never reduces
+a fraction.  `coeffs`, the `Fraction` coefficients, is derived on demand only
+for printing and floats.
 Every operation is exact; floats never enter any verdict-relevant path.
 """
 
@@ -158,21 +158,8 @@ class RatPoly:
     def __divmod__(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        d, lc = other.degree, other.leading
-        divisor = other.coeffs
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - d)
-        while True:
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            f = rem[-1] / lc
-            quo[shift] = f
-            for i, c in enumerate(divisor):
-                rem[shift + i] -= f * c
-        return RatPoly(quo), RatPoly(rem)
+        m, q, r = _pseudo_divmod(self.ints, other.ints)
+        return _from_integer(q, self.content / (m * other.content)), _from_integer(r, self.content / m)
 
     def exact_div(self, other: RatPoly) -> RatPoly:
         """Divide, insisting on zero remainder (factorization consistency)."""
@@ -260,31 +247,30 @@ def _taylor_shift(ints: list[int], b: int) -> None:
             ints[j] += b * ints[j + 1]
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """The remainder of a by b times a positive integer, over the integers.
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(m, q, r) with m*a = q*b + r over the integers, m > 0 and deg r < deg b
+    (pseudo-division, Knuth TAOCP vol. 2, 4.6.1).
 
     A Sturm chain needs the true sign of each remainder, so the multiplier
-    must be positive: b is negated when its leading coefficient is negative
-    (which leaves the remainder over Q unchanged), and each elimination step
-    multiplies by lc(b)/g > 0, with g the gcd of the two leading terms.
+    must be positive: each elimination step multiplies by lc(b)/g > 0, with
+    g the gcd of the two leading terms taken with the sign of lc(b).
     """
-    if b[-1] < 0:
-        b = [-v for v in b]
     lb, db = b[-1], len(b) - 1
-    r = list(a)
+    m, q, r = 1, [0] * max(0, len(a) - db), list(a)
     while len(r) > db:
         lr = r.pop()
         if lr:
-            g = gcd(lb, lr)
-            m, k = lb // g, lr // g
-            if m != 1:
-                r = [m * v for v in r]
+            g = gcd(lb, lr) if lb > 0 else -gcd(lb, lr)
+            s, k = lb // g, lr // g
+            if s != 1:
+                m, q, r = m * s, [s * v for v in q], [s * v for v in r]
             shift = len(r) - db
+            q[shift] = k
             for i in range(db):
                 r[shift + i] -= k * b[i]
     while r and r[-1] == 0:
         r.pop()
-    return r
+    return m, q, r
 
 
 @dataclass(frozen=True)
@@ -317,7 +303,7 @@ def _sturm_sequence(p: RatPoly) -> list[list[int]]:
     s0 = p.ints
     chain = [s0, _primitive([i * v for i, v in enumerate(s0) if i])]
     while len(chain[-1]) > 1:
-        r = _pseudo_remainder(chain[-2], chain[-1])
+        r = _pseudo_divmod(chain[-2], chain[-1])[2]
         if not r:
             break
         chain.append(_primitive([-v for v in r]))

@@ -11,9 +11,11 @@ denominator, and the public values are exact `Fraction`s built from them.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from math import lcm
 
 Root = tuple[int, ...]
@@ -362,14 +364,10 @@ def marked(series: str, rank: int, node: int) -> MarkedSystem:
 
 
 def all_simple_types(max_rank: int) -> list[SimpleType]:
-    """Every canonical simple type with rank <= max_rank, in a fixed order."""
+    """Every canonical simple type with rank <= max_rank, in a fixed order:
+    series by series, each rank that `_check_series_rank` accepts."""
     out = []
-    for series in "ABCDEFG":
-        lo = _RANK_BOUNDS.get(series, 1)
-        for r in range(lo, max_rank + 1):
-            if series == "E" and r not in (6, 7, 8):
-                continue
-            if series in ("F", "G") and r != lo:
-                continue
+    for series, r in product("ABCDEFG", range(1, max_rank + 1)):
+        with suppress(ValueError):
             out.append(SimpleType(series, r))
     return out

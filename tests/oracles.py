@@ -63,6 +63,23 @@ def symmetric_even_part(p):
     return c, pshift(p, -c)[n % 2 :: 2]
 
 
+def pdivmod(a, b):
+    """Quotient and remainder of a by a non-zero b, by schoolbook long
+    division over Fraction lists."""
+    b = [Fraction(c) for c in trim(b)]
+    d, lc = len(b) - 1, b[-1]
+    rem = [Fraction(c) for c in trim(a)]
+    quo = [Fraction(0)] * max(0, len(rem) - d)
+    while len(rem) - 1 >= d:
+        shift = len(rem) - 1 - d
+        f = rem[-1] / lc
+        quo[shift] = f
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem = trim(rem)
+    return trim(quo), rem
+
+
 def interleave(q, eps):
     """w^eps q(w^2) as a coefficient list."""
     out = [Fraction(0)] * (eps + 2 * len(q) - 1)

@@ -26,6 +26,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_child(*argv):
+    """`python -m canstrip argv` in a fresh process, given at most 10 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "canstrip", *argv],
+                          env=env, capture_output=True, text=True, timeout=10)
+
+
+def assert_past_the_digit_limit(done, start="error: "):
+    """Exit 2 with nothing on stdout and one `error:` line on stderr that
+    names the 4300-digit limit in the program's words, not Python's."""
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(start)
+    assert done.stderr.count("\n") == 1 and done.stderr.count("error:") == 1
+    assert "4300 digits" in done.stderr and "set_int_max_str_digits" not in done.stderr
+
+
 class TestGp:
     def test_e6_p4_json(self, capsys):
         code, out, _ = run(capsys, "gp", "--type", "E6", "--node", "4", "--format", "json")
@@ -175,6 +191,8 @@ class TestGolden:
         (("ci", "--type", "A", "--rank", "2", "--node", "1", "--degrees", "3", "--digits", "3",
           "--format", "json"),
          "ef58075292c07dfc0f0dd1d932f4ca73ef247fb292cd92f40a50ca0ea069595a"),
+        (("gp", "--type", "E8", "--node", "4", "--digits", "6", "--format", "json"),
+         "8b2df83cfaa2461d2db5c171e9031faeb5190e41b6a43d7d32ff6e23c76efcfa"),
     ])
     def test_benchmark_output_bytes(self, capsys, argv, sha256):
         # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4,
@@ -182,9 +200,10 @@ class TestGolden:
         # (the rank <= 10 catalogue of G/P), byte for byte; then the rank <= 8
         # sweep, whose 1122 cases hold 19 even parts of degree 23 to 44 (past
         # the sign-alternation cutoff), and E8/P4 cut by (2, 8), whose even
-        # part has degree 52 and 394-bit coefficients; last, the advisory
+        # part has degree 52 and 394-bit coefficients; then the advisory
         # roots of two Fano varieties (in the anticanonical variable) and of
-        # a plane cubic curve (index 0, in the ample-generator variable)
+        # a plane cubic curve (index 0, in the ample-generator variable); last,
+        # those of E8/P4, whose multiplicities come from 32 exact divisions
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
@@ -277,18 +296,29 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--coeffs", "1,zz")
         assert code == 2
 
-    @pytest.mark.parametrize("coeffs", ["1e99999999,1", "1e5000,0,1", "1" * 4300 + "e1,1"],
-                             ids=["huge exponent", "long value", "long mantissa"])
+    @pytest.mark.parametrize("coeffs", ["1e99999999,1", "1e5000,0,1", "1" * 4300 + "e1,1",
+                                        "1" * 4301 + ",1", "1/" + "1" * 4301 + ",1"],
+                             ids=["huge exponent", "long value", "long mantissa",
+                                  "long integer", "long denominator"])
     def test_unprintable_coefficient_is_refused_at_once(self, coeffs):
-        # Fraction alone would spend seconds on 10^99999999, and 10^5000 and
-        # a 4300-digit mantissa times 10 have more digits than Python
-        # converts to a string
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run([sys.executable, "-m", "canstrip", "check", "--coeffs", coeffs],
-                              env=env, capture_output=True, text=True, timeout=10)
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith("error: bad coefficient list: ")
-        assert done.stderr.count("\n") == 1 and done.stderr.count("error:") == 1
+        # Fraction alone would spend seconds on 10^99999999, 10^5000 and a
+        # 4300-digit mantissa times 10 have more digits than Python converts
+        # to a string, and int() refuses to read a 4301-digit string
+        done = run_child("check", "--coeffs", coeffs)
+        assert_past_the_digit_limit(done, "error: bad coefficient list: ")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unprintable_center_is_refused(self, fmt):
+        # both coefficients print, but the symmetry center -a_0/a_1 = -10^8598
+        # has more digits than Python converts to a string
+        done = run_child("check", "--coeffs", "1e4299,1e-4299", "--format", fmt)
+        assert_past_the_digit_limit(done, "error: the symmetry center of ")
+
+    def test_abelian_spec_integer_past_the_digit_limit(self, tmp_path):
+        spec = tmp_path / "long.json"
+        value = "1" + "0" * 4400
+        spec.write_text(f'{{"n": 1, "c": 1, "numbers": [{{"tuple": [2], "value": {value}}}]}}')
+        assert_past_the_digit_limit(run_child("abelian", "--spec", str(spec)))
 
     @pytest.mark.parametrize("coeff", ["1e400", "-1e-400", "1e300", "3e-320"])
     def test_large_printable_coefficients_are_accepted(self, capsys, coeff):
@@ -374,6 +404,9 @@ BARE_GOLDENS = [
      "6b70560db0e0417495b61d3f70fd86ee149021b66d8de340f039fba89ad501ec"),
     (("check", "--coeffs", "1,0,1", "--digits", "6", "--format", "json"), 0,
      "a8dcb27a316205cfb988e7b79e1433137adf0e7f0a821e7fbf5a11ed1009aa34"),
+    # (1 + z + z^2 + z^3)^2: its advisory multiplicities come from exact divisions
+    (("check", "--coeffs", "1,2,3,4,3,2,1", "--digits", "6", "--format", "json"), 1,
+     "4dcf2e330e471cb39d77fcfe55444b5139f24263de3e0d261a10f86f2b57e830"),
     (("abelian", "curve", "--format", "text"), 0,
      "749d125c1ba197b54e261e46885f41290ddc444fd20e143fcf646f9a1077e3c7"),
     (("abelian", "curve", "--format", "json"), 0,

@@ -14,13 +14,15 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from canstrip.cli import main  # noqa: E402
 from canstrip.hilbert import expand, hilbert_gp  # noqa: E402
 from canstrip.ratpoly import (  # noqa: E402
+    ConsistencyError,
     RatPoly,
+    _pseudo_divmod,
     _sturm_sequence,
     squarefree_parts,
     sturm_certificate,
@@ -42,6 +44,7 @@ from oracles import (  # noqa: E402
     iterated_difference,
     padd,
     pcompose_affine,
+    pdivmod,
     peval,
     pmul,
     pshift,
@@ -141,6 +144,39 @@ def test_exact_evaluation_matches_horner(coeffs, x):
 def test_compose_affine_matches_horner(coeffs, a, b):
     got = RatPoly(tuple(coeffs)).compose_affine(a, b)
     assert list(got.coeffs) == pcompose_affine(trim(coeffs), a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists.filter(any))
+@example([1, 2, 3], [1, -2])  # negative leading coefficient
+@example([1, 2, 3], [Fraction(-2, 3)])  # constant divisor
+@example([], [1, 1])  # zero dividend
+@example([1, 2], [0, 0, -3])  # deg a < deg b
+def test_divmod_matches_long_division(a, b):
+    p, d = RatPoly(tuple(a)), RatPoly(tuple(b))
+    quo, rem = pdivmod(a, b)
+    q, r = divmod(p, d)
+    assert_normal_form(q)
+    assert_normal_form(r)
+    assert (list(q.coeffs), list(r.coeffs)) == (quo, rem)
+    if rem:
+        with pytest.raises(ConsistencyError):
+            p.exact_div(d)
+    else:
+        assert p.exact_div(d) == q
+    assert (p * d).exact_div(d) == p
+
+
+integer_lists = st.lists(st.integers(-(10**6), 10**6), max_size=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_lists.map(trim), integer_lists.map(trim).filter(bool))
+def test_pseudo_divmod_is_an_integer_identity(a, b):
+    m, q, r = _pseudo_divmod(a, b)
+    assert m > 0 and len(r) < len(b) and (not r or r[-1])
+    assert all(type(v) is int for v in q + r)
+    assert padd(pmul(q, b), r) == [m * v for v in a]
 
 
 @st.composite
