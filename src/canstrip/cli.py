@@ -339,21 +339,25 @@ def _printable(c: Fraction, name: str) -> Fraction:
 def _coefficient(text: str) -> Fraction:
     """A rational coefficient the report can print.  Its digit strings and its
     exponent are checked first: int() refuses a string past the limit, and
-    Fraction would spend seconds and more building 10^e for a large e."""
+    Fraction would spend seconds and more building 10^e for a large e.  A long
+    text is named by its first ten characters and its digit count."""
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    runs = re.findall(r"\d+(?:_\d+)*", text)
+    runs = [len(r.replace("_", "")) for r in re.findall(r"\d+(?:_\d+)*", text)]
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)$", text, re.IGNORECASE)
-    if limit and (any(len(r.replace("_", "")) > limit for r in runs)
+    shown = repr(text) if len(text) <= 20 else f"{text[:10]!r}… ({sum(runs)} digits)"
+    if limit and (any(r > limit for r in runs)
                   or exponent and abs(int(exponent[1])) > limit):
-        raise ValueError(f"{text!r} has more than {limit} digits")
-    return _printable(Fraction(text), repr(text))
+        raise ValueError(f"{shown} has more than {limit} digits")
+    return _printable(Fraction(text), shown)
 
 
 def cmd_check(args) -> int:
-    try:
-        coeffs = [_coefficient(part.strip()) for part in args.coeffs.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coefficient list: {exc}") from exc
+    coeffs = []
+    for i, part in enumerate(args.coeffs.split(","), 1):
+        try:
+            coeffs.append(_coefficient(part.strip()))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad coefficient list: coefficient {i}: {exc}") from exc
     poly = RatPoly(tuple(coeffs))
     if poly.degree < 1:
         raise ValueError("need a non-constant polynomial")

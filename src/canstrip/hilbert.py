@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from typing import Sequence
 
 from .ratpoly import ConsistencyError, RatPoly, _from_integer, _scaled_value, _taylor_shift
 from .root_system import MarkedSystem
@@ -75,20 +76,20 @@ class LevelTable:
         ]
 
 
-def multiply_linear(base: RatPoly, factors: list, normalized: bool = False) -> RatPoly:
-    """base times the product of (l*z + n/q)^h over (l, n, q, h), or of
-    ((l*z + n/q)/(n/q))^h when normalized, multiplied out on integers: a
-    factor is (l*q*z + n) over q (over n when normalized), so one content
-    carries every denominator."""
+def multiply_linear(base: RatPoly, levels: Sequence[LevelTable]) -> RatPoly:
+    """base times the product of the tables' factors ((l*z + k)/k)^h,
+    multiplied out on integers: with k = n/q a factor is (l*q*z + n)/n, so
+    one content carries every denominator."""
     ints, div = list(base.ints), 1
-    for l, n, q, h in factors:
-        a = l * q
-        div *= (n if normalized else q) ** h
-        for _ in range(h):
-            ints.append(0)
-            for i in range(len(ints) - 1, 0, -1):
-                ints[i] = n * ints[i] + a * ints[i - 1]
-            ints[0] *= n
+    for t in levels:
+        a = t.level * t.den
+        for n, h in t.counts.items():
+            div *= n**h
+            for _ in range(h):
+                ints.append(0)
+                for i in range(len(ints) - 1, 0, -1):
+                    ints[i] = n * ints[i] + a * ints[i - 1]
+                ints[0] *= n
     return _from_integer(ints, base.content / div)
 
 
@@ -115,8 +116,7 @@ class HilbertData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
-        factors = [(t.level, n, t.den, h) for t in self.levels for n, h in t.counts.items()]
-        object.__setattr__(self, "poly", multiply_linear(self.residual, factors, normalized=True))
+        object.__setattr__(self, "poly", multiply_linear(self.residual, self.levels))
 
 
 def expand(hd: HilbertData) -> RatPoly:

@@ -2,9 +2,9 @@
 
 A hypersurface section of degree d turns H(z) into H(z) - H(z-d); the
 double cover branched in |2dL| gives H(z) + H(z-d).  Both propagate the
-factored form by the same min-of-exponents rule on the level tables, with
-the leftovers absorbed into the residual factor.  The reconstruction
-identity is asserted exactly on every step.
+factored form by the same min-of-exponents rule on the level tables: the
+kept factors divide both H(z) and H(z-d), and the residual is the exact
+quotient by them, with a zero remainder asserted on every step.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .root_system import MarkedSystem
 def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> HilbertData:
     """One degree-d step: difference for "intersection", sum for "cover".
 
-    Per level, the new exponent at k is min(h_k, h_{k+l*d}); the factors the
-    min rule leaves behind are collected into two leftover polynomials, and
-    the residual becomes res(z)*B+ -/+ res(z-d)*B-, times the exact constant
-    that restores the (l*z+k)/k normalization of the kept factors.
+    Per level, the new exponent at k is min(h_k, h_{k+l*d}): those factors
+    divide both H(z) and H(z-d), and the residual is the exact quotient of
+    H(z) -/+ H(z-d) by them.  A non-zero remainder means the kept factors do
+    not divide, and is the step's reconstruction check.
     `description` names the result, by default after hd and d.
     """
     if kind not in ("intersection", "cover"):
@@ -34,11 +34,7 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
     if kind == "intersection" and hd.dim < 1:
         raise ValueError("cannot intersect a 0-dimensional space")
 
-    new_index = hd.index - d
     new_tables: list[LevelTable] = []
-    plus, minus = [], []  # leftover factors (l, n, q, e) of H(z) and of H(z-d)
-    num = den = 1  # the normalization constant, num/den
-
     for table in hd.levels:
         l, q, exps = table.level, table.den, table.counts
         shift = l * d * q  # keys are numerators over q
@@ -47,52 +43,35 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
             m = min(h, exps.get(k + shift, 0))
             if m > 0:
                 kept[k] = m
-            # leftover of H^l(z); for a simply-laced mark these factors sit
-            # strictly left of the new center, but mixed-length marks can
-            # leak them across (C4/P2 with d=1 is the smallest case)
-            if h > m:
-                num *= q ** (h - m)
-                den *= k ** (h - m)
-                plus.append((l, k, q, h - m))
-            # leftover of H^l(z-d): factor position k - l*d
-            pos = k - shift
-            e_minus = h - min(exps.get(pos, 0), h)
-            if e_minus > 0:
-                minus.append((l, pos, q, e_minus))
         if kept:
-            new_table = LevelTable(l, q, kept)
             # with equal root lengths the level supports have no holes and
             # the bottom exponent survives every cut; mixed lengths can lose
             # it (C3/P1 has no level-1 key at 3, so a degree-2 cut drops b)
             if hd.simply_laced and next(iter(kept)) != next(iter(exps)):
                 raise ConsistencyError("section step moved the bottom exponent b_l")
-            new_tables.append(new_table)
-
-    sign = -1 if kind == "intersection" else 1
-    res = hd.residual * Fraction(num, den)
-    residual = multiply_linear(res, plus) + multiply_linear(res.compose_affine(1, -d), minus) * sign
+            new_tables.append(LevelTable(l, q, kept))
 
     if kind == "intersection":
+        sign, new_dim = -1, hd.dim - 1
         desc = description or f"{hd.description} ∩ ({d})"
-        new_dim = hd.dim - 1
     else:
+        sign, new_dim = 1, hd.dim
         desc = description or f"double cover of {hd.description} branched in |{2 * d}L|"
-        new_dim = hd.dim
 
+    H_old = expand(hd)
+    target = H_old + sign * H_old.compose_affine(1, -d)
+    residual, rest = divmod(target, multiply_linear(RatPoly.one(), new_tables))
+    if rest:
+        op = "+" if sign > 0 else "-"
+        raise ConsistencyError(f"{desc}: factored form does not reconstruct H(z) {op} H(z-d)")
     out = HilbertData(
         description=desc,
         dim=new_dim,
-        index=new_index,
+        index=hd.index - d,
         levels=new_tables,
         residual=residual,
         simply_laced=hd.simply_laced,
     )
-
-    H_old = expand(hd)
-    target = H_old + sign * H_old.compose_affine(1, -d)
-    if expand(out) != target:
-        op = "+" if sign > 0 else "-"
-        raise ConsistencyError(f"{desc}: factored form does not reconstruct H(z) {op} H(z-d)")
     validate(out)
     return out
 

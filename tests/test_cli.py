@@ -34,10 +34,10 @@ def run_child(*argv):
 
 
 def assert_past_the_digit_limit(done, start="error: "):
-    """Exit 2 with nothing on stdout and one `error:` line on stderr that
-    names the 4300-digit limit in the program's words, not Python's."""
+    """Exit 2 with nothing on stdout and one short `error:` line on stderr
+    that names the 4300-digit limit in the program's words, not Python's."""
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith(start)
+    assert done.stderr.startswith(start) and len(done.stderr) <= 200
     assert done.stderr.count("\n") == 1 and done.stderr.count("error:") == 1
     assert "4300 digits" in done.stderr and "set_int_max_str_digits" not in done.stderr
 
@@ -307,6 +307,12 @@ class TestCheck:
         done = run_child("check", "--coeffs", coeffs)
         assert_past_the_digit_limit(done, "error: bad coefficient list: ")
 
+    def test_long_coefficient_is_named_by_position_and_digit_count(self):
+        done = run_child("check", "--coeffs", "1," + "1" * 4301)
+        assert_past_the_digit_limit(
+            done, "error: bad coefficient list: coefficient 2: '1111111111'… (4301 digits) has"
+        )
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_unprintable_center_is_refused(self, fmt):
         # both coefficients print, but the symmetry center -a_0/a_1 = -10^8598
@@ -318,7 +324,8 @@ class TestCheck:
         spec = tmp_path / "long.json"
         value = "1" + "0" * 4400
         spec.write_text(f'{{"n": 1, "c": 1, "numbers": [{{"tuple": [2], "value": {value}}}]}}')
-        assert_past_the_digit_limit(run_child("abelian", "--spec", str(spec)))
+        done = run_child("abelian", "--spec", str(spec))
+        assert_past_the_digit_limit(done, "error: '1000000000'… (4401 digits) has")
 
     @pytest.mark.parametrize("coeff", ["1e400", "-1e-400", "1e300", "3e-320"])
     def test_large_printable_coefficients_are_accepted(self, capsys, coeff):

@@ -188,15 +188,17 @@ class TestIntegerKernel:
                 assert list(expand(hilbert_gp(ms)).coeffs) == want, ms.description
         assert fractional > 0
 
-    def test_unnormalized_factors_with_zero_and_negative_keys(self):
+    def test_factors_with_negative_keys_and_a_denominator(self):
         base = RatPoly((Fraction(1, 2), Fraction(-3)))
-        # (l, n, q, h): the factor (l*z + n/q)^h
-        factors = [(2, -3, 2, 2), (1, 0, 1, 1), (3, 5, 4, 1)]
+        # numerators over den: the factor ((l*z + k)/k)^h for k = n/den
+        tables = [LevelTable(2, 4, {-6: 2, 5: 1}), LevelTable(3, 3, {-2: 1, 7: 3})]
+        assert tables[0].den == 4 and tables[1].den == 3
         want = list(base.coeffs)
-        for level, n, q, h in factors:
-            for _ in range(h):
-                want = pmul(want, [Fraction(n, q), Fraction(level)])
-        assert list(multiply_linear(base, factors).coeffs) == want
+        for t in tables:
+            for k, h in t.exponents.items():
+                for _ in range(h):
+                    want = pmul(want, [Fraction(1), t.level / k])
+        assert list(multiply_linear(base, tables).coeffs) == want
 
     def test_expansion_is_stored_once_and_its_sources_are_fixed(self):
         hd = hilbert_gp(marked("B", 3, 2))

@@ -1,9 +1,10 @@
 """Import and export hygiene of the package, read with the stdlib `ast`:
 every name a module imports is used in that module (the package's
-`__init__` uses a name by listing it in `__all__`), and every `__all__`
-entry resolves."""
+`__init__` uses a name by listing it in `__all__`), every `__all__`
+entry resolves, and every top-level definition is used or exported."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,27 @@ def test_every_export_resolves():
     missing = [name for name in canstrip.__all__ if not hasattr(canstrip, name)]
     assert not missing
     assert len(set(canstrip.__all__)) == len(canstrip.__all__)
+
+
+def references(tree):
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_top_level_definition_is_referenced():
+    """A top-level function or class is used somewhere in the package outside
+    its own body, or exported through `__all__`: nothing is left dead."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in canstrip.__all__
+        and everywhere[node.name] == references(node)[node.name]
+    ]
+    assert not dead, f"unreferenced definitions: {dead}"

@@ -403,6 +403,27 @@ def test_section_step_matches_iterated_differences(key, degrees, d):
     assert list(expand(section_step(hd, d, "cover")).coeffs) == cover_sum(H, d)
 
 
+@pytest.mark.parametrize("key", MARKS, ids=lambda key: f"{key[0]}{key[1]}/P{key[2]}")
+def test_kept_factors_divide_the_common_part_of_the_two_terms(sympy, key):
+    """The min rule, against sympy: for both kinds and every d <= 8, the kept
+    factors, the product of (l*z + k)^h over the new tables, divide
+    gcd(H(z), H(z-d)), and are all of it when the mark has a single level
+    (with several, a root -k/l can recur across levels)."""
+    hd = hilbert_gp(marked(*key))
+    H = as_sympy(sympy, expand(hd).coeffs)
+    x = H.gen
+    for d in range(1, 9):
+        common = sympy.gcd(H, H.shift(-d))
+        for kind in ("intersection", "cover"):
+            kept = sympy.Poly(1, x, domain="QQ")
+            for t in section_step(hd, d, kind).levels:
+                for k, h in t.exponents.items():
+                    kept *= as_sympy(sympy, [k, Fraction(t.level)]) ** h
+            assert common.rem(kept).is_zero, (kind, d)
+            if len(hd.levels) == 1:
+                assert kept.monic() == common.monic(), (kind, d)
+
+
 SMALL_TYPES = ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A", "E9", "Q2", "", "7"]
 # mostly valid values, with a bad one now and then
 nodes = st.sampled_from(["1", "2", "3", "4"] * 3 + ["0", "-1", "9", "x", "", "1.5"])

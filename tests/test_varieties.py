@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from canstrip import varieties
 from canstrip.hilbert import degree_of, expand, hilbert_gp
-from canstrip.ratpoly import RatPoly
+from canstrip.ratpoly import ConsistencyError, RatPoly
 from canstrip.root_system import all_simple_types, build_root_system, mark, marked
 from canstrip.varieties import (
     AbelianSpec,
@@ -68,6 +69,13 @@ class TestSectionStep:
             assert expand(cov) == H + H.compose_affine(1, -d)
             assert cov.dim == hd.dim and cut.dim == hd.dim - 1
             assert cov.index == cut.index == hd.index - d
+
+    def test_a_remainder_fails_the_reconstruction(self, monkeypatch):
+        # kept factors that do not divide H(z) - H(z-d) leave a remainder
+        real = varieties.multiply_linear
+        monkeypatch.setattr(varieties, "multiply_linear", lambda b, t: real(b, t) * RatPoly((3, 1)))
+        with pytest.raises(ConsistencyError, match="does not reconstruct H\\(z\\) - H\\(z-d\\)"):
+            section_step(hilbert_gp(marked("B", 3, 2)), 1, "intersection")
 
     def test_bad_inputs(self):
         hd = hilbert_gp(marked("A", 2, 1))
