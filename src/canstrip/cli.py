@@ -340,7 +340,8 @@ def _coefficient(text: str) -> Fraction:
     """A rational coefficient the report can print.  Its digit strings and its
     exponent are checked first: int() refuses a string past the limit, and
     Fraction would spend seconds and more building 10^e for a large e.  A long
-    text is named by its first ten characters and its digit count."""
+    text, valid or not, is named by its first ten characters and its digit
+    count."""
     limit = sys.get_int_max_str_digits()  # 0: no limit
     runs = [len(r.replace("_", "")) for r in re.findall(r"\d+(?:_\d+)*", text)]
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)$", text, re.IGNORECASE)
@@ -348,7 +349,11 @@ def _coefficient(text: str) -> Fraction:
     if limit and (any(r > limit for r in runs)
                   or exponent and abs(int(exponent[1])) > limit):
         raise ValueError(f"{shown} has more than {limit} digits")
-    return _printable(Fraction(text), shown)
+    try:
+        value = Fraction(text)
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {shown}") from None
+    return _printable(value, shown)
 
 
 def cmd_check(args) -> int:

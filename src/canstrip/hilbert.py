@@ -5,7 +5,10 @@ roots at level l whose rho-pairing equals k.  Each table keeps its keys as
 integer numerators over one denominator, so the tables, the min rule of the
 sections and the expansion all run on integers.  The polynomial itself is the
 product of the factors ((l*z + k)/k)^h times a residual factor, multiplied
-out once per object; the section/cover recursion uses the tables.
+out once per object by one Kronecker-substituted big-int product; the
+section/cover recursion uses the tables.  `validate` checks the
+anticanonical symmetry on the residual, since the table symmetry (S) gives
+it to the factors.
 A `HilbertData` is frozen, so `hilbert_gp` can hand the same object to every
 caller of a mark.
 """
@@ -16,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import Sequence
 
 from .ratpoly import ConsistencyError, RatPoly, _from_integer, _scaled_value, _taylor_shift
@@ -77,20 +80,35 @@ class LevelTable:
 
 
 def multiply_linear(base: RatPoly, levels: Sequence[LevelTable]) -> RatPoly:
-    """base times the product of the tables' factors ((l*z + k)/k)^h,
-    multiplied out on integers: with k = n/q a factor is (l*q*z + n)/n, so
-    one content carries every denominator."""
-    ints, div = list(base.ints), 1
-    for t in levels:
-        a = t.level * t.den
-        for n, h in t.counts.items():
-            div *= n**h
-            for _ in range(h):
-                ints.append(0)
-                for i in range(len(ints) - 1, 0, -1):
-                    ints[i] = n * ints[i] + a * ints[i - 1]
-                ints[0] *= n
-    return _from_integer(ints, base.content / div)
+    """base times the product of the tables' factors ((l*z + k)/k)^h.
+
+    With k = n/q a factor is (l*q*z + n)/n, so one content carries every
+    denominator and the integer product is taken by Kronecker substitution:
+    evaluated at X = 2^(8w), each polynomial is one integer, and one big-int
+    product holds the product's coefficients in w-byte slots.  X/2 exceeds
+    sum|base_i| * prod (l*q + |n|)^h, a bound on every coefficient of the
+    product, so each slot read as a signed number, plus the borrow from the
+    slot below, is its coefficient.
+    """
+    ints = base.ints
+    factors = [(t.level * t.den, n, h) for t in levels for n, h in t.counts.items()]
+    bound = sum(map(abs, ints)) * prod([(abs(a) + abs(n)) ** h for a, n, h in factors])
+    w = bound.bit_length() // 8 + 1
+    shift = 8 * w
+    X = 1 << shift
+    value = 0
+    for c in reversed(ints):
+        value = (value << shift) + c
+    value = prod([value, *[((a << shift) + n) ** h for a, n, h in factors]])
+    slots = len(ints) + sum(h for _, _, h in factors)
+    raw = value.to_bytes(slots * w, "little", signed=True)
+    half, borrow, out = X >> 1, 0, []
+    for i in range(0, len(raw), w):
+        c = int.from_bytes(raw[i : i + w], "little") + borrow
+        borrow = c >= half
+        out.append(c - X if borrow else c)
+    div = prod([n**h for _, n, h in factors])
+    return _from_integer(out, base.content / div)
 
 
 @dataclass(frozen=True)
@@ -140,6 +158,15 @@ def validate(hd: HilbertData) -> None:
     expected degree, the anticanonical symmetry H(-iota-z) = (-1)^dim H(z),
     integrality on a window of integers, and chi(O) = 1 whenever the index
     is positive.
+
+    The anticanonical symmetry is checked on the residual R alone.  Under
+    z -> -iota-z a factor (l*z + k)/k becomes -(l*z + k')/k with
+    k' = l*iota - k, and (S), asserted on every table first, gives k' the
+    exponent of k.  So the factor product F satisfies
+    F(-iota-z) = (-1)^deg F * F(z), and since H = R*F with
+    dim = deg R + deg F, H(-iota-z) = (-1)^dim H(z) holds exactly when
+    R(-iota-z) = (-1)^deg R * R(z).  A constant R, as on every G/P, is its
+    own mirror.
     """
     for table in hd.levels:
         if table.level < 1:
@@ -156,13 +183,15 @@ def validate(hd: HilbertData) -> None:
         raise ConsistencyError(
             f"{hd.description}: expanded degree {H.degree} != dim {hd.dim}"
         )
+    R = hd.residual.ints
+    if len(R) > 1:
+        # R(-iota-z) = Q(-z) with Q(z) = R(z-iota), compared on the integer form
+        mirror = list(R)
+        _taylor_shift(mirror, -hd.index)
+        sign = (-1) ** (len(R) - 1)
+        if any((-1) ** i * q != sign * c for i, (q, c) in enumerate(zip(mirror, R))):
+            raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
     ints, num, den = H.ints, H.content.numerator, H.content.denominator
-    # H(-iota-z) = Q(-z) with Q(z) = H(z-iota), compared on the integer form
-    mirror = list(ints)
-    _taylor_shift(mirror, -hd.index)
-    sign = (-1) ** hd.dim
-    if any((-1) ** i * q != sign * c for i, (q, c) in enumerate(zip(mirror, ints))):
-        raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
     for k in range(-3, 10):
         value = _scaled_value(ints, k)  # H(k) = value * num/den, num and den coprime
         if value % den:

@@ -7,6 +7,9 @@ row i of C times the vector.  Marking a node rescales the invariant pairing
 so the marked simple root has squared length 2.  The pairing runs on integers:
 the rescaled symmetrizer and the inverse Cartan matrix each carry one common
 denominator, and the public values are exact `Fraction`s built from them.
+The root closure carries each root's coroot pairings (C a) along, and each
+`RootSystem` keeps the integer rho-numerators of its positive roots, which
+every marking of it shares.
 """
 
 from __future__ import annotations
@@ -138,32 +141,37 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
 
 
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
-    """Closure over root strings, breadth-first by height."""
+    """Closure over root strings, breadth-first by height.
+
+    Each root is stored with its coroot pairings C a, which move by column i
+    of C when a_i is added, so no pairing is summed from scratch.
+    """
     n = len(cartan)
+    columns = list(zip(*cartan))
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    roots: set[Root] = set(simple)
-    layer = list(simple)
+    pairings: dict[Root, tuple[int, ...]] = dict(zip(simple, columns))
+    layer = simple
     while layer:
         nxt = []
         for a in layer:
+            pairing = pairings[a]
             for i in range(n):
-                pairing = sum(cartan[i][j] * a[j] for j in range(n))
                 down = list(a)
                 p = 0
                 while True:
                     down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in roots:
+                    if down[i] < 0 or tuple(down) not in pairings:
                         break
                     p += 1
-                if p - pairing > 0:
+                if p - pairing[i] > 0:
                     up = list(a)
                     up[i] += 1
                     c = tuple(up)
-                    if c not in roots:
-                        roots.add(c)
+                    if c not in pairings:
+                        pairings[c] = tuple([u + v for u, v in zip(pairing, columns[i])])
                         nxt.append(c)
         layer = nxt
-    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+    return tuple(sorted(pairings, key=lambda r: (sum(r), r)))
 
 
 @dataclass(frozen=True)
@@ -180,6 +188,19 @@ class RootSystem:
     @cached_property
     def root_set(self) -> frozenset[Root]:
         return frozenset(self.positive_roots)
+
+    @cached_property
+    def d_num(self) -> tuple[int, ...]:
+        """The symmetrizer scaled to coprime positive integers."""
+        scale = lcm(*(v.denominator for v in self.symmetrizer))
+        return tuple(int(v * scale) for v in self.symmetrizer)
+
+    @cached_property
+    def rho_numerators(self) -> tuple[int, ...]:
+        """sum of c_i * d_num_i for each positive root, in stored order: the
+        (rho, a) of every marking over that mark's one denominator."""
+        d = self.d_num
+        return tuple(sum([c * v for c, v in zip(a, d)]) for a in self.positive_roots)
 
     @cached_property
     def cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -212,16 +233,17 @@ class RootSystem:
 def build_root_system(t: SimpleType) -> RootSystem:
     """All positive roots plus Cartan data for a simple type."""
     cartan = _cartan_matrix(t)
-    d = _symmetrizer(cartan)
-    for i in range(t.rank):
-        for j in range(t.rank):
-            assert d[i] * cartan[i][j] == d[j] * cartan[j][i]
     roots = _generate_positive_roots(cartan)
     if len(roots) != _expected_count(t):
         raise AssertionError(
             f"{t.name}: generated {len(roots)} positive roots, expected {_expected_count(t)}"
         )
-    return RootSystem(t, cartan, d, roots)
+    rs = RootSystem(t, cartan, _symmetrizer(cartan), roots)
+    d = rs.d_num
+    for i in range(t.rank):
+        for j in range(t.rank):
+            assert d[i] * cartan[i][j] == d[j] * cartan[j][i]
+    return rs
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,11 +295,7 @@ def index_formulas(ms: MarkedSystem) -> tuple[Fraction, Fraction]:
     w = [row[i] for row in adj]  # det * omega_0
     via_remark = Fraction(sum(a[i] for a in ms.rs.positive_roots) * det, w[i])
 
-    two_rho_x = [0] * ms.rs.rank
-    for roots in ms.levels.values():
-        for a in roots:
-            for j, c in enumerate(a):
-                two_rho_x[j] += c
+    two_rho_x = [sum(col) for col in zip(*(a for roots in ms.levels.values() for a in roots))]
     via_lemma = Fraction(two_rho_x[i] * det, w[i])
     for j in range(ms.rs.rank):
         if two_rho_x[j] * w[i] != two_rho_x[i] * w[j]:
@@ -294,20 +312,19 @@ def mark(rs: RootSystem, node: int) -> MarkedSystem:
     if not 1 <= node <= n:
         raise ValueError(f"node {node} out of range for {rs.simple_type.name} (1..{n})")
     i = node - 1
-    scale = lcm(*(v.denominator for v in rs.symmetrizer))
-    d_num = tuple(int(v * scale) for v in rs.symmetrizer)
+    d_num = rs.d_num
 
     det, adj = rs.cartan_inverse
     w = [row[i] for row in adj]  # det * omega_0
     # (omega_0, a_j^vee) = delta check, directly against every simple coroot
     for j in range(n):
-        assert sum(rs.cartan[j][k] * w[k] for k in range(n)) == (det if j == i else 0)
+        assert sum([c * v for c, v in zip(rs.cartan[j], w)]) == (det if j == i else 0)
     omega0 = tuple(Fraction(v, det) for v in w)
 
     levels: dict[int, list[tuple[int, Root]]] = {}
-    for a in rs.positive_roots:
+    for a, key in zip(rs.positive_roots, rs.rho_numerators):
         if a[i] > 0:
-            levels.setdefault(a[i], []).append((sum(c * v for c, v in zip(a, d_num)), a))
+            levels.setdefault(a[i], []).append((key, a))
     lmax = rs.highest_root[i]
     assert sorted(levels) == list(range(1, lmax + 1)), "empty level in the grading"
     dim = sum(len(v) for v in levels.values())

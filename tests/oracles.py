@@ -146,6 +146,26 @@ def fraction_marked_lengths(cartan, i):
     return [d[j] for j in range(n)]
 
 
+def reflection_closure(cartan):
+    """The positive roots as the orbit of the simple roots under the simple
+    reflections s_i(a) = a - <a, a_i^vee> a_i, with <a, a_i^vee> row i of
+    the Cartan matrix times a; sorted by height, then lexicographically."""
+    n = len(cartan)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    orbit, todo = set(simple), list(simple)
+    while todo:
+        a = todo.pop()
+        for i in range(n):
+            b = list(a)
+            b[i] -= sum(cartan[i][j] * a[j] for j in range(n))
+            b = tuple(b)
+            if b not in orbit:
+                orbit.add(b)
+                todo.append(b)
+    positive = [a for a in orbit if min(a) >= 0]
+    return sorted(positive, key=lambda a: (sum(a), a))
+
+
 def fraction_rho_pair(d, root):
     """(rho, a) = sum of c_j d_j, one Fraction product per coordinate."""
     total = Fraction(0)

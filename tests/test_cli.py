@@ -313,6 +313,13 @@ class TestCheck:
             done, "error: bad coefficient list: coefficient 2: '1111111111'… (4301 digits) has"
         )
 
+    def test_long_invalid_coefficient_is_named_briefly(self, capsys):
+        code, out, err = run(capsys, "check", "--coeffs", "1," + "z" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad coefficient list: coefficient 2: ")
+        assert "'zzzzzzzzzz'…" in err and len(err) < 200
+        assert err.count("\n") == 1 and err.count("error:") == 1
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_unprintable_center_is_refused(self, fmt):
         # both coefficients print, but the symmetry center -a_0/a_1 = -10^8598

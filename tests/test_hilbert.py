@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from canstrip import hilbert
 from canstrip.hilbert import (
     HilbertData,
     LevelTable,
@@ -15,7 +16,9 @@ from canstrip.hilbert import (
 from canstrip.ratpoly import ConsistencyError, RatPoly
 from canstrip.root_system import all_simple_types, build_root_system, mark, marked, rho_pair
 
-from oracles import binom_poly, peval, pmul
+from canstrip.varieties import complete_intersection, double_cover, section_step
+
+from oracles import binom_poly, pcompose_affine, peval, pmul
 
 E6_P4_TABLES = {
     1: {1: 1, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
@@ -207,3 +210,57 @@ class TestIntegerKernel:
         for name in ("levels", "residual", "poly"):
             with pytest.raises(AttributeError):
                 setattr(hd, name, getattr(hd, name))
+
+
+def assert_mirror(hd):
+    """H(-iota-z) = (-1)^dim H(z) on the whole expansion, by Fraction Horner."""
+    H = list(expand(hd).coeffs)
+    assert pcompose_affine(H, -1, -hd.index) == [(-1) ** hd.dim * c for c in H], hd.description
+
+
+class TestAnticanonicalMirror:
+    """`validate` checks the mirror on the residual alone; the identity for
+    the whole expansion is checked here."""
+
+    def test_every_mark_up_to_rank_10(self):
+        count = 0
+        for t in all_simple_types(10):
+            rs = build_root_system(t)
+            for node in range(1, t.rank + 1):
+                assert_mirror(hilbert_gp(mark(rs, node)))
+                count += 1
+        assert count == 237
+
+    def test_every_section_and_cover_up_to_rank_4(self):
+        # codimension <= 2 and total degree <= iota + 1, covers d <= iota
+        count = 0
+        for t in all_simple_types(4):
+            for node in range(1, t.rank + 1):
+                ms = mark(build_root_system(t), node)
+                top = ms.index + 1
+                tuples = [(d,) for d in range(1, top + 1)]
+                tuples += [(d, e) for d in range(1, top) for e in range(d, top + 1 - d)]
+                for degrees in tuples:
+                    if len(degrees) <= ms.dim:
+                        assert_mirror(complete_intersection(ms, list(degrees)))
+                        count += 1
+                for d in range(1, ms.index + 1):
+                    assert_mirror(double_cover(ms, d))
+                    count += 1
+        assert count == 797
+
+    def test_no_taylor_shift_on_a_gp(self, monkeypatch):
+        shifts = []
+        real = hilbert._taylor_shift
+        monkeypatch.setattr(hilbert, "_taylor_shift", lambda ints, b: shifts.append(b) or real(ints, b))
+        for t in all_simple_types(4):
+            rs = build_root_system(t)
+            for node in range(1, t.rank + 1):
+                validate(hilbert_gp(mark(rs, node)))
+        assert shifts == []
+        cut = section_step(hilbert_gp(marked("E", 6, 4)), 3, "intersection")
+        assert cut.residual.degree > 0
+        shifts.clear()
+        validate(cut)
+        assert shifts == [-cut.index]
+

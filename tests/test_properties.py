@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from canstrip.cli import main  # noqa: E402
-from canstrip.hilbert import expand, hilbert_gp  # noqa: E402
+from canstrip.hilbert import LevelTable, expand, hilbert_gp, multiply_linear  # noqa: E402
 from canstrip.ratpoly import (  # noqa: E402
     ConsistencyError,
     RatPoly,
@@ -378,6 +378,47 @@ def test_sturm_count_through_an_odd_multiplier(sympy, sign):
     assert len(_sturm_sequence(p)) == 4
     assert sturm_count(p, None, None) == 2 == as_sympy(sympy, coeffs).count_roots()
     assert sturm_count(p, None, Fraction(0)) == 1
+
+
+linear_tables = st.lists(
+    st.tuples(
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.dictionaries(st.integers(-30, 30).filter(bool), st.integers(1, 4), max_size=4),
+    ),
+    max_size=3,
+)
+wide_coeffs = st.lists(rationals | st.integers(-(2**70), 2**70), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_coeffs, linear_tables)
+# (z - 1)^h: every coefficient after the first borrows from the slot below
+@example([1], [(1, 1, {-1: 4}), (1, 1, {-1: 4}), (1, 1, {-1: 9})])
+# base 1 times (z + 1)^h: the bound 2^h around one and two 8-bit slots
+@example([1], [(1, 1, {1: 6})])
+@example([1], [(1, 1, {1: 7})])
+@example([1], [(1, 1, {1: 14})])
+@example([1], [(1, 1, {1: 15})])
+# a lone monomial reaches the bound: +-(2^(8w-1) - 1) fills w bytes, 2^(8w-1) needs w + 1
+@example([0, 0, 2**7 - 1], [])
+@example([0, 0, -(2**7 - 1)], [])
+@example([0, 0, 2**7], [])
+@example([0, 0, -(2**15)], [])
+@example([0], [(2, 3, {-4: 2, 5: 1})])
+@example([Fraction(-7, 3)], [])
+def test_multiply_linear_matches_the_product(base, specs):
+    """The Kronecker-substitution product against the oracle's convolution
+    of base with one factor (l*z + k)/k per unit of exponent, for signed keys
+    over a denominator, repeated factors and zero, constant, negative-lead
+    and high-degree bases."""
+    tables = [LevelTable(level, den, counts) for level, den, counts in specs if counts]
+    want = trim(Fraction(c) for c in base)
+    for t in tables:
+        for k, h in t.exponents.items():
+            for _ in range(h):
+                want = pmul(want, [Fraction(1), t.level / k])
+    assert list(multiply_linear(RatPoly(base), tables).coeffs) == want
 
 
 MARKS = [(t.series, t.rank, node) for t in all_simple_types(4) for node in range(1, t.rank + 1)]

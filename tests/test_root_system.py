@@ -17,13 +17,31 @@ from canstrip.root_system import (
     rho_pair,
 )
 
-from oracles import fraction_inverse_column, fraction_marked_lengths, fraction_rho_pair
+from oracles import (
+    fraction_inverse_column,
+    fraction_marked_lengths,
+    fraction_rho_pair,
+    reflection_closure,
+)
 
 # closure-generated G2 roots against the textbook table
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
 
 class TestGeneration:
+    def test_closure_is_the_weyl_orbit_of_the_simple_roots(self):
+        """Every type up to rank 10: the string closure gives the reflection
+        orbit in the stored (height, lex) order, and each cached rho numerator,
+        over a mark's denominator, is (rho, a) for that mark."""
+        for t in all_simple_types(10):
+            rs = build_root_system(t)
+            assert list(rs.positive_roots) == reflection_closure(rs.cartan), t.name
+            for i in range(t.rank):
+                d = fraction_marked_lengths(rs.cartan, i)
+                den = mark(rs, i + 1).d_den
+                for a, key in zip(rs.positive_roots, rs.rho_numerators):
+                    assert Fraction(key, den) == fraction_rho_pair(d, a), (t.name, i, a)
+
     def test_a2_by_hand(self):
         rs = build_root_system(SimpleType("A", 2))
         assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
