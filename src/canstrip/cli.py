@@ -340,20 +340,21 @@ def _coefficient(text: str) -> Fraction:
     """A rational coefficient the report can print.  Its digit strings and its
     exponent are checked first: int() refuses a string past the limit, and
     Fraction would spend seconds and more building 10^e for a large e.  A long
-    text, valid or not, is named by its first ten characters and its digit
-    count."""
+    text is named by its first ten characters and its digit count, or its
+    character count when it is not a number."""
     limit = sys.get_int_max_str_digits()  # 0: no limit
     runs = [len(r.replace("_", "")) for r in re.findall(r"\d+(?:_\d+)*", text)]
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)$", text, re.IGNORECASE)
-    shown = repr(text) if len(text) <= 20 else f"{text[:10]!r}… ({sum(runs)} digits)"
-    if limit and (any(r > limit for r in runs)
-                  or exponent and abs(int(exponent[1])) > limit):
-        raise ValueError(f"{shown} has more than {limit} digits")
+
+    def shown(count: int, unit: str = "digits") -> str:
+        return repr(text) if len(text) <= 20 else f"{text[:10]!r}… ({count} {unit})"
+    if limit and (any(r > limit for r in runs) or exponent and abs(int(exponent[1])) > limit):
+        raise ValueError(f"{shown(sum(runs))} has more than {limit} digits")
     try:
         value = Fraction(text)
     except ValueError:
-        raise ValueError(f"Invalid literal for Fraction: {shown}") from None
-    return _printable(value, shown)
+        raise ValueError(f"Invalid literal for Fraction: {shown(len(text), 'characters')}") from None
+    return _printable(value, shown(sum(runs)))
 
 
 def cmd_check(args) -> int:

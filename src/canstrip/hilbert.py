@@ -16,18 +16,16 @@ caller of a mark.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, prod
 from typing import Sequence
 
-from .ratpoly import ConsistencyError, RatPoly, _from_integer, _scaled_value, _taylor_shift
+from .ratpoly import ConsistencyError, RatPoly, Record, _from_integer, _scaled_value, _set, _taylor_shift
 from .root_system import MarkedSystem
 
 
-@dataclass(frozen=True)
-class LevelTable:
+class LevelTable(Record):
     """Exponents of one level's factors, keyed by the rho-pairing value k.
 
     A key k is stored as its numerator n = k * den over the table's one
@@ -38,15 +36,13 @@ class LevelTable:
     is the same table keyed by the rationals k.
     """
 
-    level: int
-    den: int
-    counts: dict[int, int]
+    __slots__ = _fields = ("level", "den", "counts")
 
-    def __post_init__(self) -> None:
-        g = gcd(self.den, *self.counts)
+    def __init__(self, level: int, den: int, counts: dict[int, int]) -> None:
+        g = gcd(den, *counts)
         if g > 1:
-            object.__setattr__(self, "den", self.den // g)
-            object.__setattr__(self, "counts", {n // g: h for n, h in self.counts.items()})
+            den, counts = den // g, {n // g: h for n, h in counts.items()}
+        self._fill(level, den, counts)
 
     @property
     def exponents(self) -> dict[Fraction, int]:
@@ -111,8 +107,7 @@ def multiply_linear(base: RatPoly, levels: Sequence[LevelTable]) -> RatPoly:
     return _from_integer(out, base.content / div)
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(Record):
     """A Hilbert polynomial in factored form with its discrete invariants.
 
     `levels` carries the rational-root factors; `residual` is the leftover
@@ -120,21 +115,18 @@ class HilbertData:
     The expansion `poly` is multiplied out once, at construction, and every
     reader shares it.  `sections` memoizes this object's hypersurface
     sections by degree for `complete_intersection`, so it lives as long as
-    this object does.
+    this object does; neither takes part in equality.  `simply_laced` (all
+    root lengths equal) makes (U) a theorem.
     """
 
-    description: str
-    dim: int
-    index: int
-    levels: tuple[LevelTable, ...] = ()
-    residual: RatPoly = field(default_factory=RatPoly.one)
-    simply_laced: bool = True  # all root lengths equal; makes (U) a theorem
-    poly: RatPoly = field(init=False, repr=False, compare=False)
-    sections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("description", "dim", "index", "levels", "residual", "simply_laced")
+    __slots__ = (*_fields, "poly", "sections")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "poly", multiply_linear(self.residual, self.levels))
+    def __init__(self, description: str, dim: int, index: int, levels: Sequence[LevelTable] = (),
+                 residual: RatPoly = RatPoly.one(), simply_laced: bool = True) -> None:
+        self._fill(description, dim, index, tuple(levels), residual, simply_laced)
+        _set(self, "poly", multiply_linear(residual, self.levels))
+        _set(self, "sections", {})
 
 
 def expand(hd: HilbertData) -> RatPoly:
@@ -217,7 +209,6 @@ def hilbert_gp(ms: MarkedSystem) -> HilbertData:
         dim=ms.dim,
         index=ms.index,
         levels=tables,
-        residual=RatPoly.one(),
         simply_laced=len(set(ms.d_num)) == 1,
     )
     validate(hd)

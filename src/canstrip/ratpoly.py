@@ -13,33 +13,64 @@ Every operation is exact; floats never enter any verdict-relevant path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
-_set = object.__setattr__  # fills the fields of a frozen RatPoly
+_set = object.__setattr__  # sets a field of a frozen Record
 
 
 class ConsistencyError(RuntimeError):
     """An identity that must hold by theorem (or by construction) failed."""
 
 
-@dataclass(frozen=True, init=False)
-class RatPoly:
+class Record:
+    """The frozen base of the records a `NamedTuple` cannot hold: `_fill` sets
+    the fields once, then assignment raises AttributeError.  Records of one
+    class compare, hash and print by `_fields`, in constructor order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state) -> None:  # copy and pickle refill the fields here
+        for name, value in (state[1] if isinstance(state, tuple) else state).items():
+            _set(self, name, value)
+
+
+class RatPoly(Record):
     """content * (ints[0] + ints[1] z + ...), in the normal form above."""
 
-    ints: tuple[int, ...]
-    content: Fraction
+    __slots__ = _fields = ("ints", "content")  # tuple[int, ...], Fraction
 
     def __init__(self, coeffs=()) -> None:
         """From rational coefficients, lowest degree first."""
         cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         p = _from_integer([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
-        _set(self, "ints", p.ints)
-        _set(self, "content", p.content)
+        self._fill(p.ints, p.content)
 
     @classmethod
     def const(cls, c: Scalar) -> RatPoly:
@@ -195,8 +226,7 @@ class RatPoly:
 def _raw(ints: tuple[int, ...], content: Fraction) -> RatPoly:
     """A RatPoly from parts already in normal form."""
     p = object.__new__(RatPoly)
-    _set(p, "ints", ints)
-    _set(p, "content", content)
+    p._fill(ints, content)
     return p
 
 
@@ -229,6 +259,10 @@ def _scaled_value(ints: list[int], x: Scalar) -> int:
     """den^deg * P(num/den) for x = num/den, by Horner on integers only."""
     num, den = x.numerator, x.denominator
     acc, power = 0, 1
+    if den == 1:  # an integer x: no power of den to carry
+        for c in reversed(ints):
+            acc = acc * num + c
+        return acc
     for c in reversed(ints):
         acc = acc * num + c * power
         power *= den
@@ -273,8 +307,7 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], 
     return m, q, r
 
 
-@dataclass(frozen=True)
-class SturmCertificate:
+class SturmCertificate(NamedTuple):
     """Exact count of the distinct real roots of a polynomial in (-oo, hi]."""
 
     hi: Fraction
@@ -284,7 +317,7 @@ class SturmCertificate:
     count: int
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "lo": None, "hi": str(self.hi)}
+        return {**self._asdict(), "lo": None, "hi": str(self.hi)}
 
 
 def _sturm_sequence(p: RatPoly) -> list[list[int]]:

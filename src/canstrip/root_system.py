@@ -15,11 +15,13 @@ every marking of it shares.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
+from typing import NamedTuple
+
+from .ratpoly import Record
 
 Root = tuple[int, ...]
 
@@ -63,13 +65,12 @@ def _check_series_rank(series: str, rank: int) -> None:
     raise ValueError(f"unknown series {series!r}")
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    series: str
-    rank: int
+class SimpleType(Record):
+    __slots__ = _fields = ("series", "rank")
 
-    def __post_init__(self) -> None:
-        _check_series_rank(self.series, self.rank)
+    def __init__(self, series: str, rank: int) -> None:
+        _check_series_rank(series, rank)
+        self._fill(series, rank)
 
     @property
     def name(self) -> str:
@@ -174,12 +175,13 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root,
     return tuple(sorted(pairings, key=lambda r: (sum(r), r)))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    simple_type: SimpleType
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
-    positive_roots: tuple[Root, ...]
+class RootSystem(Record):
+    # no __slots__: the cached properties live in the instance __dict__
+    _fields = ("simple_type", "cartan", "symmetrizer", "positive_roots")
+
+    def __init__(self, simple_type: SimpleType, cartan: tuple[tuple[int, ...], ...],
+                 symmetrizer: tuple[Fraction, ...], positive_roots: tuple[Root, ...]) -> None:
+        self._fill(simple_type, cartan, symmetrizer, positive_roots)
 
     @property
     def rank(self) -> int:
@@ -246,8 +248,7 @@ def build_root_system(t: SimpleType) -> RootSystem:
     return rs
 
 
-@dataclass(frozen=True, eq=False)
-class MarkedSystem:
+class MarkedSystem(NamedTuple):
     rs: RootSystem
     node: int  # 1-based Bourbaki index of the marked simple root
     d_num: tuple[int, ...]  # d = d_num / d_den: the symmetrizer with d[node-1] == 1
@@ -260,6 +261,9 @@ class MarkedSystem:
     levels: dict[int, tuple[Root, ...]]  # each level in increasing (rho, .) order
     pairings: dict[int, tuple[int, ...]]  # d_den * (rho, a) for the roots of levels[l]
     coxeter_number: int
+
+    # the dict fields cannot be hashed: a marking is itself, as with any object
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def d(self) -> tuple[Fraction, ...]:
@@ -338,7 +342,7 @@ def mark(rs: RootSystem, node: int) -> MarkedSystem:
         d_den=d_num[i],
         omega0=omega0,
         omega0_norm=omega0[i],
-        index=0,  # placeholder, replaced below
+        index=0,  # placeholder, replaced below once the formulas agree
         lmax=lmax,
         dim=dim,
         levels={l: tuple(a for _, a in levels[l]) for l in sorted(levels)},
@@ -351,7 +355,7 @@ def mark(rs: RootSystem, node: int) -> MarkedSystem:
             f"{ms.description}: index formulas disagree or give a non-positive "
             f"non-integer ({via_remark} vs {via_lemma})"
         )
-    object.__setattr__(ms, "index", int(via_remark))
+    ms = ms._replace(index=int(via_remark))
 
     for l in range(1, lmax + 1):
         extremal_roots(ms, l)  # asserts uniqueness and (rho, b+g) = iota*l

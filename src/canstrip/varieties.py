@@ -9,12 +9,11 @@ quotient by them, with a zero remainder asserted on every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .hilbert import HilbertData, LevelTable, expand, hilbert_gp, multiply_linear, validate
-from .ratpoly import ConsistencyError, RatPoly
+from .ratpoly import ConsistencyError, RatPoly, Record
 from .root_system import MarkedSystem
 
 
@@ -100,32 +99,30 @@ def double_cover(ms: MarkedSystem, d: int) -> HilbertData:
     return section_step(hilbert_gp(ms), d, "cover")
 
 
-@dataclass(frozen=True)
-class AbelianSpec:
+class AbelianSpec(Record):
     """Complete intersection of c ample hypersurfaces in an abelian variety.
 
     `numbers` maps each exponent tuple (l_1, ..., l_c) with sum n + c to the
     intersection number L_1^{l_1} ... L_c^{l_c}; missing tuples count as 0.
     """
 
-    n: int
-    c: int
-    numbers: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = _fields = ("n", "c", "numbers")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.c < 1:
+    def __init__(self, n: int, c: int, numbers: tuple[tuple[tuple[int, ...], int], ...]) -> None:
+        if n < 1 or c < 1:
             raise ValueError("need n >= 1 and c >= 1")
         seen = set()
-        for tup, value in self.numbers:
-            if len(tup) != self.c:
-                raise ValueError(f"tuple {tup} does not have c = {self.c} entries")
-            if any(e < 0 for e in tup) or sum(tup) != self.n + self.c:
-                raise ValueError(f"tuple {tup} must have non-negative sum n+c = {self.n + self.c}")
+        for tup, value in numbers:
+            if len(tup) != c:
+                raise ValueError(f"tuple {tup} does not have c = {c} entries")
+            if any(e < 0 for e in tup) or sum(tup) != n + c:
+                raise ValueError(f"tuple {tup} must have non-negative sum n+c = {n + c}")
             if not isinstance(value, int) or value <= 0:
                 raise ValueError(f"intersection number for {tup} must be a positive integer")
             if tup in seen:
                 raise ValueError(f"duplicate tuple {tup}")
             seen.add(tup)
+        self._fill(n, c, numbers)
 
 
 def _json_int(value, what: str) -> int:

@@ -18,10 +18,9 @@ import cmath
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .hilbert import HilbertData, expand
 from .ratpoly import (
@@ -48,13 +47,12 @@ CERTIFY_SWEEPS = 60
 APPROX_SWEEPS = 500
 
 
-@dataclass
-class LineCheck:
+class LineCheck(NamedTuple):
     """Outcome of localizing all roots to a line, or a line plus a segment."""
 
     status: str  # "certified" | "violated" | "not_applicable"
     center: Optional[Fraction]
-    certificates: list[SturmCertificate] = field(default_factory=list)
+    certificates: Sequence[SturmCertificate] = ()
     # roots strictly off the line but real and within the allowed radius
     segment_pairs: int = 0
     segment_boundary: bool = False
@@ -190,8 +188,7 @@ def check_line(p: RatPoly) -> LineCheck:
     return _certify(p, Fraction(0))[0]
 
 
-@dataclass
-class ApproxRoot:
+class ApproxRoot(NamedTuple):
     value: complex
     multiplicity: int
     residual: float
@@ -338,8 +335,7 @@ def approx_roots(p: RatPoly, digits: int = 12) -> list[ApproxRoot]:
     return out
 
 
-@dataclass
-class StripReport:
+class StripReport(NamedTuple):
     """Verdicts for the strip/line hypotheses of one Hilbert polynomial."""
 
     description: str
@@ -453,7 +449,7 @@ def strip_report(hd: HilbertData) -> StripReport:
         residual_line=line.center,
         residual_on_line=line.status,
         residual_dichotomy=dichotomy.status,
-        certificates=dichotomy.certificates,
+        certificates=list(dichotomy.certificates),
         verdicts=verdicts,
         witnesses=witnesses,
         boundary_contact=boundary,

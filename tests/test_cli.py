@@ -317,7 +317,8 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--coeffs", "1," + "z" * 5000)
         assert (code, out) == (2, "")
         assert err.startswith("error: bad coefficient list: coefficient 2: ")
-        assert "'zzzzzzzzzz'…" in err and len(err) < 200
+        assert "'zzzzzzzzzz'… (5000 characters)" in err and len(err) < 200
+        assert "0 digits" not in err
         assert err.count("\n") == 1 and err.count("error:") == 1
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -550,6 +551,16 @@ class TestParser:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+
+    def test_import_leaves_dataclasses_out(self):
+        # the records are plain classes and NamedTuples: no start pays for
+        # `dataclasses` and the `inspect` it imports
+        code = "import sys, canstrip.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "set()\n"
 
     def test_no_command(self, capsys):
         assert main([]) == 2

@@ -52,6 +52,17 @@ def test_every_export_resolves():
     assert len(set(canstrip.__all__)) == len(canstrip.__all__)
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """`import dataclasses` costs every run its start-up time (it pulls in
+    `inspect`); the records are `Record` subclasses and `NamedTuple`s."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {m for m in modules if m and m.split(".")[0] == "dataclasses"}, path.name
+
+
 def references(tree):
     """How often each name is read, as a bare name or as an attribute."""
     return Counter(

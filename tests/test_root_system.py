@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -222,9 +221,7 @@ class TestIndex:
 
     def test_non_proportional_level_sum_rejected(self):
         ms = marked("A", 3, 2)
-        broken = dataclasses.replace(
-            ms, levels={1: tuple(a for a in ms.levels[1] if a != (1, 1, 0))}
-        )
+        broken = ms._replace(levels={1: tuple(a for a in ms.levels[1] if a != (1, 1, 0))})
         with pytest.raises(AssertionError, match="not proportional"):
             index_formulas(broken)
 

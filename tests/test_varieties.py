@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -182,7 +181,7 @@ class TestSharedSections:
     def test_fields_cannot_be_assigned(self):
         hd = complete_intersection(marked("A", 3, 1), [2])
         for name in ("description", "dim", "index", "levels", "residual", "sections"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(hd, name, getattr(hd, name))
         assert hd.index == 2
 
