@@ -8,7 +8,6 @@ appear only in the advisory approx_roots block.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -197,6 +196,9 @@ def _signed(x: Optional[float]) -> str:
 
 
 def _csv_text(rows: list[dict]) -> str:
+    # imported here: only CSV output needs the module, so other runs skip its import
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -309,9 +309,18 @@ def index_formulas(ms: MarkedSystem) -> tuple[Fraction, Fraction]:
     return via_remark, via_lemma
 
 
-@lru_cache(maxsize=None)
 def mark(rs: RootSystem, node: int) -> MarkedSystem:
-    """Mark a node: normalized pairing, grading, index, extremal data."""
+    """Mark a node: normalized pairing, grading, index, extremal data.
+
+    Memoized on rs's type and the node, so a hit hashes those two and not
+    the whole root system; the marking holds the type's one RootSystem, the
+    one `build_root_system` returns."""
+    return _mark_type(rs.simple_type, node)
+
+
+@lru_cache(maxsize=None)
+def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
+    rs = build_root_system(t)
     n = rs.rank
     if not 1 <= node <= n:
         raise ValueError(f"node {node} out of range for {rs.simple_type.name} (1..{n})")
@@ -360,6 +369,10 @@ def mark(rs: RootSystem, node: int) -> MarkedSystem:
     for l in range(1, lmax + 1):
         extremal_roots(ms, l)  # asserts uniqueness and (rho, b+g) = iota*l
     return ms
+
+
+# the cache is read and reset through `mark`, as an lru_cache would be
+mark.cache_info, mark.cache_clear = _mark_type.cache_info, _mark_type.cache_clear
 
 
 def extremal_roots(ms: MarkedSystem, l: int) -> tuple[Root, Root]:

@@ -198,7 +198,7 @@ class TestGolden:
         # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4,
         # its codimension-two linear section and every mark's level tables
         # (the rank <= 10 catalogue of G/P), byte for byte; then the rank <= 8
-        # sweep, whose 1122 cases hold 19 even parts of degree 23 to 44 (past
+        # sweep, whose 1122 cases hold 42 even parts of degree 13 to 44 (past
         # the sign-alternation cutoff), and E8/P4 cut by (2, 8), whose even
         # part has degree 52 and 394-bit coefficients; then the advisory
         # roots of two Fano varieties (in the anticanonical variable) and of
@@ -554,8 +554,8 @@ class TestParser:
 
     def test_import_leaves_dataclasses_out(self):
         # the records are plain classes and NamedTuples: no start pays for
-        # `dataclasses` and the `inspect` it imports
-        code = "import sys, canstrip.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+        # `dataclasses` and the `inspect` it imports; only CSV output imports `csv`
+        code = "import sys, canstrip.cli; print({'dataclasses', 'inspect', 'csv'} & set(sys.modules))"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60)

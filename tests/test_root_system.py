@@ -5,6 +5,7 @@ import pytest
 
 from canstrip.hilbert import hilbert_gp
 from canstrip.root_system import (
+    RootSystem,
     SimpleType,
     all_simple_types,
     build_root_system,
@@ -113,6 +114,18 @@ class TestMark:
         assert ms.d == (Fraction(1), Fraction(1), Fraction(1, 2))
         level1 = sorted(rho_pair(ms, a) for a in ms.levels[1])
         assert level1 == [1, Fraction(3, 2), 2, 2, Fraction(5, 2), 3]
+
+    def test_cache_hit_hashes_the_type_not_the_root_system(self, monkeypatch):
+        # a hit hashes (SimpleType, node); hashing E8's whole RootSystem by
+        # value cost more than the rest of the hit
+        ms = marked("E", 8, 4)
+        hashed = []
+        by_value = RootSystem.__hash__
+        monkeypatch.setattr(RootSystem, "__hash__", lambda rs: hashed.append(rs) or by_value(rs))
+        hits = mark.cache_info().hits
+        assert marked("E", 8, 4) is ms and mark(ms.rs, 4) is ms
+        assert hashed == [] and mark.cache_info().hits == hits + 2
+        assert hash(ms.rs) == by_value(ms.rs) and hashed == [ms.rs]
 
     def test_node_out_of_range(self):
         with pytest.raises(ValueError):

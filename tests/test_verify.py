@@ -200,6 +200,35 @@ class TestAlternation:
         assert line.certificates[0].count == segment.certificates[0].count == self.N
 
 
+def test_exceptional_residuals_never_fall_back_to_sturm(monkeypatch):
+    """Every E6, E7 and E8 mark, cut in codimension <= 2 by sections of total
+    degree <= 3, and its double covers of degree d <= index: 412 cases, all
+    holding.  Every even part that reaches the proposer (degree 13 to 53)
+    gets alternating points, so no residual here falls back to Sturm."""
+    found = verify._alternating_points
+    calls = []
+
+    def spy(q):
+        calls.append((q.degree, found(q)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "_alternating_points", spy)
+    cases = 0
+    for rank in (6, 7, 8):
+        for node in range(1, rank + 1):
+            ms = marked("E", rank, node)
+            sections = [complete_intersection(ms, list(d))
+                        for d in ((), (1,), (2,), (3,), (1, 1), (1, 2))]
+            covers = [double_cover(ms, d) for d in range(1, ms.index + 1)]
+            for hd in sections + covers:
+                assert strip_report(hd).all_applicable_hold, hd.description
+                cases += 1
+    assert cases == 412
+    assert min(n for n, _ in calls) >= verify.ALTERNATION_MIN_DEGREE
+    assert max(n for n, _ in calls) == 53
+    assert [n for n, points in calls if points is None] == []
+
+
 class TestStripReport:
     def test_e6_p4(self):
         rep = strip_report(hilbert_gp(marked("E", 6, 4)))
