@@ -442,14 +442,16 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--series and --node select no case up to rank {args.max_rank}")
 
     rows: list[dict]
-    if args.jobs == 1:
+    # a fork-started pool starts every worker at once: no more than cases and CPUs
+    workers = min(args.jobs, len(cases), os.cpu_count() or 1)
+    if workers == 1:
         rows = [_sweep_case(c) for c in cases]
     else:
         # imported here: the pool machinery costs every other run its start-up time
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         try:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_case, cases, chunksize=8))
         except (OSError, BrokenProcessPool):
             rows = [_sweep_case(c) for c in cases]

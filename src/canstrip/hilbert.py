@@ -5,8 +5,9 @@ roots at level l whose rho-pairing equals k.  Each table keeps its keys as
 integer numerators over one denominator, so the tables, the min rule of the
 sections and the expansion all run on integers.  The polynomial itself is the
 product of the factors ((l*z + k)/k)^h times a residual factor, multiplied
-out once per object by one Kronecker-substituted big-int product; the
-section/cover recursion uses the tables.  `validate` checks the
+out once per object (on a G/P by one Kronecker-substituted big-int product;
+a section keeps the H(z) -/+ H(z-d) it divided), while the section/cover
+recursion uses the tables.  `validate` checks the
 anticanonical symmetry on the residual, since the table symmetry (S) gives
 it to the factors.
 A `HilbertData` is frozen, so `hilbert_gp` can hand the same object to every
@@ -31,6 +32,8 @@ class LevelTable(Record):
     A key k is stored as its numerator n = k * den over the table's one
     denominator `den` (1 in the simply-laced case), and `counts` maps the
     numerators, in increasing order, to their multiplicities, all positive.
+    The level and every key (a rho-pairing) are positive; anything else is
+    refused, since `multiply_linear` reads its product back unsigned.
     Construction divides `den` and the numerators by their gcd, so `den` is
     as small as the keys allow and equal tables compare equal.  `exponents`
     is the same table keyed by the rationals k.
@@ -39,6 +42,8 @@ class LevelTable(Record):
     __slots__ = _fields = ("level", "den", "counts")
 
     def __init__(self, level: int, den: int, counts: dict[int, int]) -> None:
+        if level < 1 or min(counts, default=1) <= 0:
+            raise ValueError(f"level {level}: the level and every key must be positive")
         g = gcd(den, *counts)
         if g > 1:
             den, counts = den // g, {n // g: h for n, h in counts.items()}
@@ -75,36 +80,22 @@ class LevelTable(Record):
         ]
 
 
-def multiply_linear(base: RatPoly, levels: Sequence[LevelTable]) -> RatPoly:
-    """base times the product of the tables' factors ((l*z + k)/k)^h.
+def multiply_linear(levels: Sequence[LevelTable]) -> RatPoly:
+    """The product of the tables' factors ((l*z + k)/k)^h.
 
     With k = n/q a factor is (l*q*z + n)/n, so one content carries every
     denominator and the integer product is taken by Kronecker substitution:
-    evaluated at X = 2^(8w), each polynomial is one integer, and one big-int
-    product holds the product's coefficients in w-byte slots.  X/2 exceeds
-    sum|base_i| * prod (l*q + |n|)^h, a bound on every coefficient of the
-    product, so each slot read as a signed number, plus the borrow from the
-    slot below, is its coefficient.
+    evaluated at X = 2^(8w), each factor is one integer, and one big-int
+    product holds the product's coefficients in w-byte slots.  Every key n is
+    positive, so no coefficient is negative and none exceeds their sum
+    prod (l*q + n)^h < X: each slot, read unsigned, is its coefficient.
     """
-    ints = base.ints
     factors = [(t.level * t.den, n, h) for t in levels for n, h in t.counts.items()]
-    bound = sum(map(abs, ints)) * prod([(abs(a) + abs(n)) ** h for a, n, h in factors])
-    w = bound.bit_length() // 8 + 1
-    shift = 8 * w
-    X = 1 << shift
-    value = 0
-    for c in reversed(ints):
-        value = (value << shift) + c
-    value = prod([value, *[((a << shift) + n) ** h for a, n, h in factors]])
-    slots = len(ints) + sum(h for _, _, h in factors)
-    raw = value.to_bytes(slots * w, "little", signed=True)
-    half, borrow, out = X >> 1, 0, []
-    for i in range(0, len(raw), w):
-        c = int.from_bytes(raw[i : i + w], "little") + borrow
-        borrow = c >= half
-        out.append(c - X if borrow else c)
-    div = prod([n**h for _, n, h in factors])
-    return _from_integer(out, base.content / div)
+    w = (prod([(a + n) ** h for a, n, h in factors]).bit_length() + 7) // 8
+    value = prod([((a << 8 * w) + n) ** h for a, n, h in factors])
+    raw = value.to_bytes(w + w * sum(h for _, _, h in factors), "little")
+    out = [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+    return _from_integer(out, Fraction(1, prod([n**h for _, n, h in factors])))
 
 
 class HilbertData(Record):
@@ -112,11 +103,12 @@ class HilbertData(Record):
 
     `levels` carries the rational-root factors; `residual` is the leftover
     polynomial factor in the L-variable (1 for a homogeneous space itself).
-    The expansion `poly` is multiplied out once, at construction, and every
-    reader shares it.  `sections` memoizes this object's hypersurface
-    sections by degree for `complete_intersection`, so it lives as long as
-    this object does; neither takes part in equality.  `simply_laced` (all
-    root lengths equal) makes (U) a theorem.
+    The expansion `poly` is held once and shared by every reader: the
+    residual times the factor product, or the H(z) -/+ H(z-d) that a section
+    step divided (see `_carrying`).  `sections` memoizes this object's
+    hypersurface sections by degree for `complete_intersection`, so it lives
+    as long as this object does; neither takes part in equality.
+    `simply_laced` (all root lengths equal) makes (U) a theorem.
     """
 
     _fields = ("description", "dim", "index", "levels", "residual", "simply_laced")
@@ -125,8 +117,18 @@ class HilbertData(Record):
     def __init__(self, description: str, dim: int, index: int, levels: Sequence[LevelTable] = (),
                  residual: RatPoly = RatPoly.one(), simply_laced: bool = True) -> None:
         self._fill(description, dim, index, tuple(levels), residual, simply_laced)
-        _set(self, "poly", multiply_linear(residual, self.levels))
+        poly = multiply_linear(self.levels)
+        _set(self, "poly", poly if residual == RatPoly.one() else residual * poly)
         _set(self, "sections", {})
+
+
+def _carrying(poly: RatPoly, *fields) -> HilbertData:
+    """A HilbertData of `fields` whose expansion `poly` is already at hand."""
+    hd = object.__new__(HilbertData)
+    hd._fill(*fields)
+    _set(hd, "poly", poly)
+    _set(hd, "sections", {})
+    return hd
 
 
 def expand(hd: HilbertData) -> RatPoly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .hilbert import HilbertData, LevelTable, expand, hilbert_gp, multiply_linear, validate
+from .hilbert import HilbertData, LevelTable, _carrying, expand, hilbert_gp, multiply_linear, validate
 from .ratpoly import ConsistencyError, RatPoly, Record
 from .root_system import MarkedSystem
 
@@ -37,11 +37,7 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
     for table in hd.levels:
         l, q, exps = table.level, table.den, table.counts
         shift = l * d * q  # keys are numerators over q
-        kept: dict[int, int] = {}
-        for k, h in exps.items():
-            m = min(h, exps.get(k + shift, 0))
-            if m > 0:
-                kept[k] = m
+        kept = {k: min(h, exps[k + shift]) for k, h in exps.items() if k + shift in exps}
         if kept:
             # with equal root lengths the level supports have no holes and
             # the bottom exponent survives every cut; mixed lengths can lose
@@ -59,18 +55,12 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
 
     H_old = expand(hd)
     target = H_old + sign * H_old.compose_affine(1, -d)
-    residual, rest = divmod(target, multiply_linear(RatPoly.one(), new_tables))
+    residual, rest = divmod(target, multiply_linear(new_tables))
     if rest:
         op = "+" if sign > 0 else "-"
         raise ConsistencyError(f"{desc}: factored form does not reconstruct H(z) {op} H(z-d)")
-    out = HilbertData(
-        description=desc,
-        dim=new_dim,
-        index=hd.index - d,
-        levels=new_tables,
-        residual=residual,
-        simply_laced=hd.simply_laced,
-    )
+    # the quotient reconstructs target exactly, so target is the expansion
+    out = _carrying(target, desc, new_dim, hd.index - d, tuple(new_tables), residual, hd.simply_laced)
     validate(out)
     return out
 

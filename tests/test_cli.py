@@ -155,6 +155,7 @@ class TestErrors:
                 raise BrokenProcessPool("a worker died")
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on one CPU
         code, pooled, err = run(capsys, *argv, "--jobs", "2")
         assert code == 0 and err == ""
         assert pooled == serial
@@ -530,6 +531,38 @@ class TestSweep:
             assert code == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_jobs_are_bounded_by_the_cases_and_the_cpus(self, capsys, monkeypatch):
+        # an in-process pool records the worker count it is asked for and
+        # maps serially, so no worker process is started
+        argv = ["sweep", "--max-rank", "2", "--max-total-degree", "1", "--format", "json"]
+        code, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        cases = strict_json(serial)["summary"]["cases"]
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SerialPool)
+        for cpus in (os.cpu_count(), 3, 1, None, 1000):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            asked.clear()
+            code, pooled, _ = run(capsys, *argv, "--jobs", "64")
+            assert code == 0 and pooled == serial
+            workers = min(64, cases, cpus or 1)
+            assert asked == ([] if workers == 1 else [workers])
+        assert workers == cases < 64
 
     def test_out_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CANSTRIP_OUT_DIR", str(tmp_path))

@@ -191,17 +191,25 @@ class TestIntegerKernel:
                 assert list(expand(hilbert_gp(ms)).coeffs) == want, ms.description
         assert fractional > 0
 
-    def test_factors_with_negative_keys_and_a_denominator(self):
-        base = RatPoly((Fraction(1, 2), Fraction(-3)))
+    def test_keys_must_be_positive_and_a_denominator_carries(self):
+        # every key is a positive rho-pairing, so a key 0 or -6 is refused,
+        # and so is a level below 1
+        for level, counts in ((2, {0: 1, 5: 1}), (2, {-6: 2, 5: 1}), (0, {5: 1}), (-1, {5: 1})):
+            with pytest.raises(ValueError, match="must be positive"):
+                LevelTable(level, 4, counts)
         # numerators over den: the factor ((l*z + k)/k)^h for k = n/den
-        tables = [LevelTable(2, 4, {-6: 2, 5: 1}), LevelTable(3, 3, {-2: 1, 7: 3})]
+        tables = [LevelTable(2, 4, {6: 2, 5: 1}), LevelTable(3, 3, {2: 1, 7: 3})]
         assert tables[0].den == 4 and tables[1].den == 3
-        want = list(base.coeffs)
+        want = [Fraction(1)]
         for t in tables:
             for k, h in t.exponents.items():
                 for _ in range(h):
                     want = pmul(want, [Fraction(1), t.level / k])
-        assert list(multiply_linear(base, tables).coeffs) == want
+        assert list(multiply_linear(tables).coeffs) == want
+        # a residual built by hand multiplies the factor product out once more
+        base = RatPoly((Fraction(1, 2), Fraction(-3)))
+        want = pmul(list(base.coeffs), want)
+        assert list(HilbertData("by hand", 8, 1, tables, base).poly.coeffs) == want
 
     def test_expansion_is_stored_once_and_its_sources_are_fixed(self):
         hd = hilbert_gp(marked("B", 3, 2))
@@ -210,6 +218,14 @@ class TestIntegerKernel:
         for name in ("levels", "residual", "poly"):
             with pytest.raises(AttributeError):
                 setattr(hd, name, getattr(hd, name))
+
+
+def assert_factored(hd, parent, d, sign):
+    """The residual times the factor product, multiplied out by
+    `RatPoly.__mul__`, is the H(z) -/+ H(z-d) of the parent that hd's step
+    divided."""
+    H = expand(parent)
+    assert hd.residual * multiply_linear(hd.levels) == H + sign * H.compose_affine(1, -d)
 
 
 def assert_mirror(hd):
@@ -242,10 +258,15 @@ class TestAnticanonicalMirror:
                 tuples += [(d, e) for d in range(1, top) for e in range(d, top + 1 - d)]
                 for degrees in tuples:
                     if len(degrees) <= ms.dim:
-                        assert_mirror(complete_intersection(ms, list(degrees)))
+                        cut = complete_intersection(ms, list(degrees))
+                        assert_mirror(cut)
+                        parent = complete_intersection(ms, list(degrees[:-1]))
+                        assert_factored(cut, parent, degrees[-1], -1)
                         count += 1
                 for d in range(1, ms.index + 1):
-                    assert_mirror(double_cover(ms, d))
+                    cover = double_cover(ms, d)
+                    assert_mirror(cover)
+                    assert_factored(cover, hilbert_gp(ms), d, 1)
                     count += 1
         assert count == 797
 

@@ -384,41 +384,34 @@ linear_tables = st.lists(
     st.tuples(
         st.integers(1, 4),
         st.integers(1, 6),
-        st.dictionaries(st.integers(-30, 30).filter(bool), st.integers(1, 4), max_size=4),
+        st.dictionaries(st.integers(1, 60), st.integers(1, 4), max_size=4),
     ),
     max_size=3,
 )
-wide_coeffs = st.lists(rationals | st.integers(-(2**70), 2**70), max_size=40)
 
 
 @settings(max_examples=150, deadline=None)
-@given(wide_coeffs, linear_tables)
-# (z - 1)^h: every coefficient after the first borrows from the slot below
-@example([1], [(1, 1, {-1: 4}), (1, 1, {-1: 4}), (1, 1, {-1: 9})])
-# base 1 times (z + 1)^h: the bound 2^h around one and two 8-bit slots
-@example([1], [(1, 1, {1: 6})])
-@example([1], [(1, 1, {1: 7})])
-@example([1], [(1, 1, {1: 14})])
-@example([1], [(1, 1, {1: 15})])
-# a lone monomial reaches the bound: +-(2^(8w-1) - 1) fills w bytes, 2^(8w-1) needs w + 1
-@example([0, 0, 2**7 - 1], [])
-@example([0, 0, -(2**7 - 1)], [])
-@example([0, 0, 2**7], [])
-@example([0, 0, -(2**15)], [])
-@example([0], [(2, 3, {-4: 2, 5: 1})])
-@example([Fraction(-7, 3)], [])
-def test_multiply_linear_matches_the_product(base, specs):
+@given(linear_tables)
+# the empty product is 1
+@example([])
+# the coefficient bound prod (l*q + n)^h just below 256 and 256^2 fills one
+# and two 8-bit slots; at 256 (z + 1)^8 needs a second slot
+@example([(1, 1, {254: 1})])
+@example([(1, 1, {2: 1, 4: 1, 16: 1, 256: 1})])
+@example([(1, 1, {1: 7})])
+@example([(1, 1, {1: 8})])
+@example([(2, 3, {4: 2, 5: 1})])
+def test_multiply_linear_matches_the_product(specs):
     """The Kronecker-substitution product against the oracle's convolution
-    of base with one factor (l*z + k)/k per unit of exponent, for signed keys
-    over a denominator, repeated factors and zero, constant, negative-lead
-    and high-degree bases."""
+    of one factor (l*z + k)/k per unit of exponent, for positive keys over a
+    denominator and repeated factors."""
     tables = [LevelTable(level, den, counts) for level, den, counts in specs if counts]
-    want = trim(Fraction(c) for c in base)
+    want = [Fraction(1)]
     for t in tables:
         for k, h in t.exponents.items():
             for _ in range(h):
                 want = pmul(want, [Fraction(1), t.level / k])
-    assert list(multiply_linear(RatPoly(base), tables).coeffs) == want
+    assert list(multiply_linear(tables).coeffs) == want
 
 
 MARKS = [(t.series, t.rank, node) for t in all_simple_types(4) for node in range(1, t.rank + 1)]

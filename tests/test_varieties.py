@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from canstrip import varieties
-from canstrip.hilbert import degree_of, expand, hilbert_gp
+from canstrip import hilbert, varieties
+from canstrip.hilbert import degree_of, expand, hilbert_gp, multiply_linear
 from canstrip.ratpoly import ConsistencyError, RatPoly
 from canstrip.root_system import all_simple_types, build_root_system, mark, marked
 from canstrip.varieties import (
@@ -62,19 +62,36 @@ class TestSectionStep:
         hd = hilbert_gp(marked("B", 3, 2))
         H = expand(hd)
         for d in (1, 2, 3):
+            # the carried expansion against the factored form, multiplied
+            # out by RatPoly.__mul__
             cut = section_step(hd, d, "intersection")
-            assert expand(cut) == H - H.compose_affine(1, -d)
+            factored = cut.residual * multiply_linear(cut.levels)
+            assert expand(cut) == factored == H - H.compose_affine(1, -d)
             cov = section_step(hd, d, "cover")
-            assert expand(cov) == H + H.compose_affine(1, -d)
+            factored = cov.residual * multiply_linear(cov.levels)
+            assert expand(cov) == factored == H + H.compose_affine(1, -d)
             assert cov.dim == hd.dim and cut.dim == hd.dim - 1
             assert cov.index == cut.index == hd.index - d
 
     def test_a_remainder_fails_the_reconstruction(self, monkeypatch):
         # kept factors that do not divide H(z) - H(z-d) leave a remainder
         real = varieties.multiply_linear
-        monkeypatch.setattr(varieties, "multiply_linear", lambda b, t: real(b, t) * RatPoly((3, 1)))
+        monkeypatch.setattr(varieties, "multiply_linear", lambda t: real(t) * RatPoly((3, 1)))
         with pytest.raises(ConsistencyError, match="does not reconstruct H\\(z\\) - H\\(z-d\\)"):
             section_step(hilbert_gp(marked("B", 3, 2)), 1, "intersection")
+
+    def test_one_product_per_step(self, monkeypatch):
+        # the step multiplies out only its divisor and keeps the quotient's
+        # target as the expansion
+        calls = []
+        real = varieties.multiply_linear
+        for module in (varieties, hilbert):
+            monkeypatch.setattr(module, "multiply_linear", lambda t: calls.append(t) or real(t))
+        hd = hilbert_gp(marked("E", 6, 4))
+        for kind in ("intersection", "cover"):
+            calls.clear()
+            assert section_step(hd, 3, kind).residual.degree > 0
+            assert len(calls) == 1
 
     def test_bad_inputs(self):
         hd = hilbert_gp(marked("A", 2, 1))
