@@ -14,7 +14,6 @@ exact counts of q's roots on (-oo, 0] and (-oo, r^2].
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from bisect import bisect_right
@@ -273,7 +272,10 @@ def _aberth(ints: Sequence[int], circles: bool = False) -> tuple[int, Iterator[t
     cs = [_double(c, shift * i - top) for i, c in enumerate(ints)]
     terms = [(c, abs(c)) for c in reversed(cs)]
     rev = terms[::-1]  # the reversed polynomial's terms, top degree first
-    if not circles:
+    if circles:
+        # imported here: only the advisory --digits roots start on circles
+        import cmath
+    else:
         logs = {i: v - REAL_START_WEIGHT * math.log2(math.comb(n, i)) for i, v in logs.items()}
     # upper convex hull of the Newton polygon: each edge (k, l) holds l - k
     # roots of log2-modulus about (L_k - L_l)/(l - k), less the shift

@@ -1,10 +1,12 @@
 import concurrent.futures.process
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -587,8 +589,10 @@ class TestParser:
 
     def test_import_leaves_dataclasses_out(self):
         # the records are plain classes and NamedTuples: no start pays for
-        # `dataclasses` and the `inspect` it imports; only CSV output imports `csv`
-        code = "import sys, canstrip.cli; print({'dataclasses', 'inspect', 'csv'} & set(sys.modules))"
+        # `dataclasses` and the `inspect` it imports; only CSV output imports
+        # `csv`, and only the advisory `--digits` roots import `cmath`
+        code = ("import sys, canstrip.cli; "
+                "print({'dataclasses', 'inspect', 'csv', 'cmath'} & set(sys.modules))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60)
@@ -602,3 +606,68 @@ class TestParser:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "Bourbaki" in out
+
+
+# `python -m canstrip ARGV` as `runpy` runs it, with an atexit hook that reports
+# on stderr, after everything else, whether the heap was frozen before exit
+FROZEN_AT_EXIT = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
+sys.argv = ["canstrip", *sys.argv[1:]]
+runpy.run_module("canstrip", run_name="__main__")
+"""
+
+
+def run_entry(*argv):
+    """The process entry in a fresh interpreter: (exit code, stdout bytes, stderr text)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT, *argv], env=env,
+                          capture_output=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr.decode("utf-8")
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, exit_code", [
+        (("gp", "--type", "A", "--rank", "2", "--node", "1", "--format", "json"), 0),
+        (("check", "--coeffs", "2,3,1"), 1),
+        (("gp", "--type", "E6", "--node", "9"), 2),
+    ])
+    def test_exits_frozen_with_the_code_and_bytes_of_main(self, capsys, argv, exit_code):
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        child_code, child_out, child_err = run_entry(*argv)
+        assert (child_code, child_out) == (code, out.encode("utf-8"))
+        assert child_err == err + "frozen: True\n"
+
+    def test_out_file_is_complete_and_jobs_do_not_change_it(self, capsys, tmp_path):
+        argv = ["sweep", "--series", "A,B", "--max-rank", "3", "--max-total-degree", "2",
+                "--format", "json"]
+        code, _, _ = run(capsys, *argv, "--jobs", "1", "--out", str(tmp_path / "serial.json"))
+        assert code == 0
+        child_code, child_out, child_err = run_entry(
+            *argv, "--jobs", "2", "--out", str(tmp_path / "pooled.json"))
+        assert (child_code, child_out, child_err) == (0, b"", "frozen: True\n")
+        assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+    def test_import_runs_nothing(self):
+        code = ("import gc, canstrip.__main__ as entry; "
+                "print(callable(entry.run), gc.get_freeze_count())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True 0\n", "")
+
+    def test_console_script_takes_the_same_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"canstrip": "canstrip.__main__:run"}
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--series", "A,G", "--max-rank", "2", "--max-total-degree", "2"),
+        ("ci", "--type", "B", "--rank", "3", "--node", "2", "--degrees", "2"),
+    ])
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, argv):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert run(capsys, *argv)[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before

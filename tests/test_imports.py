@@ -85,3 +85,22 @@ def test_every_top_level_definition_is_referenced():
         and everywhere[node.name] == references(node)[node.name]
     ]
     assert not dead, f"unreferenced definitions: {dead}"
+
+
+def calls_to(tree, name):
+    """Every call of a function reached as `<something>.name` or as `name`."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    """`gc.freeze()` is called once, in `__main__.run` after `main` returns, so
+    a caller of `cli.main` that stays alive keeps collecting its cycles; and no
+    module leaves through `os._exit`, which skips atexit handlers and flushes."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert [name for name, tree in trees.items() if calls_to(tree, "_exit")] == []
+    assert [name for name, tree in trees.items() if calls_to(tree, "freeze")] == ["__main__.py"]
+    (run,) = [n for n in trees["__main__.py"].body if isinstance(n, ast.FunctionDef)]
+    (freeze,) = calls_to(trees["__main__.py"], "freeze")
+    (main,) = calls_to(run, "main")
+    assert run.name == "run" and main.lineno < freeze.lineno <= run.end_lineno
