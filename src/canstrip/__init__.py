@@ -33,7 +33,6 @@ from .varieties import (
     section_step,
 )
 from .verify import (
-    ApproxRoot,
     LineCheck,
     StripReport,
     approx_roots,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianSpec",
-    "ApproxRoot",
     "ConsistencyError",
     "HilbertData",
     "LevelTable",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -21,7 +20,7 @@ from .hilbert import HilbertData, degree_of, expand, hilbert_gp
 from .ratpoly import RatPoly
 from .root_system import MarkedSystem, all_simple_types, marked
 from .varieties import abelian_ci, abelian_spec_from_json, complete_intersection, double_cover
-from .verify import DOUBLE_DIGITS, StripReport, approx_roots, check_line, strip_report
+from .verify import StripReport, approx_roots, check_line, strip_report
 
 HARD_RANK_CAP = 10
 
@@ -81,32 +80,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _finite(x: float) -> Optional[float]:
-    """x, or None (JSON null) for a NaN or an infinity, which JSON cannot hold."""
-    return x if math.isfinite(x) else None
-
-
-def _approx_block(poly: RatPoly, digits: int) -> dict:
-    """The advisory float roots; `digits` is capped at what a double carries,
-    and an iteration that did not settle is recorded, never raised."""
-    roots = approx_roots(poly, digits)
-    values = [
-        {
-            "re": _finite(r.value.real),
-            "im": _finite(r.value.imag),
-            "mult": r.multiplicity,
-            "residual": _finite(r.residual),
-        }
-        for r in roots
-    ]
-    return {
-        "advisory": True,
-        "converged": all(r.converged for r in roots),
-        "digits": min(digits, DOUBLE_DIGITS),
-        "values": values,
-    }
-
-
 def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> dict:
     report = {
         "description": hd.description,
@@ -131,10 +104,9 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
         "residual_on_line": rep.residual_on_line,
         "certificates": [c.as_dict() for c in rep.certificates],
     }
-    if digits is not None:
-        poly = expand(hd).compose_affine(hd.index, 0) if hd.index > 0 else expand(hd)
-        if poly.degree >= 1:
-            report["approx_roots"] = _approx_block(poly, digits)
+    if digits is not None and hd.dim >= 1:
+        res = hd.residual.compose_affine(hd.index, 0) if hd.index > 0 else expand(hd)
+        report["approx_roots"] = approx_roots(res, digits, rep.rational_roots)
     return report
 
 
@@ -299,7 +271,7 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
     if note and line.center is None:
         report["note"] = note
     if args.digits is not None and poly.degree >= 1:
-        report["approx_roots"] = _approx_block(poly, args.digits)
+        report["approx_roots"] = approx_roots(poly, args.digits)
     if args.format == "json":
         _emit(canonical_json(report), args.out)
     else:
@@ -564,6 +536,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

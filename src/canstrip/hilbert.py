@@ -163,8 +163,6 @@ def validate(hd: HilbertData) -> None:
     own mirror.
     """
     for table in hd.levels:
-        if table.level < 1:
-            raise ConsistencyError(f"{hd.description}: level {table.level} out of range")
         table.check_symmetric(hd.index)
         if hd.simply_laced:
             bad = table.unimodality_violations(hd.index)

@@ -7,7 +7,7 @@ equality and hashing compare it directly, and every kernel (products, sums,
 shifts, evaluation, pseudo-division and the Sturm chains built on it, whose
 last term is gcd(p, p')) multiplies and adds plain integers and never reduces
 a fraction.  `coeffs`, the `Fraction` coefficients, is derived on demand only
-for printing and floats.
+for printing.
 Every operation is exact; floats never enter any verdict-relevant path.
 """
 

@@ -205,25 +205,30 @@ def check_line(p: RatPoly) -> LineCheck:
     return _certify(p, Fraction(0))[0]
 
 
-class ApproxRoot(NamedTuple):
-    value: complex
-    multiplicity: int
-    residual: float
-    converged: bool
-
-
-def _double(c: int, e: int) -> float:
-    """c * 2^e as a double, for an integer c of any size (0.0 on underflow)."""
-    extra = max(c.bit_length() - 64, 0)
-    return math.ldexp(float(c >> extra), e + extra)
+def _split(x: Fraction) -> tuple[float, int]:
+    """(m, f) with x = m * 2^f, f even and |m| < 4 a double, so that x and its
+    square root are m * 2^f and sqrt(m) * 2^(f/2) at any size of x."""
+    n, d = x.numerator, x.denominator
+    f = (n.bit_length() - d.bit_length()) & ~1
+    return (n << -f) / d if f < 0 else n / (d << f), f
 
 
 def _ldexp(x: float, e: int) -> float:
-    """x * 2^e, saturating to +-inf when it overflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+    """x * 2^e, saturating to +-inf where it would overflow."""
+    return math.copysign(math.inf, x) if x and math.frexp(x)[1] + e > 1024 else math.ldexp(x, e)
+
+
+def _balanced(ints: Sequence[int]) -> tuple[dict[int, float], int, list[tuple[float, float]]]:
+    """log2 |ints[i]| for ints[i] != 0, the shift s balancing their Newton
+    polygon, and the terms (c_i, |c_i|), top degree first, of sum ints[i] z^i
+    in y = z / 2^s: doubles c_i = ints[i] * 2^(s*i - t), the largest about 1."""
+    n = len(ints) - 1
+    logs = {i: math.log2(abs(c)) for i, c in enumerate(ints) if c}
+    lo = min(logs)
+    shift = round((logs[lo] - logs[n]) / (n - lo)) if n > lo else 0
+    top = round(max(v + shift * i for i, v in logs.items()))
+    cs = [math.ldexp(m, f + shift * i - top) for i, (m, f) in enumerate(map(_split, ints))]
+    return logs, shift, [(c, abs(c)) for c in reversed(cs)]
 
 
 def _horner(terms: list[tuple[float, float]], y: complex) -> tuple[complex, complex, float]:
@@ -243,34 +248,27 @@ def _horner(terms: list[tuple[float, float]], y: complex) -> tuple[complex, comp
 def _aberth(ints: Sequence[int], circles: bool = False) -> tuple[int, Iterator[tuple[list, list[float]]]]:
     """Ehrlich-Aberth iteration in doubles on the roots of sum ints[i] z^i.
 
-    Returns a shift s and a generator of sweeps.  The iteration
-    runs on y = z / 2^s, where s balances the Newton polygon of (i, log2
-    |ints[i]|), with coefficients ints[i] * 2^(s*i - t) as doubles (t makes
-    the largest about 1), so coefficients and roots of any size fit.  It
-    starts on the polygon (Bini, Numer. Algorithms 13, 1996), whose hull
-    edge from k to l holds l - k roots of about one radius.  By default the
-    starts are real, at the radii of the polygon weighted by
+    Returns a shift s and a generator of sweeps.  The iteration runs on
+    `_balanced` coefficients in y = z / 2^s, so coefficients and roots of any
+    size fit.  It starts on the Newton polygon (Bini, Numer. Algorithms 13,
+    1996), whose hull edge from k to l holds l - k roots of about one radius.
+    By default the starts are real, at the radii of the polygon weighted by
     REAL_START_WEIGHT: as many of an edge's roots as its coefficients change
     sign (Descartes' rule) start on the positive side, the rest on the
-    negative, spread over one octave.  The whole iteration then runs in
-    real doubles.  With circles=True the starts lie on the plain polygon's
-    circles, as non-real roots need.  It evaluates through the reversed
-    polynomial when |y| > 1, so no power of an iterate overflows.  After
-    each sweep it yields the iterates (the same list, updated in place) and
-    the size |dy| of each iterate's last step.  An iterate whose value is
-    within the rounding error of its evaluation is as good as doubles
-    allow: it takes that last step and is then frozen, keeping the step as
-    its uncertainty.  The generator ends once every iterate is frozen, or,
-    from real starts, after STALL_SWEEPS sweeps in a row that freeze none;
-    the caller may stop it sooner.
+    negative, spread over one octave.  The whole iteration then runs in real
+    doubles.  With circles=True the starts lie on the plain polygon's circles,
+    as non-real roots need.  It evaluates through the reversed polynomial when
+    |y| > 1, so no power of an iterate overflows.  After each sweep it yields
+    the iterates (the same list, updated in place) and the size |dy| of each
+    iterate's last step.  An iterate whose value is within the rounding error
+    of its evaluation is as good as doubles allow: it takes that last step and
+    is then frozen, keeping the step as its uncertainty.  The generator ends
+    once every iterate is frozen, or, from real starts, after STALL_SWEEPS
+    sweeps in a row that freeze none; the caller may stop it sooner.
     """
     n = len(ints) - 1
-    logs = {i: math.log2(abs(c)) for i, c in enumerate(ints) if c}
+    logs, shift, terms = _balanced(ints)
     lo = min(logs)
-    shift = round((logs[lo] - logs[n]) / (n - lo)) if n > lo else 0
-    top = round(max(v + shift * i for i, v in logs.items()))
-    cs = [_double(c, shift * i - top) for i, c in enumerate(ints)]
-    terms = [(c, abs(c)) for c in reversed(cs)]
     rev = terms[::-1]  # the reversed polynomial's terms, top degree first
     if circles:
         # imported here: only the advisory --digits roots start on circles
@@ -336,45 +334,82 @@ def _aberth(ints: Sequence[int], circles: bool = False) -> tuple[int, Iterator[t
     return shift, sweeps()
 
 
-def approx_roots(p: RatPoly, digits: int = 12) -> list[ApproxRoot]:
-    """Float approximations of all roots, with multiplicities and residuals.
+def _finite(x: float) -> Optional[float]:
+    """x, or None (JSON null) for a NaN or an infinity, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
 
-    Multiplicities come from the exact square-free decomposition; each
-    square-free factor runs the Ehrlich-Aberth sweeps of `_aberth` until
-    every relative step is at most 10^-digits (digits at most
-    DOUBLE_DIGITS), or until its iterates freeze or APPROX_SWEEPS sweeps
-    pass; unsettled iterates are kept, marked not converged.  A root or a
-    residual too large for a double reads inf.  Advisory only: nothing here
-    certifies anything.
-    """
-    if p.degree < 1:
-        raise ValueError("need deg >= 1")
-    if digits < 1:
-        raise ValueError("need digits >= 1")
+
+def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, digits: int) -> Fraction:
+    """The root of q = sum ints[i] u^i between dyadics a < b of opposite exact
+    signs, bisected (on integers over 2^k) to a relative width of 10^-digits,
+    then one secant step, exact on a linear q.  A root at 0, which no relative
+    width reaches, is tried first and returned exactly."""
+    n, k = len(ints) - 1, max(a.denominator, b.denominator).bit_length() - 1
+    A, B = int(a * 2**k), int(b * 2**k)
+    fa, fb = (_scaled_value([c << k * (n - i) for i, c in enumerate(ints)], x) for x in (A, B))
+    while (B - A) * 10**digits > min(abs(A), abs(B)):
+        M, k = (0 if A < 0 < B else A + B), k + 1
+        fm = _scaled_value([c << k * (n - i) for i, c in enumerate(ints)], M)  # 2^(k*n) q(M/2^k)
+        if not fm:
+            return Fraction(M, 1 << k)
+        if (fm > 0) == (fa > 0):
+            A, fa, B, fb = M, fm, 2 * B, fb << n
+        else:
+            A, fa, B, fb = 2 * A, fa << n, M, fm
+    return Fraction(A * fb - B * fa, (fb - fa) << k)
+
+
+def approx_roots(p: RatPoly, digits: int = 12, rational: Sequence[tuple[Fraction, int]] = ()) -> dict:
+    """The advisory block of the roots of p * prod (z - r)^m over `rational`,
+    exact roots (a report's, with p its residual) that keep their m plus one
+    per exact division of p by z - r.  When p = w^eps * q(w^2), w = z - c,
+    and q's signs alternate (`_alternating_points`), p's roots are c +- sqrt(u)
+    for q's simple roots u (`_bisect`), and c with multiplicity
+    eps + 2*[q(0) = 0].  Otherwise each of p's `squarefree_parts` runs the
+    circle-started `_aberth` until every relative step is at most 10^-digits
+    (digits <= DOUBLE_DIGITS), or its iterates freeze, or APPROX_SWEEPS sweeps
+    pass; the block is converged if all settled.  A residual is
+    |p(z)| / sum |c_i z^i| on the `_balanced` doubles (0 for a rational root);
+    a value that is no finite double is None.  Advisory only."""
+    if digits < 1 or p.degree < 1 and not rational:
+        raise ValueError("need digits >= 1" if digits < 1 else "need deg >= 1")
     digits = min(digits, DOUBLE_DIGITS)
-    tol = 10.0 ** (-digits)
-    try:
-        pc = [(c, abs(c)) for c in map(float, reversed(p.coeffs))]
-    except OverflowError:
-        pc = None
-    out = []
-    for f, mult in squarefree_parts(p):
-        shift, sweeps = _aberth(f.ints, circles=True)
-        for _, (ys, steps) in zip(range(APPROX_SWEEPS), sweeps):
-            converged = all(s <= tol * abs(y) for y, s in zip(ys, steps))
-            if converged:
-                break
-        for y in ys:
-            z = complex(_ldexp(y.real, shift), _ldexp(y.imag, shift))
-            if abs(z.imag) < tol * max(1.0, abs(z)):
-                z = complex(z.real, 0.0)
-            try:
-                residual = abs(_horner(pc, z)[0]) if pc else math.inf
-            except OverflowError:
-                residual = math.inf
-            out.append(ApproxRoot(z, mult, residual, converged))
-    out.sort(key=lambda r: (round(r.value.real, 9), round(r.value.imag, 9)))
-    return out
+    exact = dict(rational)
+    for r in exact:
+        while not p(r):
+            p, exact[r] = p.exact_div(RatPoly((-r, 1))), exact[r] + 1
+    converged, points, roots = True, None, []
+    if p.degree >= 1 and (found := symmetric_split(p)):
+        center, q = found
+        points = _alternating_points(q) if q.degree >= 1 else []
+    if points is not None:
+        c = _ldexp(*_split(center))
+        for u in (_bisect(q.ints, a, b, digits) for a, b in zip(points, points[1:])):
+            m, f = _split(abs(u))
+            s = _ldexp(math.sqrt(m), f // 2)
+            w = complex(0, s) if u < 0 else s  # the root c + w of p and its mirror c - w
+            roots += [(c + w, 1), (c - w, 1)] if u else []
+        if p.degree % 2 or not q.ints[0]:  # c is a root of p
+            roots.append((c, p.degree % 2 + 2 * (not q.ints[0])))
+    elif p.degree >= 1:
+        for f, mult in squarefree_parts(p):
+            shift, sweeps = _aberth(f.ints, circles=True)
+            for _, (ys, steps) in zip(range(APPROX_SWEEPS), sweeps):
+                if settled := all(s <= 10.0**-digits * abs(y) for y, s in zip(ys, steps)):
+                    break
+            converged &= settled
+            for y in ys:
+                z = complex(_ldexp(y.real, shift), _ldexp(y.imag, shift))
+                roots.append((z.real if abs(z.imag) < 10.0**-digits * max(1.0, abs(z)) else z, mult))
+    rows = [(complex(r), m, 0.0) for r, m in exact.items()]
+    _, shift, terms = _balanced(p.ints)
+    for z, m in roots:
+        y = complex(_ldexp(z.real, -shift), _ldexp(z.imag, -shift))
+        v, _, e = _horner(terms, y) if abs(y) <= 1 else _horner(terms[::-1], 1 / y)
+        rows.append((complex(z), m, abs(v) / e if e else 0.0))
+    values = [{"re": _finite(z.real), "im": _finite(z.imag), "mult": m, "residual": _finite(e)}
+              for z, m, e in sorted(rows, key=lambda r: (round(r[0].real, 9), round(r[0].imag, 9)))]
+    return {"advisory": True, "converged": converged, "digits": digits, "values": values}
 
 
 class StripReport(NamedTuple):

@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from canstrip import verify
 from canstrip.cli import CSV_COLUMNS, canonical_json, main
+from canstrip.ratpoly import squarefree_parts
 
 
 def strict_json(text):
@@ -94,38 +97,60 @@ class TestGp:
         assert report["approx_roots"]["advisory"] is True
         assert report["approx_roots"]["converged"] is True
         assert len(report["approx_roots"]["values"]) == 2
+        # the residual 1 + z/2 of A4/P2 cut by a hyperplane vanishes at the
+        # table root -1/2 (in the anticanonical variable), which then counts
+        # its two table factors and the residual's one
+        code, out, _ = run(
+            capsys, "ci", "--type", "A", "--rank", "4", "--node", "2", "--degrees", "1",
+            "--format", "json", "--digits", "6",
+        )
+        report = json.loads(out)
+        assert code == 0 and report["residual"] == ["1", "1/2"]
+        assert {"root": "-1/2", "mult": 2} in report["rational_roots"]
+        values = report["approx_roots"]["values"]
+        assert [(v["re"], v["im"], v["mult"]) for v in values] == [
+            (-0.75, 0.0, 1), (-0.5, 0.0, 3), (-0.25, 0.0, 1)]
 
     def test_unsettled_approximation_keeps_the_verdict(self, capsys):
-        # the float iteration cannot settle E8/P4's clustered rational roots
-        # to 12 digits; that is recorded in the advisory block, and the
-        # exit code still comes from the exact verdicts
+        # E8/P4's 106 roots are all rational, in clusters that no float
+        # iteration settles to 12 digits; the advisory block copies them
+        # from the tables, settled, and the verdict stays exact
         code, out, err = run(
             capsys, "gp", "--type", "E8", "--node", "4", "--format", "json", "--digits", "12"
         )
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["verdicts"]["TCS"] == "holds"
-        assert report["approx_roots"]["converged"] is False
-        assert sum(v["mult"] for v in report["approx_roots"]["values"]) == report["dim"]
+        block = report["approx_roots"]
+        assert block["converged"] is True
+        assert sum(v["mult"] for v in block["values"]) == report["dim"] == 106
+        assert [(v["re"], v["mult"]) for v in block["values"]] == [
+            (float(Fraction(r["root"])), r["mult"]) for r in report["rational_roots"]]
         code, out, _ = run(capsys, "gp", "--type", "E8", "--node", "4", "--digits", "12")
         assert code == 0
-        assert "approx roots (advisory, iteration did not converge):" in out
+        assert "approx roots (advisory):" in out
 
 
-    def test_large_residuals_get_finite_advisory_roots(self, capsys):
-        # the degree-88 square-free factor of E8/P4 cut by a cubic has
-        # coefficients past the doubles; its roots are proposed on a scaled
-        # variable, so every root is a number, settled or not
-        code, out, err = run(
-            capsys, "ci", "--type", "E8", "--node", "4", "--degrees", "3",
-            "--digits", "6", "--format", "json",
-        )
-        assert code == 0 and err == ""
-        report = strict_json(out)
-        values = report["approx_roots"]["values"]
-        assert sum(v["mult"] for v in values) == report["dim"] == 105
-        assert all(v["re"] is not None and v["im"] is not None for v in values)
-        assert all(v["residual"] is not None for v in values)
+    def test_large_residuals_get_finite_advisory_roots(self, capsys, monkeypatch):
+        # the residuals of E8/P4 cut by a cubic (degree 88) and of its
+        # Calabi-Yau double cover (degree 106) have coefficients past the
+        # doubles; their even parts alternate in sign at proposed points, so
+        # each root is bisected on exact signs, with no square-free parts,
+        # and lies where the certificate puts it: on the symmetry line, or
+        # real in the tight segment [-8/9, -1/9]
+        monkeypatch.setattr(verify, "squarefree_parts", None)
+        for cut in (("ci", "--degrees", "3"), ("cover", "--degree", "9")):
+            code, out, err = run(capsys, cut[0], "--type", "E8", "--node", "4", *cut[1:],
+                                 "--digits", "6", "--format", "json")
+            assert code == 0 and err == ""
+            report = strict_json(out)
+            block = report["approx_roots"]
+            assert block["converged"] is True
+            assert sum(v["mult"] for v in block["values"]) == report["dim"]
+            assert all(v["residual"] < 1e-10 for v in block["values"])
+            center = float(Fraction(report["residual_line"]))
+            for v in block["values"]:
+                assert v["im"] == 0 and -8 / 9 <= v["re"] <= -1 / 9 or abs(v["re"] - center) < 1e-6, v
 
 
 class TestErrors:
@@ -187,15 +212,15 @@ class TestGolden:
         (("ci", "--type", "E8", "--node", "4", "--degrees", "2,8", "--format", "json"),
          "6324d17246b27a6a974ff1724a8345726c751826d62cd49c073570cb2d79ebe4"),
         (("gp", "--type", "E6", "--node", "4", "--digits", "8", "--format", "json"),
-         "d0faeb9291abb8bd7dd44679d4ec8f9d9fe324c83f4aa6ec3adbc291a34be701"),
+         "89d9b3ce1962db7f36160742c1dace1239db38871e9b22c88f7c94d672ebdb25"),
         (("cover", "--type", "E7", "--node", "7", "--degree", "2", "--digits", "12",
           "--format", "json"),
-         "33c63eb3ccbd689e78a042e26d66c1ac19da93cd75411cb2207e16336f5bcf62"),
+         "4c394fb411e4ee965d05b9c2ada2f19161f2f5e33799733a22eab8c35b79788e"),
         (("ci", "--type", "A", "--rank", "2", "--node", "1", "--degrees", "3", "--digits", "3",
           "--format", "json"),
          "ef58075292c07dfc0f0dd1d932f4ca73ef247fb292cd92f40a50ca0ea069595a"),
         (("gp", "--type", "E8", "--node", "4", "--digits", "6", "--format", "json"),
-         "8b2df83cfaa2461d2db5c171e9031faeb5190e41b6a43d7d32ff6e23c76efcfa"),
+         "99cc2e91d5d8950c8a303fcb114870f6fb91748728cbbcde82493a60346b240f"),
     ])
     def test_benchmark_output_bytes(self, capsys, argv, sha256):
         # the rank <= 6 sweep's CSV rows, the Calabi-Yau double cover of E8/P4,
@@ -206,7 +231,7 @@ class TestGolden:
         # part has degree 52 and 394-bit coefficients; then the advisory
         # roots of two Fano varieties (in the anticanonical variable) and of
         # a plane cubic curve (index 0, in the ample-generator variable); last,
-        # those of E8/P4, whose multiplicities come from 32 exact divisions
+        # those of E8/P4, all 106 of them rational and copied from its tables
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
@@ -351,14 +376,31 @@ class TestCheck:
         block = json.loads(out)["approx_roots"]
         assert block["digits"] == 15 and block["converged"] is True
         assert sorted(v["im"] for v in block["values"]) == pytest.approx([-1.0, 1.0])
+        # (z + 1)^2: the even part u has its root at 0 exactly, which no
+        # relative stop rule reaches; the center -1 takes both roots
+        code, out, err = run(
+            capsys, "check", "--coeffs", "1,2,1", "--digits", "15", "--format", "json"
+        )
+        block = json.loads(out)["approx_roots"]
+        assert (code, err, block["converged"]) == (0, "", True)
+        assert block["values"] == [{"re": -1.0, "im": 0.0, "mult": 2, "residual": 0.0}]
 
-    def test_one_certificate_per_residual(self, capsys):
+    def test_one_certificate_per_residual(self, capsys, monkeypatch):
         # z^4 (z^2 + 1): its even part u^2 (u + 1) has a double root at the
         # endpoint 0, and one Sturm sequence counts both distinct roots
         code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,1,0,1", "--format", "json")
         report = json.loads(out)
         assert code == 0 and report["verdicts"] == {"CL": "holds"}
         assert [(c["count"], c["chain_length"]) for c in report["certificates"]] == [(2, 3)]
+        # its advisory roots: u^2 (u + 1) repeats a root, so no signs
+        # alternate and the multiplicities come from the square-free parts
+        calls = []
+        monkeypatch.setattr(verify, "squarefree_parts", lambda p: calls.append(p) or squarefree_parts(p))
+        code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,1,0,1", "--digits", "6", "--format", "json")
+        block = json.loads(out)["approx_roots"]
+        assert code == 0 and len(calls) == 1 and block["converged"] is True
+        assert [(v["re"], v["im"], v["mult"]) for v in block["values"]] == pytest.approx(
+            [(0.0, -1.0, 1), (0.0, 0.0, 4), (0.0, 1.0, 1)])
         # z^4 (z^2 - 1): the same double root, with the real pair +-1 off the line
         code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,-1,0,1", "--format", "json")
         report = json.loads(out)
@@ -368,9 +410,9 @@ class TestCheck:
     @pytest.mark.parametrize("coeffs", ["1e400,0,1", "1,0,1e-400", "1e300,0,1"])
     def test_digits_beyond_the_doubles_keep_the_exit_code(self, capsys, coeffs):
         # z^2 + 10^400 has no double coefficients and z^2 + 10^300 squares
-        # past the doubles; the proposer runs on y = z / 2^s with balanced
-        # coefficients, so both settle on +-root*i, and a residual that
-        # does not fit a double is written as null
+        # past the doubles; the root u = -10^400 of the even part is found
+        # on exact signs, its square root by exact scaling, and the residual
+        # is relative, on coefficients balanced by a power of two
         plain, _, _ = run(capsys, "check", "--coeffs", coeffs)
         code, out, err = run(capsys, "check", "--coeffs", coeffs, "--digits", "3", "--format", "json")
         assert code == plain == 0 and err == ""
@@ -380,6 +422,7 @@ class TestCheck:
         root = 1e150 if coeffs == "1e300,0,1" else 1e200
         assert sorted(v["im"] for v in block["values"]) == pytest.approx([-root, root], rel=1e-3)
         assert all(abs(v["re"]) < 1e-3 * root for v in block["values"])
+        assert all(v["residual"] < 1e-15 for v in block["values"])
 
 
 ABELIAN_SPECS = {
@@ -439,10 +482,11 @@ BARE_GOLDENS = [
     (("abelian", "threefold", "--format", "json"), 0,
      "b4b04578a0be5ba2774255ac31321eebb1c9632d82d800ffca9e4b1f96172229"),
     (("abelian", "surface", "--digits", "6", "--format", "json"), 0,
-     "8618cc59ee14fe6202fb8c8d3956f4ac5df93e1446fa2d03b63516282518c5d7"),
-    # (1 + z + z^2 + z^3)^2: its advisory multiplicities come from exact divisions
+     "fa92801eb572bd1b58b5dd168421527489f53883da7d6480c02a9a1ebe24584f"),
+    # (1 + z + z^2 + z^3)^2 has no symmetry center: its advisory multiplicities
+    # come from the square-free parts
     (("check", "--coeffs", "1,2,3,4,3,2,1", "--digits", "6", "--format", "json"), 1,
-     "4dcf2e330e471cb39d77fcfe55444b5139f24263de3e0d261a10f86f2b57e830"),
+     "e3fce177274680be5bfb5cf4965d2020992272d2f144874053cb9b7ba323c70d"),
 ]
 
 
@@ -658,6 +702,9 @@ class TestProcessEntry:
         assert (done.returncode, done.stdout, done.stderr) == (0, "True 0\n", "")
 
     def test_console_script_takes_the_same_entry(self):
+        # and `canstrip.cli` is no process entry of its own
+        source = Path(__file__).resolve().parents[1] / "src" / "canstrip" / "cli.py"
+        assert "__main__" not in source.read_text(encoding="utf-8")
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]

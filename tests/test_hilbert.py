@@ -197,6 +197,9 @@ class TestIntegerKernel:
         for level, counts in ((2, {0: 1, 5: 1}), (2, {-6: 2, 5: 1}), (0, {5: 1}), (-1, {5: 1})):
             with pytest.raises(ValueError, match="must be positive"):
                 LevelTable(level, 4, counts)
+        for level, counts in ((0, {1: 1}), (1, {0: 1})):
+            with pytest.raises(ValueError, match="must be positive"):
+                LevelTable(level, 1, counts)
         # numerators over den: the factor ((l*z + k)/k)^h for k = n/den
         tables = [LevelTable(2, 4, {6: 2, 5: 1}), LevelTable(3, 3, {2: 1, 7: 3})]
         assert tables[0].den == 4 and tables[1].den == 3

@@ -487,7 +487,7 @@ space = st.tuples(
 )
 common = st.tuples(
     _option("--format", st.sampled_from(["text", "json", "csv", "text", "json", "xml"])),
-    _option("--digits", st.sampled_from(["0", "3", "20"]), absent=3),
+    _option("--digits", st.sampled_from(["0", "3", "15", "20"]), absent=3),
 )
 argvs = st.one_of(
     st.tuples(st.just(["gp"]), space, common),

@@ -11,7 +11,7 @@ from canstrip.hilbert import HilbertData, LevelTable, hilbert_gp
 from canstrip.ratpoly import RatPoly, SturmCertificate, _sturm_sequence, sturm_certificate
 from canstrip.root_system import SimpleType, build_root_system, mark, marked
 from canstrip.varieties import AbelianSpec, complete_intersection
-from canstrip.verify import ApproxRoot, LineCheck, strip_report
+from canstrip.verify import LineCheck, strip_report
 
 RECORDS = {
     "RatPoly": (lambda: RatPoly((1, 2)), "ints"),
@@ -23,7 +23,6 @@ RECORDS = {
     "HilbertData": (lambda: HilbertData("point", 0, 1), "sections"),
     "AbelianSpec": (lambda: AbelianSpec(1, 1, (((2,), 2),)), "numbers"),
     "LineCheck": (lambda: LineCheck("not_applicable", None), "status"),
-    "ApproxRoot": (lambda: ApproxRoot(-0.5j, 1, 0.0, True), "value"),
     "StripReport": (lambda: strip_report(hilbert_gp(marked("A", 2, 1))), "verdicts"),
 }
 

@@ -308,32 +308,29 @@ class TestStripReport:
 
 class TestApproxRoots:
     def test_pure_imaginary_pair(self):
-        roots = approx_roots(P(1, 0, 1), digits=10)
-        values = sorted(r.value.imag for r in roots)
-        assert abs(values[0] + 1) < 1e-9 and abs(values[1] - 1) < 1e-9
-        assert all(abs(r.value.real) < 1e-9 for r in roots)
+        values = approx_roots(P(1, 0, 1), digits=10)["values"]
+        assert [(v["re"], v["im"], v["mult"]) for v in values] == pytest.approx(
+            [(0, -1, 1), (0, 1, 1)], abs=1e-9)
 
     def test_double_root(self):
-        roots = approx_roots(P(1, 2, 1), digits=10)
-        assert len(roots) == 1
-        assert roots[0].multiplicity == 2
-        assert abs(roots[0].value - (-1)) < 1e-9
+        values = approx_roots(P(1, 2, 1), digits=10)["values"]
+        assert values == [{"re": -1.0, "im": 0.0, "mult": 2, "residual": 0.0}]
 
     def test_e6_p4_anticanonical(self):
+        # given as roots, the tables' rational roots are copied exactly; the
+        # whole polynomial, given bare, takes the square-free path to the
+        # same roots and multiplicities
         hd = hilbert_gp(marked("E", 6, 4))
-        poly = expand(hd).compose_affine(hd.index, 0)
-        roots = approx_roots(poly, digits=10)
-        assert sum(r.multiplicity for r in roots) == 29
-        exact = {}
-        for table in hd.levels:
-            for k, h in table.exponents.items():
-                r = -k / (table.level * hd.index)
-                exact[r] = exact.get(r, 0) + h
-        assert len(roots) == len(exact)
-        for approx in roots:
-            closest = min(exact, key=lambda r: abs(float(r) - approx.value.real))
-            assert abs(approx.value - float(closest)) < 1e-8
-            assert approx.multiplicity == exact[closest]
+        exact = strip_report(hd).rational_roots
+        assert sum(m for _, m in exact) == 29
+        given = approx_roots(hd.residual, digits=10, rational=exact)
+        assert given["values"] == [
+            {"re": float(r), "im": 0.0, "mult": m, "residual": 0.0} for r, m in exact]
+        bare = approx_roots(expand(hd).compose_affine(hd.index, 0), digits=10)
+        assert len(bare["values"]) == len(exact)
+        for v, (r, m) in zip(bare["values"], exact):
+            assert abs(complex(v["re"], v["im"]) - float(r)) < 1e-8
+            assert v["mult"] == m
 
     def test_agreement_with_exact_verdicts(self):
         # advisory float cross-check: approximate real parts sit on the
@@ -344,12 +341,39 @@ class TestApproxRoots:
             line = check_line(poly)
             if line.status != "certified":
                 continue
-            for r in approx_roots(poly, digits=10):
-                assert abs(r.value.real - float(line.center)) < 1e-7
+            for v in approx_roots(poly, digits=10)["values"]:
+                assert abs(v["re"] - float(line.center)) < 1e-7
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             approx_roots(P(3))
+
+    def test_rational_roots_add_the_residuals_share(self):
+        # on every rank <= 4 mark, its hyperplane and quadric sections and
+        # its double cover branched in |2L|: the multiplicities sum to the
+        # dimension, and each rational root counts its table factors plus
+        # the residual's own zeros there, counted here by derivatives
+        merged = 0
+        for t in all_simple_types(4):
+            for node in range(1, t.rank + 1):
+                hd = hilbert_gp(marked(t.series, t.rank, node))
+                cuts = (hd, section_step(hd, 1, "intersection"), section_step(hd, 2, "intersection"),
+                        section_step(hd, 1, "cover"))
+                for cut in cuts:
+                    if cut.index <= 0 or cut.dim < 1:
+                        continue
+                    rep = strip_report(cut)
+                    res = cut.residual.compose_affine(cut.index, 0)
+                    values = approx_roots(res, 6, rep.rational_roots)["values"]
+                    assert sum(v["mult"] for v in values) == cut.dim, cut.description
+                    for r, m in rep.rational_roots:
+                        coeffs, extra = list(res.coeffs), 0
+                        while coeffs and sum(c * r**i for i, c in enumerate(coeffs)) == 0:
+                            coeffs, extra = [i * c for i, c in enumerate(coeffs)][1:], extra + 1
+                        row = [v["mult"] for v in values if (v["re"], v["im"]) == (float(r), 0.0)]
+                        assert row == [m + extra], (cut.description, r)
+                        merged += extra > 0
+        assert merged
 
 
 def test_keys_and_roots_stay_exact():
