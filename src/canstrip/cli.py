@@ -154,13 +154,15 @@ def render_text(report: dict) -> str:
         verdict_bits.append(bit)
     lines.append("verdicts: " + "; ".join(verdict_bits))
     if "approx_roots" in report:
-        vals = ", ".join(
-            f"{_signed(v['re'])}{_signed(v['im'])}i (x{v['mult']})"
-            for v in report["approx_roots"]["values"]
-        )
-        note = "" if report["approx_roots"]["converged"] else ", iteration did not converge"
-        lines.append(f"approx roots (advisory{note}): {vals}")
+        lines.append(_approx_text(report["approx_roots"]))
     return "\n".join(lines) + "\n"
+
+
+def _approx_text(block: dict) -> str:
+    """The text line of an advisory `approx_roots` block."""
+    vals = ", ".join(f"{_signed(v['re'])}{_signed(v['im'])}i (x{v['mult']})" for v in block["values"])
+    note = "" if block["converged"] else ", iteration did not converge"
+    return f"approx roots (advisory{note}): {vals}"
 
 
 def _signed(x: Optional[float]) -> str:
@@ -278,6 +280,8 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
         lines = [f"{heading}H(z) = {poly}", f"symmetry center: {report['center']}", f"CL {verdict}"]
         if "note" in report:
             lines.append(note)
+        if "approx_roots" in report:
+            lines.append(_approx_text(report["approx_roots"]))
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if verdict == "holds" else 1
 
@@ -531,6 +535,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "digits", None) is not None and args.digits < 1:  # sweep has none
+            raise ValueError("need digits >= 1")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

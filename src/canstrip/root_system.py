@@ -14,18 +14,43 @@ every marking of it shares.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import lcm
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .ratpoly import Record
 
 Root = tuple[int, ...]
 
-_RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
+
+def _chain(nodes) -> list[tuple[int, int, int, int]]:
+    """Simple bonds joining consecutive nodes of a path."""
+    return [(a, b, -1, -1) for a, b in zip(nodes, nodes[1:])]
+
+
+class _Series(NamedTuple):
+    lo: int  # smallest rank
+    hi: int | None  # largest rank, None for a classical series
+    count: Callable[[int], int]  # number of positive roots at rank n
+    bonds: Callable[[int], list[tuple[int, int, int, int]]]  # (i, j, C_ij, C_ji) at rank n
+
+
+# the Cartan-Killing classification: one row per series, Bourbaki numbering
+_SERIES = {
+    "A": _Series(1, None, lambda n: n * (n + 1) // 2, lambda n: _chain(range(1, n + 1))),
+    "B": _Series(2, None, lambda n: n * n,
+                 lambda n: _chain(range(1, n)) + [(n - 1, n, -1, -2)]),  # a_n short
+    "C": _Series(3, None, lambda n: n * n,
+                 lambda n: _chain(range(1, n)) + [(n - 1, n, -2, -1)]),  # a_n long
+    "D": _Series(4, None, lambda n: n * (n - 1),
+                 lambda n: _chain(range(1, n)) + [(n - 2, n, -1, -1)]),
+    "E": _Series(6, 8, lambda n: {6: 36, 7: 63, 8: 120}[n],
+                 lambda n: _chain((1, 3, 4, 5, 6, 7, 8)[: n - 1]) + [(2, 4, -1, -1)]),
+    "F": _Series(4, 4, lambda n: 24,
+                 lambda n: [(1, 2, -1, -1), (2, 3, -1, -2), (3, 4, -1, -1)]),  # a_3, a_4 short
+    "G": _Series(2, 2, lambda n: 6, lambda n: [(1, 2, -3, -1)]),  # a_1 short
+}
 
 # low-rank coincidences accepted as input and renumbered onto the canonical
 # series (C2 = B2 and D3 = A3 with the nodes permuted)
@@ -49,20 +74,12 @@ def canonicalize(series: str, rank: int, node: int | None = None):
 
 
 def _check_series_rank(series: str, rank: int) -> None:
-    if series == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError(f"invalid type E{rank}: rank must be 6, 7 or 8")
-        return
-    if series in ("F", "G"):
-        if rank != _RANK_BOUNDS[series]:
-            raise ValueError(f"invalid type {series}{rank}")
-        return
-    if series == "A" or series in _RANK_BOUNDS:
-        lo = _RANK_BOUNDS.get(series, 1)
-        if rank < lo:
-            raise ValueError(f"invalid type {series}{rank}: rank must be >= {lo}")
-        return
-    raise ValueError(f"unknown series {series!r}")
+    if series not in _SERIES:
+        raise ValueError(f"unknown series {series!r}")
+    lo, hi, *_ = _SERIES[series]
+    if not lo <= rank <= (rank if hi is None else hi):
+        allowed = f">= {lo}" if hi is None else f"{lo}" if lo == hi else f"{lo} to {hi}"
+        raise ValueError(f"invalid type {series}{rank}: rank must be {allowed}")
 
 
 class SimpleType(Record):
@@ -77,51 +94,11 @@ class SimpleType(Record):
         return f"{self.series}{self.rank}"
 
 
-def _expected_count(t: SimpleType) -> int:
-    n = t.rank
-    if t.series == "A":
-        return n * (n + 1) // 2
-    if t.series in ("B", "C"):
-        return n * n
-    if t.series == "D":
-        return n * (n - 1)
-    if t.series == "E":
-        return {6: 36, 7: 63, 8: 120}[n]
-    return 24 if t.series == "F" else 6
-
-
 def _cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     n = t.rank
     C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
-        C[i - 1][j - 1] = cij
-        C[j - 1][i - 1] = cji
-
-    s = t.series
-    if s in ("A", "B", "C"):
-        for i in range(1, n):
-            bond(i, i + 1)
-        if s == "B":
-            bond(n - 1, n, -1, -2)  # a_n short
-        if s == "C":
-            bond(n - 1, n, -2, -1)  # a_n long
-    elif s == "D":
-        for i in range(1, n - 2):
-            bond(i, i + 1)
-        bond(n - 2, n - 1)
-        bond(n - 2, n)
-    elif s == "E":
-        chain = [1, 3, 4, 5, 6, 7, 8][: n - 1]
-        for a, b in zip(chain, chain[1:]):
-            bond(a, b)
-        bond(2, 4)
-    elif s == "F":
-        bond(1, 2)
-        bond(2, 3, -1, -2)  # a_3, a_4 short
-        bond(3, 4)
-    elif s == "G":
-        bond(1, 2, -3, -1)  # a_1 short
+    for i, j, cij, cji in _SERIES[t.series].bonds(n):
+        C[i - 1][j - 1], C[j - 1][i - 1] = cij, cji
     return tuple(tuple(row) for row in C)
 
 
@@ -236,10 +213,9 @@ def build_root_system(t: SimpleType) -> RootSystem:
     """All positive roots plus Cartan data for a simple type."""
     cartan = _cartan_matrix(t)
     roots = _generate_positive_roots(cartan)
-    if len(roots) != _expected_count(t):
-        raise AssertionError(
-            f"{t.name}: generated {len(roots)} positive roots, expected {_expected_count(t)}"
-        )
+    expected = _SERIES[t.series].count(t.rank)
+    if len(roots) != expected:
+        raise AssertionError(f"{t.name}: generated {len(roots)} positive roots, expected {expected}")
     rs = RootSystem(t, cartan, _symmetrizer(cartan), roots)
     d = rs.d_num
     for i in range(t.rank):
@@ -399,9 +375,6 @@ def marked(series: str, rank: int, node: int) -> MarkedSystem:
 
 def all_simple_types(max_rank: int) -> list[SimpleType]:
     """Every canonical simple type with rank <= max_rank, in a fixed order:
-    series by series, each rank that `_check_series_rank` accepts."""
-    out = []
-    for series, r in product("ABCDEFG", range(1, max_rank + 1)):
-        with suppress(ValueError):
-            out.append(SimpleType(series, r))
-    return out
+    series by series as the table lists them, each rank its row allows."""
+    return [SimpleType(series, r) for series, (lo, hi, *_) in _SERIES.items()
+            for r in range(lo, min(max_rank, hi or max_rank) + 1)]

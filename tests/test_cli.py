@@ -487,7 +487,31 @@ BARE_GOLDENS = [
     # come from the square-free parts
     (("check", "--coeffs", "1,2,3,4,3,2,1", "--digits", "6", "--format", "json"), 1,
      "e3fce177274680be5bfb5cf4965d2020992272d2f144874053cb9b7ba323c70d"),
+    # the text reports of the bare polynomials end with the advisory line
+    (("abelian", "surface", "--digits", "6", "--format", "text"), 0,
+     "06642459383304657656708a04d9395a3702e53978f78bb055136975b16066b0"),
+    (("check", "--coeffs", "1,2,1", "--digits", "15", "--format", "text"), 0,
+     "5081f6ff4c03de45666c4f0f3f0de2a474f093c4e12886908ba145e0774edf16"),
 ]
+
+
+def test_bare_text_prints_the_advisory_line(capsys):
+    code, out, _ = run(capsys, "check", "--coeffs", "1,2,1", "--digits", "15")
+    assert code == 0
+    assert out.splitlines()[-1] == "approx roots (advisory): -1.000000+0.000000i (x2)"
+
+
+def test_newton_polygon_past_the_doubles_keeps_the_report_valid(capsys):
+    # 2 + 100z - 10^300 z^2 + 10^-20 z^3 has a root near 10^320, past the
+    # largest double, and two near 10^-150: the advisory block may give up
+    # on them, but only as null values in strict JSON marked unconverged
+    argv = ("check", "--coeffs", "2,100,-1e300,1e-20", "--digits", "6", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    block = strict_json(out)["approx_roots"]
+    assert sum(v["mult"] for v in block["values"]) == 3
+    if any(None in (v["re"], v["im"], v["residual"]) for v in block["values"]):
+        assert block["converged"] is False
 
 
 @pytest.mark.parametrize("argv, exit_code, sha256", BARE_GOLDENS)
@@ -500,6 +524,45 @@ def test_bare_polynomial_report_bytes(capsys, tmp_path, argv, exit_code, sha256)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+SINGLE_CASES = {
+    "gp": ("gp", "--type", "A", "--rank", "2", "--node", "1"),
+    "ci": ("ci", "--type", "A", "--rank", "2", "--node", "1", "--degrees", "2"),
+    "ci dim 0": ("ci", "--type", "A", "--rank", "1", "--node", "1", "--degrees", "1"),
+    "cover": ("cover", "--type", "A", "--rank", "2", "--node", "1", "--degree", "1"),
+    "check": ("check", "--coeffs", "1,2,1"),
+    "abelian": ("abelian", "--spec", "surface"),
+}
+
+
+@pytest.mark.parametrize("digits", ["0", "-1"])
+@pytest.mark.parametrize("name, fmt", [(name, fmt) for name in SINGLE_CASES for fmt in ("text", "json", "csv")
+                                       if fmt != "csv" or name not in ("check", "abelian")])
+def test_digits_below_one_are_refused_before_any_work(capsys, tmp_path, name, fmt, digits):
+    argv = list(SINGLE_CASES[name])
+    if name == "abelian":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ABELIAN_SPECS["surface"]))
+        argv[-1] = str(spec)
+    code, out, err = run(capsys, *argv, "--digits", digits, "--format", fmt)
+    assert (code, out, err) == (2, "", "error: need digits >= 1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gp", "--type", "E9", "--node", "1"), "invalid type E9: rank must be 6 to 8"),
+    (("gp", "--type", "F5", "--node", "1"), "invalid type F5: rank must be 4"),
+    (("gp", "--type", "B1", "--node", "1"), "invalid type B1: rank must be >= 2"),
+    (("ci", "--type", "A2", "--node", "1", "--degrees", "0"), "degrees must be positive"),
+    (("sweep", "--max-rank", "2", "--jobs", "0"), "--jobs must be >= 1"),
+    (("sweep", "--max-rank", "2", "--max-codim", "-1"), "sweep bounds must be non-negative"),
+    (("sweep", "--max-rank", "2", "--series", "H"), "unknown series ['H']"),
+], ids=["E9", "F5", "B1", "degrees 0", "jobs 0", "max-codim -1", "series H"])
+def test_refusal_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and err.count("error:") == 1
 
 
 class TestSweep:

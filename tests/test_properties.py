@@ -458,7 +458,9 @@ def test_kept_factors_divide_the_common_part_of_the_two_terms(sympy, key):
                 assert kept.monic() == common.monic(), (kind, d)
 
 
-SMALL_TYPES = ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A", "E9", "Q2", "", "7"]
+# valid types, the aliases C2 and D3, and types just past a series' rank bounds
+SMALL_TYPES = ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "C2", "D3",
+               "A", "E9", "F5", "B1", "Q2", "", "7"]
 # mostly valid values, with a bad one now and then
 nodes = st.sampled_from(["1", "2", "3", "4"] * 3 + ["0", "-1", "9", "x", "", "1.5"])
 degree_text = st.sampled_from(
@@ -487,7 +489,7 @@ space = st.tuples(
 )
 common = st.tuples(
     _option("--format", st.sampled_from(["text", "json", "csv", "text", "json", "xml"])),
-    _option("--digits", st.sampled_from(["0", "3", "15", "20"]), absent=3),
+    _option("--digits", st.sampled_from(["0", "-1", "3", "15", "20"]), absent=3),
 )
 argvs = st.one_of(
     st.tuples(st.just(["gp"]), space, common),
@@ -524,6 +526,8 @@ def test_cli_exit_codes_are_total(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
+    if "--digits" in argv and int(argv[argv.index("--digits") + 1]) < 1:
+        assert code == 2, argv
     assert "Traceback" not in err.getvalue()
     if code == 2 and err.getvalue().startswith("error:"):
         assert err.getvalue().count("\n") == 1

@@ -63,6 +63,30 @@ class TestGeneration:
             rs = build_root_system(t)
             assert len(rs.positive_roots) == expected[t.series](t.rank), t.name
 
+    def test_counts_are_rank_times_coxeter_number_over_two(self):
+        # h = 1 + height of the highest root, the same for every marking
+        for t in all_simple_types(10):
+            rs = build_root_system(t)
+            (h,) = {mark(rs, node).coxeter_number for node in range(1, t.rank + 1)}
+            assert len(rs.positive_roots) == t.rank * h // 2, t.name
+
+    @pytest.mark.parametrize("name, cartan", [
+        ("A3", ((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
+        ("B3", ((2, -1, 0), (-1, 2, -1), (0, -2, 2))),
+        ("C3", ((2, -1, 0), (-1, 2, -2), (0, -1, 2))),
+        ("D5", ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, -1),
+                (0, 0, -1, 2, 0), (0, 0, -1, 0, 2))),
+        ("E6", ((2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0), (-1, 0, 2, -1, 0, 0),
+                (0, -1, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2))),
+        ("F4", ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))),
+        ("G2", ((2, -3), (-1, 2))),
+    ])
+    def test_cartan_matrix_by_hand(self, name, cartan):
+        # C[i][j] = 2(a_i, a_j)/(a_i, a_i) in Bourbaki numbering, written out
+        # from the root lengths: a_n short in B, long in C, a_3 and a_4 short
+        # in F4, a_1 short in G2
+        assert build_root_system(SimpleType(name[0], int(name[1:]))).cartan == cartan
+
     def test_symmetrizer_symmetrizes(self):
         for t in all_simple_types(6):
             rs = build_root_system(t)
@@ -72,10 +96,16 @@ class TestGeneration:
                     assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
 
     def test_invalid_types(self):
-        for series, rank in [("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
-                             ("F", 3), ("G", 3), ("A", 0), ("H", 2)]:
-            with pytest.raises(ValueError):
+        # each message names the ranks its series allows
+        for series, rank, allowed in [("B", 1, ">= 2"), ("C", 1, ">= 3"), ("D", 2, ">= 4"),
+                                      ("E", 5, "6 to 8"), ("E", 9, "6 to 8"), ("F", 3, "4"),
+                                      ("F", 5, "4"), ("G", 3, "2"), ("A", 0, ">= 1")]:
+            message = f"invalid type {series}{rank}: rank must be {allowed}"
+            with pytest.raises(ValueError) as exc:
                 SimpleType(*canonicalize(series, rank)[:2])
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match="unknown series 'H'"):
+            SimpleType(*canonicalize("H", 2)[:2])
 
 
 class TestAliases:
