@@ -7,9 +7,9 @@ sections and the expansion all run on integers.  The polynomial itself is the
 product of the factors ((l*z + k)/k)^h times a residual factor, multiplied
 out once per object (on a G/P by one Kronecker-substituted big-int product;
 a section keeps the H(z) -/+ H(z-d) it divided), while the section/cover
-recursion uses the tables.  `validate` checks the
-anticanonical symmetry on the residual, since the table symmetry (S) gives
-it to the factors.
+recursion uses the tables.  `validate` checks the anticanonical symmetry on
+the residual's one split, which `verify.strip_report` certifies, since the
+table symmetry (S) gives it to the factors.
 A `HilbertData` is frozen, so `hilbert_gp` can hand the same object to every
 caller of a mark.
 """
@@ -20,9 +20,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, prod
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .ratpoly import ConsistencyError, RatPoly, Record, _from_integer, _scaled_value, _set, _taylor_shift
+from .ratpoly import ConsistencyError, RatPoly, Record, _from_integer, _scaled_value, _set, symmetric_split
 from .root_system import MarkedSystem
 
 
@@ -105,28 +105,31 @@ class HilbertData(Record):
     polynomial factor in the L-variable (1 for a homogeneous space itself).
     The expansion `poly` is held once and shared by every reader: the
     residual times the factor product, or the H(z) -/+ H(z-d) that a section
-    step divided (see `_carrying`).  `sections` memoizes this object's
-    hypersurface sections by degree for `complete_intersection`, so it lives
-    as long as this object does; neither takes part in equality.
+    step divided (see `_carrying`).  `split` is the residual's center and
+    even part (`symmetric_split`, which refuses a zero residual), None for a
+    constant or an asymmetric one.
+    `sections` memoizes this object's hypersurface sections by degree for
+    `complete_intersection`.  None of the three takes part in equality.
     `simply_laced` (all root lengths equal) makes (U) a theorem.
     """
 
     _fields = ("description", "dim", "index", "levels", "residual", "simply_laced")
-    __slots__ = (*_fields, "poly", "sections")
+    __slots__ = (*_fields, "poly", "split", "sections")
 
     def __init__(self, description: str, dim: int, index: int, levels: Sequence[LevelTable] = (),
                  residual: RatPoly = RatPoly.one(), simply_laced: bool = True) -> None:
-        self._fill(description, dim, index, tuple(levels), residual, simply_laced)
-        poly = multiply_linear(self.levels)
-        _set(self, "poly", poly if residual == RatPoly.one() else residual * poly)
-        _set(self, "sections", {})
+        levels = tuple(levels)
+        poly = multiply_linear(levels)
+        poly = poly if residual == RatPoly.one() else residual * poly
+        _carrying(poly, description, dim, index, levels, residual, simply_laced, hd=self)
 
 
-def _carrying(poly: RatPoly, *fields) -> HilbertData:
-    """A HilbertData of `fields` whose expansion `poly` is already at hand."""
-    hd = object.__new__(HilbertData)
+def _carrying(poly: RatPoly, *fields, hd: Optional[HilbertData] = None) -> HilbertData:
+    """A HilbertData of `fields` (filled into `hd`, if given) whose expansion `poly` is at hand."""
+    hd = object.__new__(HilbertData) if hd is None else hd
     hd._fill(*fields)
     _set(hd, "poly", poly)
+    _set(hd, "split", symmetric_split(hd.residual) if hd.residual.degree else None)
     _set(hd, "sections", {})
     return hd
 
@@ -159,8 +162,9 @@ def validate(hd: HilbertData) -> None:
     exponent of k.  So the factor product F satisfies
     F(-iota-z) = (-1)^deg F * F(z), and since H = R*F with
     dim = deg R + deg F, H(-iota-z) = (-1)^dim H(z) holds exactly when
-    R(-iota-z) = (-1)^deg R * R(z).  A constant R, as on every G/P, is its
-    own mirror.
+    R(-iota-z) = (-1)^deg R * R(z): when R's split `hd.split` exists and is
+    centered at -iota/2, its only possible center.  A constant R, as on
+    every G/P, is its own mirror.
     """
     for table in hd.levels:
         table.check_symmetric(hd.index)
@@ -175,14 +179,8 @@ def validate(hd: HilbertData) -> None:
         raise ConsistencyError(
             f"{hd.description}: expanded degree {H.degree} != dim {hd.dim}"
         )
-    R = hd.residual.ints
-    if len(R) > 1:
-        # R(-iota-z) = Q(-z) with Q(z) = R(z-iota), compared on the integer form
-        mirror = list(R)
-        _taylor_shift(mirror, -hd.index)
-        sign = (-1) ** (len(R) - 1)
-        if any((-1) ** i * q != sign * c for i, (q, c) in enumerate(zip(mirror, R))):
-            raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
+    if hd.residual.degree >= 1 and (hd.split is None or hd.split[0] != Fraction(-hd.index, 2)):
+        raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
     ints, num, den = H.ints, H.content.numerator, H.content.denominator
     for k in range(-3, 10):
         value = _scaled_value(ints, k)  # H(k) = value * num/den, num and den coprime

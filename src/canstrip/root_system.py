@@ -79,7 +79,8 @@ def _check_series_rank(series: str, rank: int) -> None:
     lo, hi, *_ = _SERIES[series]
     if not lo <= rank <= (rank if hi is None else hi):
         allowed = f">= {lo}" if hi is None else f"{lo}" if lo == hi else f"{lo} to {hi}"
-        raise ValueError(f"invalid type {series}{rank}: rank must be {allowed}")
+        alias = [f" ({s}{r} is read as {t}{n})" for (s, r), (t, n, _) in _ALIASES.items() if s == series]
+        raise ValueError(f"invalid type {series}{rank}: rank must be {allowed}{''.join(alias)}")
 
 
 class SimpleType(Record):

@@ -18,6 +18,7 @@ import math
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -26,6 +27,7 @@ from .ratpoly import (
     ConsistencyError,
     RatPoly,
     SturmCertificate,
+    _from_integer,
     _scaled_value,
     _sign,
     _sturm_sequence,
@@ -70,13 +72,13 @@ class LineCheck(NamedTuple):
     segment_boundary: bool = False
 
 
-def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
-    """Certify all roots of p on its symmetry line and, second, on the line
-    or real at squared distance up to radius2 from the center.
+def _certify(found: Optional[tuple[Fraction, RatPoly]], radius2: Fraction) -> tuple[LineCheck, LineCheck]:
+    """Certify all roots of p (deg p >= 1) on its symmetry line and, second,
+    on the line or real at squared distance up to radius2 from the center.
 
-    One Taylor shift to the center decides the symmetry and gives the even
-    part q (`symmetric_split`, which raises on the zero polynomial); a p
-    with no center violates both checks, with center None.  Each check holds
+    `found` is p's split (center, q), p = w^eps * q(w^2) with w = z - center,
+    from the caller's one Taylor shift (`symmetric_split`); None, for a p
+    with no center, violates both checks, with center None.  Each check holds
     exactly when q's count of distinct roots on (-oo, x] (x = 0, then
     radius2) reaches all of its distinct roots.  From degree
     ALTERNATION_MIN_DEGREE on, exact signs alternating at n + 1 points prove
@@ -87,9 +89,8 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     roots.  For radius2 = 0 the two checks coincide and the same object is
     returned twice.
     """
-    found = symmetric_split(p) if p.degree else None
-    if found is None:  # a constant, or no symmetry center
-        line = LineCheck("violated" if p.degree else "not_applicable", None)
+    if found is None:
+        line = LineCheck("violated", None)
         return line, line
     center, q = found
     if q.degree < 1:
@@ -99,16 +100,10 @@ def _certify(p: RatPoly, radius2: Fraction) -> tuple[LineCheck, LineCheck]:
     if points is None:
         chain = _sturm_sequence(q)
         distinct = q.degree - (len(chain[-1]) - 1)
-
-        def certificate(x: Fraction) -> SturmCertificate:
-            return sturm_certificate(chain, x)
-
+        certificate = partial(sturm_certificate, chain)
     else:
         distinct = q.degree
-
-        def certificate(x: Fraction) -> SturmCertificate:
-            return _alternation_certificate(q, points, x)
-
+        certificate = partial(_alternation_certificate, q, points)
     on_line = certificate(Fraction(0))
     line = LineCheck(
         "certified" if on_line.count == distinct else "violated", center, [on_line]
@@ -197,12 +192,14 @@ def _alternation_certificate(q: RatPoly, points: list[Fraction], x: Fraction) ->
 def check_line(p: RatPoly) -> LineCheck:
     """Certify that every root of p lies on its own vertical symmetry line.
 
-    The center comes from `symmetric_split`; without one the check is
-    violated, with center None.  The roots lie on the line Re(z) = center iff
-    the even-part polynomial has only real non-positive roots, which exact
-    root counts decide.
+    The center comes from `symmetric_split`, which raises on the zero
+    polynomial; without one the check is violated, with center None.  The
+    roots lie on the line Re(z) = center iff the even-part polynomial has
+    only real non-positive roots, which exact root counts decide.
     """
-    return _certify(p, Fraction(0))[0]
+    if not p.degree:  # a constant
+        return LineCheck("not_applicable", None)
+    return _certify(symmetric_split(p), Fraction(0))[0]
 
 
 def _split(x: Fraction) -> tuple[float, int]:
@@ -436,12 +433,6 @@ class StripReport(NamedTuple):
         return self.verdicts[key] != "fails"
 
 
-def _class_of(index: int) -> str:
-    if index > 0:
-        return "Fano"
-    return "Calabi-Yau" if index == 0 else "general type"
-
-
 def strip_report(hd: HilbertData) -> StripReport:
     """Extract exact rational roots, certify the residual, decide verdicts.
 
@@ -449,9 +440,10 @@ def strip_report(hd: HilbertData) -> StripReport:
     anticanonical root -k/(l*iota) with its table multiplicity, and the
     residual is certified on the line Re(z) = -1/2, allowing real pairs
     inside the closed strip segment (the tight-strip dichotomy; the allowance
-    degenerates to the bare line for iota 1 and 2).  For iota <= 0 the whole
-    polynomial sits in the residual and only the line hypothesis applies,
-    about the polynomial's own symmetry center in the L-variable.
+    degenerates to the bare line for iota 1 and 2); the residual's split
+    `hd.split` is rescaled to that variable, with no shift.  For iota <= 0
+    the whole polynomial sits in the residual and only the line hypothesis
+    applies, about the polynomial's own symmetry center in the L-variable.
     """
     iota = hd.index
     roots: dict[int, int] = {}
@@ -463,21 +455,29 @@ def strip_report(hd: HilbertData) -> StripReport:
             step = D // (table.level * table.den * iota)
             for n, h in table.counts.items():
                 roots[-n * step] = roots.get(-n * step, 0) + h
-        res = hd.residual.compose_affine(iota, 0)
+        res, found = hd.residual, hd.split
         if sum(roots.values()) + max(res.degree, 0) != hd.dim:
             raise ConsistencyError(
                 f"{hd.description}: rational multiplicities plus residual degree "
                 f"miss the dimension {hd.dim}"
             )
+        if found:  # R(iota*z) = iota^eps * w^eps * q(iota^2 * w^2) with w = z - c/iota
+            c, q = found
+            ints = [a * iota ** (2 * i) for i, a in enumerate(q.ints)]
+            found = c / iota, _from_integer(ints, q.content * iota ** (res.degree % 2))
         # the squared half-width of the tight segment, (1/2 - 1/iota)^2
         radius2 = Fraction((iota - 2) ** 2, 4 * iota**2) if iota > 2 else Fraction(0)
     else:
         D, res, radius2 = 1, expand(hd), Fraction(0)
+        # with no tables left, as on every section and cover here, res is R
+        found = symmetric_split(res) if hd.levels else hd.split
     numerators = sorted(roots)
-    line, dichotomy = _certify(res, radius2)
+    res_roots = res.degree >= 1
+    line = dichotomy = LineCheck("not_applicable", None)
+    if res_roots:
+        line, dichotomy = _certify(found, radius2)
     if iota > 0 and line.status != "not_applicable" and line.center != Fraction(-1, 2):
         line = dichotomy = LineCheck("violated", line.center)
-    res_roots = res.degree >= 1
     verdicts: dict[str, str] = {}
     witnesses: dict[str, str] = {}
 
@@ -520,7 +520,7 @@ def strip_report(hd: HilbertData) -> StripReport:
         description=hd.description,
         dim=hd.dim,
         index=iota,
-        variety_class=_class_of(iota),
+        variety_class="Fano" if iota > 0 else "Calabi-Yau" if iota == 0 else "general type",
         rational_roots=[(Fraction(r, D), roots[r]) for r in numerators],
         residual_variable="anticanonical" if iota > 0 else "ample_generator",
         residual_line=line.center,

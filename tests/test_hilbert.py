@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from canstrip import hilbert
+from canstrip import ratpoly, varieties
+from canstrip.cli import main
 from canstrip.hilbert import (
     HilbertData,
     LevelTable,
@@ -17,6 +18,7 @@ from canstrip.ratpoly import ConsistencyError, RatPoly
 from canstrip.root_system import all_simple_types, build_root_system, mark, marked, rho_pair
 
 from canstrip.varieties import complete_intersection, double_cover, section_step
+from canstrip.verify import strip_report
 
 from oracles import binom_poly, pcompose_affine, peval, pmul
 
@@ -273,18 +275,48 @@ class TestAnticanonicalMirror:
                     count += 1
         assert count == 797
 
-    def test_no_taylor_shift_on_a_gp(self, monkeypatch):
-        shifts = []
-        real = hilbert._taylor_shift
-        monkeypatch.setattr(hilbert, "_taylor_shift", lambda ints, b: shifts.append(b) or real(ints, b))
+    @pytest.fixture
+    def shifts(self, monkeypatch):
+        """The shift of every integer Taylor shift made while the test runs."""
+        seen = []
+        real = ratpoly._taylor_shift
+        monkeypatch.setattr(ratpoly, "_taylor_shift", lambda ints, b: seen.append(b) or real(ints, b))
+        return seen
+
+    def test_no_taylor_shift_on_a_gp(self, shifts):
+        # building, validating and reporting a G/P (residual 1) shifts nothing
         for t in all_simple_types(4):
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
-                validate(hilbert_gp(mark(rs, node)))
+                hd = hilbert_gp.__wrapped__(mark(rs, node))
+                validate(hd)
+                strip_report(hd)
         assert shifts == []
+        # a section shifts H by -d once, and its residual once to the center
+        # -iota/2 = -2, which validate and the report then share
         cut = section_step(hilbert_gp(marked("E", 6, 4)), 3, "intersection")
-        assert cut.residual.degree > 0
-        shifts.clear()
         validate(cut)
-        assert shifts == [-cut.index]
+        strip_report(cut)
+        assert (cut.index, cut.residual.degree, shifts) == (4, 23, [-3, -2])
+
+    def test_one_shift_per_section_step_and_residual_in_a_sweep(self, shifts, monkeypatch, capsys):
+        made = []
+        step = varieties.section_step
+        monkeypatch.setattr(varieties, "section_step", lambda *a: made.append(step(*a)) or made[-1])
+        hilbert_gp.cache_clear()  # no section memoized by an earlier test
+        assert main(["sweep", "--max-rank", "4", "--max-total-degree", "2", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        residuals = sum(hd.residual.degree >= 1 for hd in made)
+        assert 0 < residuals < len(made)
+        assert len(shifts) == len(made) + residuals
+
+    def test_a_residual_with_no_center_fails_the_mirror(self):
+        # 1 + z^3 is symmetric about no point: validate refuses it, and the
+        # report, which reuses the same split, finds no line either
+        hd = HilbertData("no centre", 3, 1, [], RatPoly((1, 0, 0, 1)))
+        assert hd.split is None
+        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
+            validate(hd)
+        rep = strip_report(hd)
+        assert (rep.residual_on_line, rep.residual_line) == ("violated", None)
 

@@ -96,8 +96,10 @@ class TestGeneration:
                     assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
 
     def test_invalid_types(self):
-        # each message names the ranks its series allows
-        for series, rank, allowed in [("B", 1, ">= 2"), ("C", 1, ">= 3"), ("D", 2, ">= 4"),
+        # each message names the ranks its series allows, and C1 and D2 the
+        # alias below that range
+        for series, rank, allowed in [("B", 1, ">= 2"), ("C", 1, ">= 3 (C2 is read as B2)"),
+                                      ("D", 2, ">= 4 (D3 is read as A3)"),
                                       ("E", 5, "6 to 8"), ("E", 9, "6 to 8"), ("F", 3, "4"),
                                       ("F", 5, "4"), ("G", 3, "2"), ("A", 0, ">= 1")]:
             message = f"invalid type {series}{rank}: rank must be {allowed}"

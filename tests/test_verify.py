@@ -50,6 +50,11 @@ class TestCheckLine:
         assert line.status == "certified"
 
 
+def certify(p, radius2):
+    """_certify on p's one split, as check_line takes it."""
+    return _certify(symmetric_split(p), radius2)
+
+
 def around_half(*factors):
     """p(z) = q((z + 1/2)^2) for q the product of the given factors of u."""
     q = RatPoly.one()
@@ -71,7 +76,7 @@ class TestCertifyMultipleRoots:
     def test_double_root_at_r2(self):
         # q = (u - r^2)^2 (u + 1): roots -1 (on the line) and r^2 (a real
         # pair at the segment's ends), so the segment holds with contact
-        line, segment = _certify(around_half(P(-self.R2, 1) ** 2, P(1, 1)), self.R2)
+        line, segment = certify(around_half(P(-self.R2, 1) ** 2, P(1, 1)), self.R2)
         assert line.center == Fraction(-1, 2)
         assert line.status == "violated" and line.certificates[0].count == 1
         assert segment.status == "certified" and segment.segment_boundary
@@ -80,34 +85,43 @@ class TestCertifyMultipleRoots:
         # q = (u - r^2)^2 (u - 2 r^2): every term of the chain vanishes at
         # r^2, and the root beyond it must still be seen
         p = around_half(P(-self.R2, 1) ** 2, P(-2 * self.R2, 1))
-        _, segment = _certify(p, self.R2)
+        _, segment = certify(p, self.R2)
         assert segment.status == "violated" and segment.segment_boundary
         assert segment.certificates[0].count == 1
 
     def test_double_root_at_zero(self):
         # q = u^2 (u + 1): a double root on the line's center, certified
-        line, segment = _certify(around_half(P(0, 1) ** 2, P(1, 1)), self.R2)
+        line, segment = certify(around_half(P(0, 1) ** 2, P(1, 1)), self.R2)
         assert line.status == "certified" and line.certificates[0].count == 2
         assert segment.status == "certified" and not segment.segment_boundary
         assert segment.segment_pairs == 0
         # q = u^2 (u - r^2/2): the root u = r^2/2 leaves the line but stays
         # in the segment, so the line check fails and the segment holds
         p = around_half(P(0, 1) ** 2, P(-self.R2 / 2, 1))
-        line, segment = _certify(p, self.R2)
+        line, segment = certify(p, self.R2)
         assert line.status == "violated" and line.certificates[0].count == 1
         assert segment.status == "certified" and segment.segment_pairs == 1
         assert not segment.segment_boundary
 
     def test_one_taylor_shift_per_residual(self, monkeypatch):
-        # the shift that finds the center also decides the symmetry and gives q
+        # the shift that finds the center also decides the symmetry and gives
+        # q, and _certify, which takes that split, shifts nothing more
         shifted = []
         shift = RatPoly.compose_affine
         monkeypatch.setattr(
             RatPoly, "compose_affine", lambda p, a, b: shifted.append(p) or shift(p, a, b)
         )
         p = around_half(P(0, 1) ** 2, P(-self.R2 / 2, 1))
-        _certify(p, self.R2)
+        certify(p, self.R2)
         assert shifted == [p]
+        shifted.clear()
+        check_line(p)
+        assert shifted == [p]
+        # a report certifies its residual's split, taken when the object was built
+        hd = HilbertData("by hand", p.degree, 1, [], p)
+        shifted.clear()
+        assert strip_report(hd).residual_line == Fraction(-1, 2)
+        assert shifted == []
 
 
 def geometric_roots(n):
@@ -160,7 +174,7 @@ class TestAlternation:
         p = around_half(*geometric_roots(self.N), P(-self.R2 / 2, 1))
         q = symmetric_split(p)[1]
         assert verify._alternating_points(q) is not None
-        want = _certify(p, self.R2)
+        want = certify(p, self.R2)
         assert want[1].status == "certified" and want[1].segment_pairs == 1
 
         def proposer(ints):
@@ -176,7 +190,7 @@ class TestAlternation:
 
         monkeypatch.setattr(verify, "_aberth", proposer)
         assert verify._alternating_points(q) is None
-        assert _certify(p, self.R2) == want
+        assert certify(p, self.R2) == want
 
     def test_a_complex_pair_gives_up_within_the_cap(self, monkeypatch):
         # a conjugate pair at -1/2 +- i among well-separated real roots: the
@@ -195,7 +209,7 @@ class TestAlternation:
         monkeypatch.setattr(verify, "_aberth", counted)
         assert verify._alternating_points(q) is None
         assert 0 < len(sweeps) < verify.CERTIFY_SWEEPS
-        line, segment = _certify(p, self.R2)
+        line, segment = certify(p, self.R2)
         assert line.status == segment.status == "violated"
         assert line.certificates[0].count == segment.certificates[0].count == self.N
 
