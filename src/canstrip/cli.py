@@ -68,10 +68,10 @@ def _parse_type(type_str: str, rank: Optional[int]) -> tuple[str, int]:
 
 def _parse_degrees(text: str) -> list[int]:
     try:
-        degrees = [int(part) for part in text.split(",") if part.strip()]
+        degrees = [int(part) for part in text.split(",")]  # int("") refuses an empty entry
     except ValueError as exc:
         raise ValueError(f"bad degree list {text!r}") from exc
-    if not degrees or any(d < 1 for d in degrees):
+    if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive integers")
     return degrees
 

@@ -7,11 +7,12 @@ sections and the expansion all run on integers.  The polynomial itself is the
 product of the factors ((l*z + k)/k)^h times a residual factor, multiplied
 out once per object (on a G/P by one Kronecker-substituted big-int product;
 a section keeps the H(z) -/+ H(z-d) it divided), while the section/cover
-recursion uses the tables.  `validate` checks the anticanonical symmetry on
-the residual's one split, which `verify.strip_report` certifies, since the
-table symmetry (S) gives it to the factors.
-A `HilbertData` is frozen, so `hilbert_gp` can hand the same object to every
-caller of a mark.
+recursion uses the tables.  Every `HilbertData` is validated once, when it
+is built, and refuses arguments that break an invariant; `validate` checks
+the anticanonical symmetry on the residual's one split, which
+`verify.strip_report` certifies, since the table symmetry (S) gives it to
+the factors.  A `HilbertData` is frozen, so `hilbert_gp` can hand the same
+object to every caller of a mark.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ class HilbertData(Record):
     `sections` memoizes this object's hypersurface sections by degree for
     `complete_intersection`.  None of the three takes part in equality.
     `simply_laced` (all root lengths equal) makes (U) a theorem.
+    Construction runs `validate`, so a broken object is never built.
     """
 
     _fields = ("description", "dim", "index", "levels", "residual", "simply_laced")
@@ -125,12 +127,13 @@ class HilbertData(Record):
 
 
 def _carrying(poly: RatPoly, *fields, hd: Optional[HilbertData] = None) -> HilbertData:
-    """A HilbertData of `fields` (filled into `hd`, if given) whose expansion `poly` is at hand."""
+    """The HilbertData of `fields` (into `hd`, if given) with expansion `poly`, validated."""
     hd = object.__new__(HilbertData) if hd is None else hd
     hd._fill(*fields)
     _set(hd, "poly", poly)
     _set(hd, "split", symmetric_split(hd.residual) if hd.residual.degree else None)
     _set(hd, "sections", {})
+    validate(hd)
     return hd
 
 
@@ -149,7 +152,7 @@ def degree_of(hd: HilbertData) -> int:
 
 
 def validate(hd: HilbertData) -> None:
-    """Assert the structural invariants.
+    """Assert the structural invariants (once per object, from `_carrying`).
 
     Symmetry of every table (unimodality too, for simply-laced marks), the
     expected degree, the anticanonical symmetry H(-iota-z) = (-1)^dim H(z),
@@ -194,7 +197,7 @@ def validate(hd: HilbertData) -> None:
 
 @lru_cache(maxsize=1)
 def hilbert_gp(ms: MarkedSystem) -> HilbertData:
-    """The factored Hilbert polynomial of the ample generator on G/P.
+    """The factored, validated Hilbert polynomial of the ample generator on G/P.
 
     Cached for the last mark asked for: a sweep visits each mark's cases one
     after another, and they share this object and its memoized sections.
@@ -202,12 +205,10 @@ def hilbert_gp(ms: MarkedSystem) -> HilbertData:
     # the keys come in increasing order, and `mark` has asserted through
     # `extremal_roots` that each level's extremal keys sum to l * iota
     tables = [LevelTable(l, ms.d_den, dict(Counter(keys))) for l, keys in ms.pairings.items()]
-    hd = HilbertData(
+    return HilbertData(
         description=ms.description,
         dim=ms.dim,
         index=ms.index,
         levels=tables,
         simply_laced=len(set(ms.d_num)) == 1,
     )
-    validate(hd)
-    return hd

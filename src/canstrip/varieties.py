@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .hilbert import HilbertData, LevelTable, _carrying, expand, hilbert_gp, multiply_linear, validate
+from .hilbert import HilbertData, LevelTable, _carrying, expand, hilbert_gp, multiply_linear
 from .ratpoly import ConsistencyError, RatPoly, Record
 from .root_system import MarkedSystem
 
@@ -23,8 +23,8 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
     Per level, the new exponent at k is min(h_k, h_{k+l*d}): those factors
     divide both H(z) and H(z-d), and the residual is the exact quotient of
     H(z) -/+ H(z-d) by them.  A non-zero remainder means the kept factors do
-    not divide, and is the step's reconstruction check.
-    `description` names the result, by default after hd and d.
+    not divide, and is the step's reconstruction check; building the result
+    validates it.  `description` names the result, by default after hd and d.
     """
     if kind not in ("intersection", "cover"):
         raise ValueError(f"unknown section kind {kind!r}")
@@ -60,9 +60,7 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
         op = "+" if sign > 0 else "-"
         raise ConsistencyError(f"{desc}: factored form does not reconstruct H(z) {op} H(z-d)")
     # the quotient reconstructs target exactly, so target is the expansion
-    out = _carrying(target, desc, new_dim, hd.index - d, tuple(new_tables), residual, hd.simply_laced)
-    validate(out)
-    return out
+    return _carrying(target, desc, new_dim, hd.index - d, tuple(new_tables), residual, hd.simply_laced)
 
 
 def complete_intersection(ms: MarkedSystem, degrees: list[int]) -> HilbertData:

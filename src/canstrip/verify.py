@@ -22,9 +22,8 @@ from functools import partial
 from math import lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .hilbert import HilbertData, expand
+from .hilbert import HilbertData
 from .ratpoly import (
-    ConsistencyError,
     RatPoly,
     SturmCertificate,
     _from_integer,
@@ -436,16 +435,19 @@ class StripReport(NamedTuple):
 def strip_report(hd: HilbertData) -> StripReport:
     """Extract exact rational roots, certify the residual, decide verdicts.
 
+    `hd` was validated when it was built, so its residual R is symmetric
+    about -iota/2 and its split `hd.split` exists whenever deg R >= 1.
     For a positive index, every level factor (l*z + k) contributes the
     anticanonical root -k/(l*iota) with its table multiplicity, and the
     residual is certified on the line Re(z) = -1/2, allowing real pairs
     inside the closed strip segment (the tight-strip dichotomy; the allowance
-    degenerates to the bare line for iota 1 and 2); the residual's split
-    `hd.split` is rescaled to that variable, with no shift.  For iota <= 0
-    the whole polynomial sits in the residual and only the line hypothesis
-    applies, about the polynomial's own symmetry center in the L-variable.
+    degenerates to the bare line for iota 1 and 2); the split is rescaled to
+    that variable, with no shift.  For iota <= 0, (S) admits no table, so the
+    whole polynomial is the residual and only the line hypothesis applies,
+    about its symmetry center -iota/2 in the L-variable.
     """
-    iota = hd.index
+    iota, res, found = hd.index, hd.residual, hd.split
+    D, radius2 = 1, Fraction(0)
     roots: dict[int, int] = {}
     if iota > 0:
         # the root -k/(l*iota) of a factor (l*z + k), k = n/q, is -n*(D/(l*q*iota))
@@ -455,29 +457,17 @@ def strip_report(hd: HilbertData) -> StripReport:
             step = D // (table.level * table.den * iota)
             for n, h in table.counts.items():
                 roots[-n * step] = roots.get(-n * step, 0) + h
-        res, found = hd.residual, hd.split
-        if sum(roots.values()) + max(res.degree, 0) != hd.dim:
-            raise ConsistencyError(
-                f"{hd.description}: rational multiplicities plus residual degree "
-                f"miss the dimension {hd.dim}"
-            )
         if found:  # R(iota*z) = iota^eps * w^eps * q(iota^2 * w^2) with w = z - c/iota
             c, q = found
             ints = [a * iota ** (2 * i) for i, a in enumerate(q.ints)]
             found = c / iota, _from_integer(ints, q.content * iota ** (res.degree % 2))
         # the squared half-width of the tight segment, (1/2 - 1/iota)^2
         radius2 = Fraction((iota - 2) ** 2, 4 * iota**2) if iota > 2 else Fraction(0)
-    else:
-        D, res, radius2 = 1, expand(hd), Fraction(0)
-        # with no tables left, as on every section and cover here, res is R
-        found = symmetric_split(res) if hd.levels else hd.split
     numerators = sorted(roots)
     res_roots = res.degree >= 1
     line = dichotomy = LineCheck("not_applicable", None)
     if res_roots:
         line, dichotomy = _certify(found, radius2)
-    if iota > 0 and line.status != "not_applicable" and line.center != Fraction(-1, 2):
-        line = dichotomy = LineCheck("violated", line.center)
     verdicts: dict[str, str] = {}
     witnesses: dict[str, str] = {}
 

@@ -556,10 +556,13 @@ def test_digits_below_one_are_refused_before_any_work(capsys, tmp_path, name, fm
     (("gp", "--type", "C1", "--node", "1"), "invalid type C1: rank must be >= 3 (C2 is read as B2)"),
     (("gp", "--type", "D2", "--node", "1"), "invalid type D2: rank must be >= 4 (D3 is read as A3)"),
     (("ci", "--type", "A2", "--node", "1", "--degrees", "0"), "degrees must be positive"),
+    (("ci", "--type", "A2", "--node", "1", "--degrees", "1,,2"), "bad degree list '1,,2'"),
+    (("ci", "--type", "A2", "--node", "1", "--degrees", "2,"), "bad degree list '2,'"),
     (("sweep", "--max-rank", "2", "--jobs", "0"), "--jobs must be >= 1"),
     (("sweep", "--max-rank", "2", "--max-codim", "-1"), "sweep bounds must be non-negative"),
     (("sweep", "--max-rank", "2", "--series", "H"), "unknown series ['H']"),
-], ids=["E9", "F5", "B1", "C1", "D2", "degrees 0", "jobs 0", "max-codim -1", "series H"])
+], ids=["E9", "F5", "B1", "C1", "D2", "degrees 0", "degrees 1,,2", "degrees 2,", "jobs 0",
+        "max-codim -1", "series H"])
 def test_refusal_is_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from canstrip import ratpoly, varieties
+from canstrip import hilbert, ratpoly, varieties
 from canstrip.cli import main
 from canstrip.hilbert import (
     HilbertData,
@@ -14,11 +14,11 @@ from canstrip.hilbert import (
     multiply_linear,
     validate,
 )
-from canstrip.ratpoly import ConsistencyError, RatPoly
+from canstrip.ratpoly import ConsistencyError, RatPoly, symmetric_split
 from canstrip.root_system import all_simple_types, build_root_system, mark, marked, rho_pair
 
 from canstrip.varieties import complete_intersection, double_cover, section_step
-from canstrip.verify import strip_report
+from canstrip.verify import check_line, strip_report
 
 from oracles import binom_poly, pcompose_affine, peval, pmul
 
@@ -142,9 +142,8 @@ class TestCrossChecks:
 
 class TestValidate:
     def test_symmetry_violation_detected(self):
-        hd = HilbertData("broken", 2, 2, [LevelTable(1, 1, {1: 2, 2: 1})])
         with pytest.raises(ConsistencyError):
-            validate(hd)
+            HilbertData("broken", 2, 2, [LevelTable(1, 1, {1: 2, 2: 1})])
 
     def test_unimodality_gate(self):
         # same shape that real mixed-length marks produce; allowed only there
@@ -154,24 +153,47 @@ class TestValidate:
         assert not hd.simply_laced
 
     def test_wrong_chi_detected(self):
-        hd = HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
         with pytest.raises(ConsistencyError):
-            validate(hd)
+            HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
 
     def test_chi_alone_detected(self):
         # 2(z + 1) on P^1 with index 2: symmetric and integer-valued, chi = 2
-        hd = HilbertData("broken", 1, 2, [], RatPoly((2, 2)))
         with pytest.raises(ConsistencyError, match="chi"):
-            validate(hd)
-        hd = HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
+            HilbertData("broken", 1, 2, [], RatPoly((2, 2)))
         with pytest.raises(ConsistencyError, match="anticanonical symmetry"):
-            validate(hd)
+            HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
 
     def test_non_integer_value_detected(self):
         # (z + 1)/2 on P^1: right degree and anticanonical symmetry, H(0) = 1/2
-        hd = HilbertData("broken", 1, 2, [LevelTable(1, 1, {1: 1})], RatPoly.const(Fraction(1, 2)))
         with pytest.raises(ConsistencyError, match="is not an integer"):
-            validate(hd)
+            HilbertData("broken", 1, 2, [LevelTable(1, 1, {1: 1})], RatPoly.const(Fraction(1, 2)))
+
+    def test_each_object_is_validated_once_when_it_is_built(self, monkeypatch, capsys):
+        # every construction ends in _carrying, which validates what it built;
+        # nothing else validates, so strip_report re-checks nothing
+        built, checked, inside = [], [], []
+        carrying, check = hilbert._carrying, hilbert.validate
+
+        def spy_carrying(*args, **kwargs):
+            inside.append(True)
+            try:
+                built.append(carrying(*args, **kwargs))
+            finally:
+                inside.pop()
+            return built[-1]
+
+        def spy_validate(hd):
+            checked.append((hd, bool(inside)))
+            check(hd)
+
+        monkeypatch.setattr(hilbert, "_carrying", spy_carrying)
+        monkeypatch.setattr(varieties, "_carrying", spy_carrying)
+        monkeypatch.setattr(hilbert, "validate", spy_validate)
+        hilbert_gp.cache_clear()  # no object left over from an earlier test
+        assert main(["sweep", "--max-rank", "4", "--max-total-degree", "2", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert built and [hd for hd, _ in checked] == built
+        assert all(during for _, during in checked)
 
 
 class TestIntegerKernel:
@@ -203,18 +225,24 @@ class TestIntegerKernel:
             with pytest.raises(ValueError, match="must be positive"):
                 LevelTable(level, 1, counts)
         # numerators over den: the factor ((l*z + k)/k)^h for k = n/den
+        def factor_product(tables):
+            want = [Fraction(1)]
+            for t in tables:
+                for k, h in t.exponents.items():
+                    for _ in range(h):
+                        want = pmul(want, [Fraction(1), t.level / k])
+            return want
+
         tables = [LevelTable(2, 4, {6: 2, 5: 1}), LevelTable(3, 3, {2: 1, 7: 3})]
         assert tables[0].den == 4 and tables[1].den == 3
-        want = [Fraction(1)]
-        for t in tables:
-            for k, h in t.exponents.items():
-                for _ in range(h):
-                    want = pmul(want, [Fraction(1), t.level / k])
-        assert list(multiply_linear(tables).coeffs) == want
-        # a residual built by hand multiplies the factor product out once more
-        base = RatPoly((Fraction(1, 2), Fraction(-3)))
-        want = pmul(list(base.coeffs), want)
-        assert list(HilbertData("by hand", 8, 1, tables, base).poly.coeffs) == want
+        assert list(multiply_linear(tables).coeffs) == factor_product(tables)
+        # a section rebuilt by hand from its fields multiplies its residual by
+        # the factor product, and so recovers the H(z) - H(z-d) the step divided
+        cut = complete_intersection(marked("B", 3, 2), [1])
+        assert cut.levels[0].den == 2 and cut.residual.degree == 3
+        rebuilt = HilbertData(cut.description, cut.dim, cut.index, cut.levels, cut.residual, cut.simply_laced)
+        assert rebuilt == cut and rebuilt.poly == cut.poly
+        assert list(rebuilt.poly.coeffs) == pmul(list(cut.residual.coeffs), factor_product(cut.levels))
 
     def test_expansion_is_stored_once_and_its_sources_are_fixed(self):
         hd = hilbert_gp(marked("B", 3, 2))
@@ -311,12 +339,11 @@ class TestAnticanonicalMirror:
         assert len(shifts) == len(made) + residuals
 
     def test_a_residual_with_no_center_fails_the_mirror(self):
-        # 1 + z^3 is symmetric about no point: validate refuses it, and the
-        # report, which reuses the same split, finds no line either
-        hd = HilbertData("no centre", 3, 1, [], RatPoly((1, 0, 0, 1)))
-        assert hd.split is None
+        # 1 + z^3 is symmetric about no point: construction refuses it, and
+        # the line check of the bare polynomial finds no line either
+        assert symmetric_split(RatPoly((1, 0, 0, 1))) is None
         with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
-            validate(hd)
-        rep = strip_report(hd)
-        assert (rep.residual_on_line, rep.residual_line) == ("violated", None)
+            HilbertData("no centre", 3, 1, [], RatPoly((1, 0, 0, 1)))
+        line = check_line(RatPoly((1, 0, 0, 1)))
+        assert (line.status, line.center, line.certificates) == ("violated", None, ())
 

@@ -464,7 +464,7 @@ SMALL_TYPES = ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "C2", "D3",
 # mostly valid values, with a bad one now and then
 nodes = st.sampled_from(["1", "2", "3", "4"] * 3 + ["0", "-1", "9", "x", "", "1.5"])
 degree_text = st.sampled_from(
-    ["1", "2", "3", "1,1", "1,2", "2,3", "1,1,2"] * 2 + ["0", "-1,2", "a", ",,"]
+    ["1", "2", "3", "1,1", "1,2", "2,3", "1,1,2"] * 2 + ["0", "-1,2", "a", ",,", "1,,2"]
 )
 coeff_text = st.lists(
     st.sampled_from(

@@ -82,8 +82,12 @@ def test_hilbert_data_equality_ignores_poly_and_sections():
     object.__setattr__(other, "poly", RatPoly.zero())
     assert other == fresh
     assert isinstance(fresh.levels, tuple)
-    assert HilbertData("x", 1, 1) != HilbertData("y", 1, 1)
-    assert HilbertData("x", 1, 1) != HilbertData("x", 1, 1, residual=RatPoly((1, 1)))
+    assert HilbertData("x", 0, 1) != HilbertData("y", 0, 1)
+    # P^1 with its factor in a table, or left in the residual: one expansion,
+    # but not the same factored form
+    by_table = HilbertData("x", 1, 2, [LevelTable(1, 1, {1: 1})])
+    by_residual = HilbertData("x", 1, 2, [], RatPoly((1, 1)))
+    assert by_table.poly == by_residual.poly and by_table != by_residual
 
 
 def test_ratpoly_equality_and_hash_follow_the_normal_form():

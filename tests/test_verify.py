@@ -4,7 +4,7 @@ import pytest
 
 from canstrip import verify
 from canstrip.hilbert import HilbertData, LevelTable, expand, hilbert_gp
-from canstrip.ratpoly import RatPoly, symmetric_split
+from canstrip.ratpoly import ConsistencyError, RatPoly, symmetric_split
 from canstrip.root_system import all_simple_types, marked
 from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import _certify, approx_roots, check_line, strip_report
@@ -118,7 +118,7 @@ class TestCertifyMultipleRoots:
         check_line(p)
         assert shifted == [p]
         # a report certifies its residual's split, taken when the object was built
-        hd = HilbertData("by hand", p.degree, 1, [], p)
+        hd = HilbertData("by hand", 2, 1, [], RatPoly((1, 5, 5)))
         shifted.clear()
         assert strip_report(hd).residual_line == Fraction(-1, 2)
         assert shifted == []
@@ -297,23 +297,27 @@ class TestStripReport:
         assert rep.residual_line == Fraction(1)  # -iota/2 with iota = -2
 
     def test_residual_without_a_center(self):
-        # 1 + z^3 has no symmetry center, so the line check fails with no center
-        hd = HilbertData("no center", dim=3, index=-1, residual=P(1, 0, 0, 1))
-        rep = strip_report(hd)
-        assert rep.residual_on_line == "violated" and rep.residual_line is None
+        # 1 + z^3 has no symmetry center, so no object is built on it; a
+        # valid residual of index -1, 5z^2 - 5z + 1, is centered at 1/2 but
+        # has the real roots 1/2 +- sqrt(1/20) off its line
+        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
+            HilbertData("no center", dim=3, index=-1, residual=P(1, 0, 0, 1))
+        rep = strip_report(HilbertData("off the line", dim=2, index=-1, residual=P(1, -5, 5)))
+        assert rep.residual_on_line == "violated" and rep.residual_line == Fraction(1, 2)
         assert rep.verdicts["CL"] == "fails"
         assert rep.witnesses["CL"] == "roots off the symmetry line"
-        assert rep.certificates == []
 
     def test_residual_centered_off_minus_half(self):
         # z^2 + 1 with index 3 is 9z^2 + 1 in the anticanonical variable,
-        # centered at 0 instead of -1/2
-        hd = HilbertData("off center", dim=2, index=3, residual=P(1, 0, 1))
-        rep = strip_report(hd)
-        assert rep.residual_on_line == "violated" and rep.residual_line == 0
-        assert rep.verdicts["CL"] == rep.verdicts["TCS"] == "fails"
-        assert rep.witnesses["CL"] == "residual roots escape the certified region"
-        assert rep.witnesses["TCS"] == "residual roots escape the certified region"
+        # centered at 0 instead of -1/2, so no object is built on it; a valid
+        # residual of index 1, 5z^2 + 5z + 1, is centered at -1/2 but has the
+        # real roots -1/2 +- sqrt(1/20) off the line
+        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
+            HilbertData("off center", dim=2, index=3, residual=P(1, 0, 1))
+        rep = strip_report(HilbertData("off the line", dim=2, index=1, residual=P(1, 5, 5)))
+        assert rep.residual_on_line == "violated" and rep.residual_line == Fraction(-1, 2)
+        assert set(rep.verdicts.values()) == {"fails"}
+        assert set(rep.witnesses.values()) == {"residual roots escape the certified region"}
 
     def test_all_applicable_hold(self):
         assert strip_report(hilbert_gp(marked("A", 3, 1))).all_applicable_hold
