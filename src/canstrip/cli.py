@@ -294,7 +294,7 @@ def cmd_abelian(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read spec file: {exc}") from exc
     poly = abelian_ci(spec)
-    if poly.is_zero:
+    if not poly:
         raise ValueError("the spec produced the zero polynomial")
     plural = "s" if spec.c > 1 else ""
     description = (
@@ -401,8 +401,10 @@ def cmd_sweep(args) -> int:
     if args.node is not None and args.node < 1:
         raise ValueError(f"--node {args.node} is out of range (nodes start at 1)")
     series = None
-    if args.series:
-        series = {s.strip().upper() for s in args.series.split(",") if s.strip()}
+    if args.series is not None:
+        series = {s.strip().upper() for s in args.series.split(",")}
+        if "" in series:
+            raise ValueError(f"bad series list {args.series!r}")
         unknown = series - set("ABCDEFG")
         if unknown:
             raise ValueError(f"unknown series {sorted(unknown)}")

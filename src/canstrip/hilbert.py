@@ -23,7 +23,8 @@ from functools import lru_cache
 from math import factorial, gcd, prod
 from typing import Optional, Sequence
 
-from .ratpoly import ConsistencyError, RatPoly, Record, _from_integer, _scaled_value, _set, symmetric_split
+from .ratpoly import (ConsistencyError, RatPoly, Record, _ONE, _from_integer, _scaled_value, _set,
+                      symmetric_split)
 from .root_system import MarkedSystem
 
 
@@ -33,8 +34,8 @@ class LevelTable(Record):
     A key k is stored as its numerator n = k * den over the table's one
     denominator `den` (1 in the simply-laced case), and `counts` maps the
     numerators, in increasing order, to their multiplicities, all positive.
-    The level and every key (a rho-pairing) are positive; anything else is
-    refused, since `multiply_linear` reads its product back unsigned.
+    The level, `den` and every key (a rho-pairing) are positive; anything
+    else is refused, since `multiply_linear` reads its product back unsigned.
     Construction divides `den` and the numerators by their gcd, so `den` is
     as small as the keys allow and equal tables compare equal.  `exponents`
     is the same table keyed by the rationals k.
@@ -43,8 +44,8 @@ class LevelTable(Record):
     __slots__ = _fields = ("level", "den", "counts")
 
     def __init__(self, level: int, den: int, counts: dict[int, int]) -> None:
-        if level < 1 or min(counts, default=1) <= 0:
-            raise ValueError(f"level {level}: the level and every key must be positive")
+        if level < 1 or den < 1 or min(counts, default=1) <= 0:
+            raise ValueError(f"level {level}: the level, the denominator and every key must be positive")
         g = gcd(den, *counts)
         if g > 1:
             den, counts = den // g, {n // g: h for n, h in counts.items()}
@@ -119,10 +120,10 @@ class HilbertData(Record):
     __slots__ = (*_fields, "poly", "split", "sections")
 
     def __init__(self, description: str, dim: int, index: int, levels: Sequence[LevelTable] = (),
-                 residual: RatPoly = RatPoly.one(), simply_laced: bool = True) -> None:
+                 residual: RatPoly = _ONE, simply_laced: bool = True) -> None:
         levels = tuple(levels)
         poly = multiply_linear(levels)
-        poly = poly if residual == RatPoly.one() else residual * poly
+        poly = poly if residual == _ONE else residual * poly
         _carrying(poly, description, dim, index, levels, residual, simply_laced, hd=self)
 
 

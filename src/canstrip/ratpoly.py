@@ -7,8 +7,9 @@ equality and hashing compare it directly, and every kernel (products, sums,
 shifts, evaluation, pseudo-division and the Sturm chains built on it, whose
 last term is gcd(p, p')) multiplies and adds plain integers and never reduces
 a fraction.  `coeffs`, the `Fraction` coefficients, is derived on demand only
-for printing.
-Every operation is exact; floats never enter any verdict-relevant path.
+for printing.  `RatPoly` has only the operations the pipeline runs: sums,
+products by a polynomial or a scalar, evaluation, affine substitution and
+division, all exact; floats never enter any verdict-relevant path.
 """
 
 from __future__ import annotations
@@ -72,31 +73,11 @@ class RatPoly(Record):
         p = _from_integer([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
         self._fill(p.ints, p.content)
 
-    @classmethod
-    def const(cls, c: Scalar) -> RatPoly:
-        return cls((c,))
-
-    @classmethod
-    def zero(cls) -> RatPoly:
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> RatPoly:
-        return _ONE
-
-    @classmethod
-    def variable(cls) -> RatPoly:
-        return _raw((0, 1), Fraction(1))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest degree first, built on each read."""
         num, den = self.content.numerator, self.content.denominator
         return tuple(Fraction(v * num, den) for v in self.ints)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.ints
 
     @property
     def degree(self) -> int:
@@ -112,9 +93,6 @@ class RatPoly(Record):
     def __bool__(self) -> bool:
         return bool(self.ints)
 
-    def __neg__(self) -> RatPoly:
-        return _raw(tuple([-v for v in self.ints]), self.content)
-
     def __add__(self, other: RatPoly) -> RatPoly:
         # both contents over one denominator; a zero summand has content 0
         a, ca, b, cb = self.ints, self.content, other.ints, other.content
@@ -126,9 +104,6 @@ class RatPoly(Record):
         for i, v in enumerate(b):
             out[i] += v * mb
         return _from_integer(out, Fraction(1, den))
-
-    def __sub__(self, other: RatPoly) -> RatPoly:
-        return self + (-other)
 
     def __mul__(self, other: Union[RatPoly, Scalar]) -> RatPoly:
         if isinstance(other, RatPoly):
@@ -145,21 +120,6 @@ class RatPoly(Record):
         return _from_integer(self.ints, self.content * Fraction(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, s: Scalar) -> RatPoly:
-        return self * (Fraction(1) / Fraction(s))
-
-    def __pow__(self, n: int) -> RatPoly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at an int or a Fraction."""
@@ -187,7 +147,7 @@ class RatPoly(Record):
         return _from_integer([c * scale**i for i, c in enumerate(ints)], self.content / den**n)
 
     def __divmod__(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         m, q, r = _pseudo_divmod(self.ints, other.ints)
         return _from_integer(q, self.content / (m * other.content)), _from_integer(r, self.content / m)
@@ -195,15 +155,12 @@ class RatPoly(Record):
     def exact_div(self, other: RatPoly) -> RatPoly:
         """Divide, insisting on zero remainder (factorization consistency)."""
         q, r = divmod(self, other)
-        if not r.is_zero:
+        if r:
             raise ConsistencyError(f"inexact polynomial division, remainder {r}")
         return q
 
-    def monic(self) -> RatPoly:
-        return self if self.is_zero else _from_integer(self.ints, Fraction(1, self.ints[-1]))
-
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self:
             return "0"
         parts = []
         for i, c in reversed(list(enumerate(self.coeffs))):
@@ -377,7 +334,7 @@ def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
     h_i = g_i / g_(i+1) holds the distinct roots of multiplicity > i and
     h_i / h_(i+1) those of multiplicity exactly i + 1 (Musser, JACM 1975).
     """
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial has no square-free decomposition")
     tower = [p]
     while tower[-1].degree > 0:
@@ -388,7 +345,7 @@ def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
     for i, (f, f_next) in enumerate(zip(h, h[1:]), 1):
         factor = f.exact_div(f_next)
         if factor.degree > 0:
-            parts.append((factor.monic(), i))
+            parts.append((_from_integer(factor.ints, Fraction(1, factor.ints[-1])), i))
     return parts
 
 

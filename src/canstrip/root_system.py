@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .ratpoly import Record
+from .ratpoly import ConsistencyError, Record
 
 Root = tuple[int, ...]
 
@@ -115,7 +115,8 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
             if j != i and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * cartan[i][j] / cartan[j][i]
                 todo.append(j)
-    assert all(v is not None for v in d), "Dynkin diagram is not connected"
+    if None in d:
+        raise ConsistencyError("Dynkin diagram is not connected")
     return tuple(d)  # type: ignore[arg-type]
 
 
@@ -216,12 +217,11 @@ def build_root_system(t: SimpleType) -> RootSystem:
     roots = _generate_positive_roots(cartan)
     expected = _SERIES[t.series].count(t.rank)
     if len(roots) != expected:
-        raise AssertionError(f"{t.name}: generated {len(roots)} positive roots, expected {expected}")
+        raise ConsistencyError(f"{t.name}: generated {len(roots)} positive roots, expected {expected}")
     rs = RootSystem(t, cartan, _symmetrizer(cartan), roots)
     d = rs.d_num
-    for i in range(t.rank):
-        for j in range(t.rank):
-            assert d[i] * cartan[i][j] == d[j] * cartan[j][i]
+    if any(d[i] * row[j] != d[j] * cartan[j][i] for i, row in enumerate(cartan) for j in range(i)):
+        raise ConsistencyError(f"{t.name}: the symmetrizer does not make d C symmetric")
     return rs
 
 
@@ -280,7 +280,7 @@ def index_formulas(ms: MarkedSystem) -> tuple[Fraction, Fraction]:
     via_lemma = Fraction(two_rho_x[i] * det, w[i])
     for j in range(ms.rs.rank):
         if two_rho_x[j] * w[i] != two_rho_x[i] * w[j]:
-            raise AssertionError(
+            raise ConsistencyError(
                 f"{ms.description}: sum of positive-level roots is not proportional to omega_0"
             )
     return via_remark, via_lemma
@@ -308,7 +308,8 @@ def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
     w = [row[i] for row in adj]  # det * omega_0
     # (omega_0, a_j^vee) = delta check, directly against every simple coroot
     for j in range(n):
-        assert sum([c * v for c, v in zip(rs.cartan[j], w)]) == (det if j == i else 0)
+        if sum([c * v for c, v in zip(rs.cartan[j], w)]) != (det if j == i else 0):
+            raise ConsistencyError(f"{t.name}/P{node}: (omega_0, alpha_{j + 1}^vee) is not delta")
     omega0 = tuple(Fraction(v, det) for v in w)
 
     levels: dict[int, list[tuple[int, Root]]] = {}
@@ -316,7 +317,8 @@ def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
         if a[i] > 0:
             levels.setdefault(a[i], []).append((key, a))
     lmax = rs.highest_root[i]
-    assert sorted(levels) == list(range(1, lmax + 1)), "empty level in the grading"
+    if sorted(levels) != list(range(1, lmax + 1)):
+        raise ConsistencyError("empty level in the grading")
     dim = sum(len(v) for v in levels.values())
     for v in levels.values():
         v.sort()
@@ -337,7 +339,7 @@ def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
     )
     via_remark, via_lemma = index_formulas(ms)
     if via_remark != via_lemma or via_remark.denominator != 1 or via_remark <= 0:
-        raise AssertionError(
+        raise ConsistencyError(
             f"{ms.description}: index formulas disagree or give a non-positive "
             f"non-integer ({via_remark} vs {via_lemma})"
         )
@@ -359,9 +361,9 @@ def extremal_roots(ms: MarkedSystem, l: int) -> tuple[Root, Root]:
     keys = ms.pairings[l]
     lo, hi = min(keys), max(keys)
     if keys.count(lo) != 1 or keys.count(hi) != 1:
-        raise AssertionError(f"{ms.description}: non-unique extremal root at level {l}")
+        raise ConsistencyError(f"{ms.description}: non-unique extremal root at level {l}")
     if lo + hi != ms.index * l * ms.d_den:
-        raise AssertionError(
+        raise ConsistencyError(
             f"{ms.description}: (rho, beta+gamma) = {Fraction(lo + hi, ms.d_den)} "
             f"!= iota*l = {ms.index * l}"
         )

@@ -10,7 +10,7 @@ quotient by them, with a zero remainder asserted on every step.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .hilbert import HilbertData, LevelTable, _carrying, expand, hilbert_gp, multiply_linear
 from .ratpoly import ConsistencyError, RatPoly, Record
@@ -137,23 +137,23 @@ def abelian_spec_from_json(obj: dict) -> AbelianSpec:
 
 
 def pell(l: int) -> RatPoly:
-    """The difference polynomial z^l - (z-1)^l."""
+    """The difference polynomial z^l - (z-1)^l, by its binomial closed form:
+    the coefficient of z^i is C(l, i) (-1)^(l-i+1) for i < l, so pell(0) = 0."""
     if l < 0:
         raise ValueError("need l >= 0")
-    z = RatPoly.variable()
-    return z**l - RatPoly((Fraction(-1), Fraction(1))) ** l
+    return RatPoly([comb(l, i) * (-1) ** (l - i + 1) for i in range(l)])
 
 
 def abelian_ci(spec: AbelianSpec) -> RatPoly:
     """Koszul-complex Hilbert polynomial of the anticanonical class.
 
-    Sum over exponent tuples of (intersection number)/(l_1! ... l_c!) times
-    the product of the difference polynomials P_{l_i}.
+    Sum over exponent tuples of (intersection number)/(l_1! ... l_c!), one
+    constant term, times the product of the difference polynomials P_{l_i}.
     """
-    out = RatPoly.zero()
+    out = RatPoly()
     for tup, value in spec.numbers:
-        term = RatPoly.const(Fraction(value))
+        term = RatPoly((Fraction(value, prod(map(factorial, tup))),))
         for e in tup:
-            term = term * pell(e) / factorial(e)
+            term = term * pell(e)
         out = out + term
     return out

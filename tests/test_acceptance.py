@@ -123,7 +123,7 @@ def test_criterion_03_tight_strip_for_homogeneous_spaces(capsys):
         for ms in enumerate_marked(8):
             hd = hilbert_gp(ms)
             rep = strip_report(hd)
-            assert hd.residual == RatPoly.one()
+            assert hd.residual == RatPoly((1,))
             lo, hi = Fraction(-1) + Fraction(1, ms.index), Fraction(-1, ms.index)
             total = 0
             for root, mult in rep.rational_roots:

@@ -561,8 +561,10 @@ def test_digits_below_one_are_refused_before_any_work(capsys, tmp_path, name, fm
     (("sweep", "--max-rank", "2", "--jobs", "0"), "--jobs must be >= 1"),
     (("sweep", "--max-rank", "2", "--max-codim", "-1"), "sweep bounds must be non-negative"),
     (("sweep", "--max-rank", "2", "--series", "H"), "unknown series ['H']"),
+    (("sweep", "--max-rank", "2", "--series", "A,,B"), "bad series list 'A,,B'"),
+    (("sweep", "--max-rank", "2", "--series", ","), "bad series list ','"),
 ], ids=["E9", "F5", "B1", "C1", "D2", "degrees 0", "degrees 1,,2", "degrees 2,", "jobs 0",
-        "max-codim -1", "series H"])
+        "max-codim -1", "series H", "series A,,B", "series ,"])
 def test_refusal_is_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

@@ -166,7 +166,7 @@ class TestValidate:
     def test_non_integer_value_detected(self):
         # (z + 1)/2 on P^1: right degree and anticanonical symmetry, H(0) = 1/2
         with pytest.raises(ConsistencyError, match="is not an integer"):
-            HilbertData("broken", 1, 2, [LevelTable(1, 1, {1: 1})], RatPoly.const(Fraction(1, 2)))
+            HilbertData("broken", 1, 2, [LevelTable(1, 1, {1: 1})], RatPoly((Fraction(1, 2),)))
 
     def test_each_object_is_validated_once_when_it_is_built(self, monkeypatch, capsys):
         # every construction ends in _carrying, which validates what it built;
@@ -224,6 +224,10 @@ class TestIntegerKernel:
         for level, counts in ((0, {1: 1}), (1, {0: 1})):
             with pytest.raises(ValueError, match="must be positive"):
                 LevelTable(level, 1, counts)
+        # a denominator below 1 would make the keys n/den negative or undefined
+        for den in (-2, 0, -1):
+            with pytest.raises(ValueError, match="must be positive"):
+                LevelTable(1, den, {1: 1, 3: 1})
         # numerators over den: the factor ((l*z + k)/k)^h for k = n/den
         def factor_product(tables):
             want = [Fraction(1)]

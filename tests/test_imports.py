@@ -63,6 +63,15 @@ def test_no_module_imports_dataclasses(path):
     assert not {m for m in modules if m and m.split(".")[0] == "dataclasses"}, path.name
 
 
+def test_no_check_is_a_bare_assert():
+    """`python -O` strips `assert` statements, so every check in the package
+    raises an exception instead (`ConsistencyError` for a failed identity)."""
+    asserts = [f"{path.name}:{node.lineno}" for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, f"bare asserts: {asserts}"
+
+
 def references(tree):
     """How often each name is read, as a bare name or as an attribute."""
     return Counter(

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from canstrip.hilbert import hilbert_gp
+from canstrip.ratpoly import ConsistencyError
 from canstrip.root_system import (
     RootSystem,
     SimpleType,
+    _symmetrizer,
     all_simple_types,
     build_root_system,
     canonicalize,
@@ -94,6 +96,9 @@ class TestGeneration:
             for i in range(n):
                 for j in range(n):
                     assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+        # A1 x A1: the spread from node 1 never reaches node 2
+        with pytest.raises(ConsistencyError, match="not connected"):
+            _symmetrizer(((2, 0), (0, 2)))
 
     def test_invalid_types(self):
         # each message names the ranks its series allows, and C1 and D2 the
@@ -267,7 +272,7 @@ class TestIndex:
     def test_non_proportional_level_sum_rejected(self):
         ms = marked("A", 3, 2)
         broken = ms._replace(levels={1: tuple(a for a in ms.levels[1] if a != (1, 1, 0))})
-        with pytest.raises(AssertionError, match="not proportional"):
+        with pytest.raises(ConsistencyError, match="not proportional"):
             index_formulas(broken)
 
     def test_formulas_agree_everywhere(self):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -19,7 +20,7 @@ from canstrip.varieties import (
 )
 from canstrip.verify import check_line, strip_report
 
-from oracles import binom_poly, cover_sum, iterated_difference
+from oracles import binom_poly, cover_sum, iterated_difference, padd, pmul
 
 
 def as_ratpoly(coeffs):
@@ -34,7 +35,7 @@ class TestSectionStep:
             assert expand(cut) == expand(plain)
             assert (cut.dim, cut.index) == (plain.dim, plain.index)
             assert [t.exponents for t in cut.levels] == [t.exponents for t in plain.levels]
-            assert cut.residual == plain.residual == RatPoly.one()
+            assert cut.residual == plain.residual == RatPoly((1,))
 
     def test_quadric_surface(self):
         hd = complete_intersection(marked("A", 3, 1), [2])
@@ -66,7 +67,7 @@ class TestSectionStep:
             # out by RatPoly.__mul__
             cut = section_step(hd, d, "intersection")
             factored = cut.residual * multiply_linear(cut.levels)
-            assert expand(cut) == factored == H - H.compose_affine(1, -d)
+            assert expand(cut) == factored == H + (-1) * H.compose_affine(1, -d)
             cov = section_step(hd, d, "cover")
             factored = cov.residual * multiply_linear(cov.levels)
             assert expand(cov) == factored == H + H.compose_affine(1, -d)
@@ -254,8 +255,6 @@ class TestAbelian:
         assert check_line(abelian_ci(spec)).status == "certified"
 
     def test_single_term_matches_direct_formula(self):
-        from math import factorial
-
         for n in range(1, 6):
             spec = AbelianSpec(n, 1, (((n + 1,), 5),))
             want = pell(n + 1) * Fraction(5, factorial(n + 1))
@@ -266,6 +265,19 @@ class TestAbelian:
         poly = abelian_ci(spec)
         assert poly.degree == 2
         assert check_line(poly).status == "certified"
+        # the Koszul sum again, on the oracle's coefficient lists
+        want = []
+        for tup, value in spec.numbers:
+            term = [Fraction(value)]
+            for e in tup:
+                term = pmul(term, [c / factorial(e) for c in iterated_difference([0] * e + [1], [1])])
+            want = padd(want, term)
+        assert list(poly.coeffs) == want
+
+    def test_pell_is_the_difference_of_two_powers(self):
+        # the binomial closed form against z^l - (z-1)^l, the zero polynomial at l = 0
+        for l in range(13):
+            assert list(pell(l).coeffs) == iterated_difference([0] * l + [1], [1])
 
     def test_pell_properties(self):
         for l in range(1, 13):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ class TestCheckLine:
     def test_constant(self):
         assert check_line(P(5)).status == "not_applicable"
         with pytest.raises(ValueError):
-            check_line(RatPoly.zero())
+            check_line(RatPoly())
 
     def test_linear(self):
         line = check_line(P(1, 2))
@@ -57,13 +58,11 @@ def certify(p, radius2):
 
 def around_half(*factors):
     """p(z) = q((z + 1/2)^2) for q the product of the given factors of u."""
-    q = RatPoly.one()
-    for f in factors:
-        q = q * f
+    q = math.prod(factors, start=RatPoly((1,)))
     w2 = P(Fraction(1, 4), 1, 1)  # (z + 1/2)^2
-    p = RatPoly.zero()
+    p = RatPoly()
     for c in reversed(q.coeffs):
-        p = p * w2 + RatPoly.const(c)
+        p = p * w2 + P(c)
     return p
 
 
@@ -76,7 +75,7 @@ class TestCertifyMultipleRoots:
     def test_double_root_at_r2(self):
         # q = (u - r^2)^2 (u + 1): roots -1 (on the line) and r^2 (a real
         # pair at the segment's ends), so the segment holds with contact
-        line, segment = certify(around_half(P(-self.R2, 1) ** 2, P(1, 1)), self.R2)
+        line, segment = certify(around_half(P(-self.R2, 1), P(-self.R2, 1), P(1, 1)), self.R2)
         assert line.center == Fraction(-1, 2)
         assert line.status == "violated" and line.certificates[0].count == 1
         assert segment.status == "certified" and segment.segment_boundary
@@ -84,20 +83,20 @@ class TestCertifyMultipleRoots:
         assert [c.count for c in segment.certificates] == [2]
         # q = (u - r^2)^2 (u - 2 r^2): every term of the chain vanishes at
         # r^2, and the root beyond it must still be seen
-        p = around_half(P(-self.R2, 1) ** 2, P(-2 * self.R2, 1))
+        p = around_half(P(-self.R2, 1), P(-self.R2, 1), P(-2 * self.R2, 1))
         _, segment = certify(p, self.R2)
         assert segment.status == "violated" and segment.segment_boundary
         assert segment.certificates[0].count == 1
 
     def test_double_root_at_zero(self):
         # q = u^2 (u + 1): a double root on the line's center, certified
-        line, segment = certify(around_half(P(0, 1) ** 2, P(1, 1)), self.R2)
+        line, segment = certify(around_half(P(0, 0, 1), P(1, 1)), self.R2)
         assert line.status == "certified" and line.certificates[0].count == 2
         assert segment.status == "certified" and not segment.segment_boundary
         assert segment.segment_pairs == 0
         # q = u^2 (u - r^2/2): the root u = r^2/2 leaves the line but stays
         # in the segment, so the line check fails and the segment holds
-        p = around_half(P(0, 1) ** 2, P(-self.R2 / 2, 1))
+        p = around_half(P(0, 0, 1), P(-self.R2 / 2, 1))
         line, segment = certify(p, self.R2)
         assert line.status == "violated" and line.certificates[0].count == 1
         assert segment.status == "certified" and segment.segment_pairs == 1
@@ -111,7 +110,7 @@ class TestCertifyMultipleRoots:
         monkeypatch.setattr(
             RatPoly, "compose_affine", lambda p, a, b: shifted.append(p) or shift(p, a, b)
         )
-        p = around_half(P(0, 1) ** 2, P(-self.R2 / 2, 1))
+        p = around_half(P(0, 0, 1), P(-self.R2 / 2, 1))
         certify(p, self.R2)
         assert shifted == [p]
         shifted.clear()
