@@ -24,7 +24,9 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
     divide both H(z) and H(z-d), and the residual is the exact quotient of
     H(z) -/+ H(z-d) by them.  A non-zero remainder means the kept factors do
     not divide, and is the step's reconstruction check; building the result
-    validates it.  `description` names the result, by default after hd and d.
+    validates it.  H(z) is hd's expansion, which a G/P multiplies out on this
+    first read and keeps for its other steps.  `description` names the
+    result, by default after hd and d.
     """
     if kind not in ("intersection", "cover"):
         raise ValueError(f"unknown section kind {kind!r}")

@@ -94,6 +94,16 @@ def peval(p, x):
     return acc
 
 
+def factored_value(exponents, x):
+    """prod ((l*x + k)/k)^h over [(l, {k: h})], one Fraction factor at a time."""
+    value = Fraction(1)
+    for level, table in exponents:
+        for k, h in table.items():
+            for _ in range(h):
+                value *= (level * x + k) / k
+    return value
+
+
 def binom_poly(n):
     """C(z + n, n) as a coefficient list."""
     out = [Fraction(1)]

@@ -20,7 +20,7 @@ from canstrip.root_system import all_simple_types, build_root_system, mark, mark
 from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import check_line, strip_report
 
-from oracles import binom_poly, pcompose_affine, peval, pmul
+from oracles import binom_poly, factored_value, pcompose_affine, peval, pmul
 
 E6_P4_TABLES = {
     1: {1: 1, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
@@ -163,10 +163,22 @@ class TestValidate:
         with pytest.raises(ConsistencyError, match="anticanonical symmetry"):
             HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
 
-    def test_non_integer_value_detected(self):
+    def test_non_integer_value_detected(self, monkeypatch):
+        # both are refused from the tables alone, with no product taken
+        calls = []
+        monkeypatch.setattr(hilbert, "multiply_linear", lambda t: calls.append(t))
         # (z + 1)/2 on P^1: right degree and anticanonical symmetry, H(0) = 1/2
         with pytest.raises(ConsistencyError, match="is not an integer"):
             HilbertData("broken", 1, 2, [LevelTable(1, 1, {1: 1})], RatPoly((Fraction(1, 2),)))
+        # (z + 1)(z + 3)/3 with index 4: symmetric, unimodal and of degree 2
+        with pytest.raises(ConsistencyError, match=r"H\(-2\) = -1/3 is not an integer"):
+            HilbertData("broken", 2, 4, [LevelTable(1, 1, {1: 1, 3: 1})])
+        assert calls == []
+
+    def test_unimodality_reads_the_keys_in_order(self):
+        # a table given its keys out of order is the same table, and is unimodal
+        hd = HilbertData("x", 4, 4, [LevelTable(1, 1, {2: 2, 1: 1, 3: 1})])
+        assert hd == HilbertData("x", 4, 4, [LevelTable(1, 1, {1: 1, 2: 2, 3: 1})])
 
     def test_each_object_is_validated_once_when_it_is_built(self, monkeypatch, capsys):
         # every construction ends in _carrying, which validates what it built;
@@ -228,6 +240,11 @@ class TestIntegerKernel:
         for den in (-2, 0, -1):
             with pytest.raises(ValueError, match="must be positive"):
                 LevelTable(1, den, {1: 1, 3: 1})
+        # so would a multiplicity below 1 make a factor a constant or a
+        # quotient, and one that is not an int a power `validate` cannot take
+        for h in (0, -1, 2.0):
+            with pytest.raises(ValueError, match="level 1: .* every multiplicity a positive integer"):
+                LevelTable(1, 1, {1: h, 3: h})
         # numerators over den: the factor ((l*z + k)/k)^h for k = n/den
         def factor_product(tables):
             want = [Fraction(1)]
@@ -255,6 +272,60 @@ class TestIntegerKernel:
         for name in ("levels", "residual", "poly"):
             with pytest.raises(AttributeError):
                 setattr(hd, name, getattr(hd, name))
+
+
+class TestFactoredForm:
+    """A G/P is validated and reported from its tables, and multiplied out
+    only when its expansion is read."""
+
+    def test_a_gp_is_multiplied_out_on_its_first_read(self, monkeypatch):
+        calls = []
+        real = hilbert.multiply_linear
+        monkeypatch.setattr(hilbert, "multiply_linear", lambda t: calls.append(t) or real(t))
+        hd = hilbert_gp.__wrapped__(marked("E", 8, 4))
+        assert degree_of(hd) > 0 and strip_report(hd).verdicts
+        assert calls == [] and hd._poly is None
+        assert expand(hd) is hd.poly is expand(hd)
+        assert len(calls) == 1
+
+    def test_factored_values_and_degree_match_the_expansion(self):
+        # every G/P up to rank 10: H(k) on the validation window and the
+        # degree, from the tables, against the expansion by Fraction Horner
+        count = 0
+        for t in all_simple_types(10):
+            rs = build_root_system(t)
+            for node in range(1, t.rank + 1):
+                hd = hilbert_gp.__wrapped__(mark(rs, node))
+                values, den = hilbert._window_values(hd)
+                degree = degree_of(hd)
+                assert hd._poly is None
+                exponents = [(table.level, table.exponents) for table in hd.levels]
+                want = [factored_value(exponents, k) for k in hilbert._WINDOW]
+                assert [Fraction(v, den) for v in values] == want, hd.description
+                H = list(expand(hd).coeffs)
+                assert [peval(H, k) for k in hilbert._WINDOW] == want, hd.description
+                assert degree == factorial(hd.dim) * H[-1], hd.description
+                count += 1
+        assert count == 237
+
+    def test_a_section_reads_its_expansion_and_its_tables_agree(self):
+        # a section validates from the expansion its step divided; the same
+        # fields built by hand carry none and validate from R times the kept
+        # factors; both give the expansion's values, and degree_of the degree
+        for t in all_simple_types(4):
+            for node in range(1, t.rank + 1):
+                gp = hilbert_gp.__wrapped__(marked(t.series, t.rank, node))
+                for d, kind in ((1, "intersection"), (2, "intersection"), (2, "cover")):
+                    hd = section_step(gp, d, kind)
+                    bare = HilbertData(hd.description, hd.dim, hd.index, hd.levels, hd.residual,
+                                       hd.simply_laced)
+                    H = list(hd.poly.coeffs)
+                    want = [peval(H, k) for k in hilbert._WINDOW]
+                    for obj in (hd, bare):
+                        values, den = hilbert._window_values(obj)
+                        assert [Fraction(v, den) for v in values] == want, hd.description
+                    assert bare._poly is None and bare == hd
+                    assert degree_of(hd) == factorial(hd.dim) * H[-1], hd.description
 
 
 def assert_factored(hd, parent, d, sign):

@@ -69,6 +69,7 @@ def test_level_table_normalizes_its_keys():
     assert (table.den, table.counts) == (1, {1: 1, 2: 1})
     assert LevelTable(1, 2, {1: 1}) != LevelTable(1, 1, {1: 1})
     assert LevelTable(1, 6, {3: 2, 9: 1}).exponents == {Fraction(1, 2): 2, Fraction(3, 2): 1}
+    assert list(LevelTable(1, 1, {2: 2, 1: 1, 3: 1}).counts) == [1, 2, 3]
 
 
 def test_hilbert_data_equality_ignores_poly_and_sections():
@@ -79,8 +80,8 @@ def test_hilbert_data_equality_ignores_poly_and_sections():
     assert cached.sections and not fresh.sections
     assert fresh == cached and fresh is not cached
     other = copy.copy(fresh)
-    object.__setattr__(other, "poly", RatPoly())
-    assert other == fresh
+    object.__setattr__(other, "_poly", RatPoly())  # the slot behind `poly`
+    assert other.poly == RatPoly() and other == fresh
     assert isinstance(fresh.levels, tuple)
     assert HilbertData("x", 0, 1) != HilbertData("y", 0, 1)
     # P^1 with its factor in a table, or left in the residual: one expansion,
@@ -114,3 +115,13 @@ def test_copies_and_pickles_are_equal(name):
     record = RECORDS[name][0]()
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and repr(twin) == repr(record)
+
+
+def test_an_unexpanded_gp_copies_and_pickles():
+    # the copies carry no expansion either, and each takes its own on first read
+    hd = hilbert_gp.__wrapped__(marked("E", 6, 4))
+    twins = (copy.copy(hd), copy.deepcopy(hd), pickle.loads(pickle.dumps(hd)))
+    assert hd._poly is None and all(twin._poly is None for twin in twins)
+    for twin in twins:
+        assert twin == hd and twin.split == hd.split and twin.sections == {}
+        assert twin.poly == hd.poly and twin.poly is not hd.poly

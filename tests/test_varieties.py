@@ -83,12 +83,14 @@ class TestSectionStep:
 
     def test_one_product_per_step(self, monkeypatch):
         # the step multiplies out only its divisor and keeps the quotient's
-        # target as the expansion
+        # target as the expansion; the parent's own expansion, taken on its
+        # first read, is taken before the calls are counted
         calls = []
         real = varieties.multiply_linear
         for module in (varieties, hilbert):
             monkeypatch.setattr(module, "multiply_linear", lambda t: calls.append(t) or real(t))
         hd = hilbert_gp(marked("E", 6, 4))
+        expand(hd)
         for kind in ("intersection", "cover"):
             calls.clear()
             assert section_step(hd, 3, kind).residual.degree > 0
