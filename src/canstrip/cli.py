@@ -332,6 +332,8 @@ def _coefficient(text: str) -> Fraction:
         value = Fraction(text)
     except ValueError:
         raise ValueError(f"Invalid literal for Fraction: {shown(len(text), 'characters')}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {shown(sum(runs))}") from None
     return _printable(value, shown(sum(runs)))
 
 
@@ -340,7 +342,7 @@ def cmd_check(args) -> int:
     for i, part in enumerate(args.coeffs.split(","), 1):
         try:
             coeffs.append(_coefficient(part.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad coefficient list: coefficient {i}: {exc}") from exc
     poly = RatPoly(tuple(coeffs))
     if poly.degree < 1:

@@ -110,7 +110,7 @@ def multiply_linear(levels: Sequence[LevelTable]) -> RatPoly:
     value = prod(map(pow, [(a << 8 * w) + n for a, n in zip(slopes, keys)], exps))
     raw = value.to_bytes(w + w * sum(exps), "little")
     out = [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
-    return _from_integer(out, Fraction(1, prod(map(pow, keys, exps))))
+    return _from_integer(out, 1, prod(map(pow, keys, exps)))
 
 
 class HilbertData(Record):
@@ -170,9 +170,9 @@ def degree_of(hd: HilbertData) -> int:
     leads with (l*q/n)^h, so the value is dim! * lead(R) * prod (l*q/n)^h.
     """
     slopes, keys, exps = _factors(hd.levels)
-    lead = hd.residual.leading
-    num = factorial(hd.dim) * lead.numerator * prod(map(pow, slopes, exps))
-    den = lead.denominator * prod(map(pow, keys, exps))
+    R = hd.residual
+    num = factorial(hd.dim) * R.num * R.ints[-1] * prod(map(pow, slopes, exps))
+    den = R.den * prod(map(pow, keys, exps))
     value, rest = divmod(num, den)
     if rest or value <= 0:
         raise ConsistencyError(f"{hd.description}: degree {Fraction(num, den)} is not a positive integer")
@@ -237,10 +237,9 @@ def _window_values(hd: HilbertData) -> tuple[list[int], int]:
     """
     H = hd._poly
     if H is not None:
-        num, den = H.content.numerator, H.content.denominator
-        return [_scaled_value(H.ints, k) * num for k in _WINDOW], den
+        return [_scaled_value(H.ints, k) * H.num for k in _WINDOW], H.den
     R, (slopes, keys, exps) = hd.residual, _factors(hd.levels)
-    num, den = R.content.numerator, R.content.denominator * prod(map(pow, keys, exps))
+    num, den = R.num, R.den * prod(map(pow, keys, exps))
     bases, values = [n + a * (_WINDOW.start - 1) for a, n in zip(slopes, keys)], []
     for k in _WINDOW:
         bases = list(map(add, bases, slopes))  # a*k + n

@@ -2,14 +2,16 @@
 
 A polynomial is stored in one normal form: a primitive integer coefficient
 tuple `ints` (lowest degree first, no trailing zeros, gcd 1) times a positive
-rational `content`; the zero polynomial is ((), 0).  The form is unique, so
-equality and hashing compare it directly, and every kernel (products, sums,
-shifts, evaluation, pseudo-division and the Sturm chains built on it, whose
-last term is gcd(p, p')) multiplies and adds plain integers and never reduces
-a fraction.  `coeffs`, the `Fraction` coefficients, is derived on demand only
-for printing.  `RatPoly` has only the operations the pipeline runs: sums,
-products by a polynomial or a scalar, evaluation, affine substitution and
-division, all exact; floats never enter any verdict-relevant path.
+rational content held as two coprime integers `num / den` (den >= 1); the
+zero polynomial is ((), 0, 1).  The form is unique, so equality and hashing
+compare it directly, and every kernel (products, sums, shifts, evaluation,
+pseudo-division and the Sturm chains built on it, whose last term is
+gcd(p, p')) multiplies and adds plain integers, and reduces the content with
+one `math.gcd` and no `Fraction`.  `content` and `coeffs`, the `Fraction`
+views, are derived on demand only for printing.  `RatPoly` has only the
+operations the pipeline runs: sums, products by a polynomial or a scalar,
+evaluation, affine substitution and division, all exact; floats never enter
+any verdict-relevant path.
 """
 
 from __future__ import annotations
@@ -62,21 +64,26 @@ class Record:
 
 
 class RatPoly(Record):
-    """content * (ints[0] + ints[1] z + ...), in the normal form above."""
+    """(num/den) * (ints[0] + ints[1] z + ...), in the normal form above."""
 
-    __slots__ = _fields = ("ints", "content")  # tuple[int, ...], Fraction
+    __slots__ = _fields = ("ints", "num", "den")  # tuple[int, ...], int, int
 
     def __init__(self, coeffs=()) -> None:
         """From rational coefficients, lowest degree first."""
         cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        p = _from_integer([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
-        self._fill(p.ints, p.content)
+        p = _from_integer([c.numerator * (den // c.denominator) for c in cs], 1, den)
+        self._fill(p.ints, p.num, p.den)
+
+    @property
+    def content(self) -> Fraction:
+        """num / den as a Fraction, built on each read."""
+        return Fraction(self.num, self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest degree first, built on each read."""
-        num, den = self.content.numerator, self.content.denominator
+        num, den = self.num, self.den
         return tuple(Fraction(v * num, den) for v in self.ints)
 
     @property
@@ -88,22 +95,22 @@ class RatPoly(Record):
     def leading(self) -> Fraction:
         if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.content * self.ints[-1]
+        return Fraction(self.num * self.ints[-1], self.den)
 
     def __bool__(self) -> bool:
         return bool(self.ints)
 
     def __add__(self, other: RatPoly) -> RatPoly:
-        # both contents over one denominator; a zero summand has content 0
-        a, ca, b, cb = self.ints, self.content, other.ints, other.content
-        den = lcm(ca.denominator, cb.denominator)
-        ma, mb = ca.numerator * (den // ca.denominator), cb.numerator * (den // cb.denominator)
+        # both contents over one denominator; a zero summand has num 0
+        a, b = self.ints, other.ints
+        den = lcm(self.den, other.den)
+        ma, mb = self.num * (den // self.den), other.num * (den // other.den)
         if len(a) < len(b):
             a, ma, b, mb = b, mb, a, ma
         out = [v * ma for v in a]
         for i, v in enumerate(b):
             out[i] += v * mb
-        return _from_integer(out, Fraction(1, den))
+        return _from_integer(out, 1, den)
 
     def __mul__(self, other: Union[RatPoly, Scalar]) -> RatPoly:
         if isinstance(other, RatPoly):
@@ -116,15 +123,21 @@ class RatPoly(Record):
                     for j, y in enumerate(b):
                         out[i + j] += x * y
             # Gauss's lemma: a product of primitive polynomials is primitive
-            return _raw(tuple(out), self.content * other.content)
-        return _from_integer(self.ints, self.content * Fraction(other))
+            return _reduced(tuple(out), self.num * other.num, self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)  # any other number, a float say, exactly
+        # a scalar keeps the primitive ints, negated for a negative scalar
+        num, den = self.num * other.numerator, self.den * other.denominator
+        if num > 0:
+            return _reduced(self.ints, num, den)
+        return _reduced(tuple([-v for v in self.ints]), -num, den) if num else _ZERO
 
     __rmul__ = __mul__
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at an int or a Fraction."""
         ints, den = self.ints, x.denominator
-        return self.content * Fraction(_scaled_value(ints, x) * den, den ** len(ints))
+        return Fraction(self.num * _scaled_value(ints, x) * den, self.den * den ** len(ints))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> RatPoly:
         """Return p(a*z + b), exactly.  a must be non-zero.
@@ -133,7 +146,10 @@ class RatPoly(Record):
         and p = content * P with P primitive of degree n.  Then
         p(a*z + b) = content/D^n * sum_i P_i D^(n-i) (A*z + B)^i, so the
         denominators are cleared once, the shift by B and the scaling by A
-        run on integers, and one rescale by content/D^n returns to Q.
+        run on integers, and one rescale by content/D^n returns to Q.  With
+        D = A = 1 (every section's H(z - d)) both passes are skipped, and the
+        shift of a primitive P is primitive (P(z) is the shift back), so no
+        coefficient gcd is taken either.
         """
         if not a:
             raise ValueError("affine substitution needs a != 0")
@@ -141,16 +157,21 @@ class RatPoly(Record):
             return self
         n = len(self.ints) - 1
         den = lcm(a.denominator, b.denominator)
-        ints = [c * den ** (n - i) for i, c in enumerate(self.ints)]
-        _taylor_shift(ints, b.numerator * (den // b.denominator))
         scale = a.numerator * (den // a.denominator)
-        return _from_integer([c * scale**i for i, c in enumerate(ints)], self.content / den**n)
+        ints = list(self.ints) if den == 1 else [c * den ** (n - i) for i, c in enumerate(self.ints)]
+        _taylor_shift(ints, b.numerator * (den // b.denominator))
+        if den == scale == 1:
+            return _raw(tuple(ints), self.num, self.den)
+        if scale != 1:
+            ints = [c * scale**i for i, c in enumerate(ints)]
+        return _from_integer(ints, self.num, self.den * den**n)
 
     def __divmod__(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         m, q, r = _pseudo_divmod(self.ints, other.ints)
-        return _from_integer(q, self.content / (m * other.content)), _from_integer(r, self.content / m)
+        return (_from_integer(q, self.num * other.den, self.den * m * other.num),
+                _from_integer(r, self.num, self.den * m))
 
     def exact_div(self, other: RatPoly) -> RatPoly:
         """Divide, insisting on zero remainder (factorization consistency)."""
@@ -180,30 +201,39 @@ class RatPoly(Record):
         return " ".join(parts)
 
 
-def _raw(ints: tuple[int, ...], content: Fraction) -> RatPoly:
+def _raw(ints: tuple[int, ...], num: int, den: int) -> RatPoly:
     """A RatPoly from parts already in normal form."""
     p = object.__new__(RatPoly)
-    p._fill(ints, content)
+    _set(p, "ints", ints)
+    _set(p, "num", num)
+    _set(p, "den", den)
     return p
 
 
-def _from_integer(ints: Sequence[int], content: Fraction) -> RatPoly:
-    """content * ints brought to normal form: trailing zeros dropped, the
-    coefficient gcd moved into the content, and the content made positive."""
+def _reduced(ints: tuple[int, ...], num: int, den: int) -> RatPoly:
+    """A RatPoly from primitive ints and a positive content num/den in any terms."""
+    g = gcd(num, den)
+    return _raw(ints, num // g, den // g)
+
+
+def _from_integer(ints: Sequence[int], num: int, den: int) -> RatPoly:
+    """(num/den) * ints brought to normal form, for den > 0: trailing zeros
+    dropped, the coefficient gcd moved into the content, the content made
+    positive and reduced."""
     while ints and not ints[-1]:
         ints = ints[:-1]
-    if not ints or not content:
+    if not ints or not num:
         return _ZERO
     g = gcd(*ints)
-    if content.numerator < 0:
+    if num < 0:
         g = -g
-    if g == 1:
-        return _raw(tuple(ints), content)
-    return _raw(tuple([v // g for v in ints]), content * g)
+    if g != 1:
+        ints, num = [v // g for v in ints], num * g
+    return _reduced(tuple(ints), num, den)
 
 
-_ZERO = _raw((), Fraction(0))
-_ONE = _raw((1,), Fraction(1))
+_ZERO = _raw((), 0, 1)
+_ONE = _raw((1,), 1, 1)
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -339,13 +369,14 @@ def squarefree_parts(p: RatPoly) -> list[tuple[RatPoly, int]]:
     tower = [p]
     while tower[-1].degree > 0:
         last = _sturm_sequence(tower[-1])[-1]
-        tower.append(_from_integer(last, Fraction(1, last[-1])))
+        tower.append(_from_integer(last, _sign(last[-1]), abs(last[-1])))
     h = [g.exact_div(g_next) for g, g_next in zip(tower, tower[1:])] + [_ONE]
     parts = []
     for i, (f, f_next) in enumerate(zip(h, h[1:]), 1):
         factor = f.exact_div(f_next)
         if factor.degree > 0:
-            parts.append((_from_integer(factor.ints, Fraction(1, factor.ints[-1])), i))
+            lead = factor.ints[-1]
+            parts.append((_from_integer(factor.ints, _sign(lead), abs(lead)), i))
     return parts
 
 
@@ -365,4 +396,6 @@ def symmetric_split(p: RatPoly) -> Optional[tuple[Fraction, RatPoly]]:
     eps = n % 2
     if any(shifted.ints[1 - eps :: 2]):
         return None
-    return c, _from_integer(shifted.ints[eps::2], shifted.content)
+    # the dropped monomials are zero, so the kept ones are primitive and end
+    # on the leading one: q is in normal form as it stands
+    return c, _raw(shifted.ints[eps::2], shifted.num, shifted.den)

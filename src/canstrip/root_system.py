@@ -230,8 +230,6 @@ class MarkedSystem(NamedTuple):
     node: int  # 1-based Bourbaki index of the marked simple root
     d_num: tuple[int, ...]  # d = d_num / d_den: the symmetrizer with d[node-1] == 1
     d_den: int
-    omega0: tuple[Fraction, ...]  # omega_0 over the simple roots
-    omega0_norm: Fraction  # (omega_0, omega_0)
     index: int
     lmax: int
     dim: int
@@ -245,6 +243,17 @@ class MarkedSystem(NamedTuple):
     @property
     def d(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.d_den) for v in self.d_num)
+
+    @property
+    def omega0(self) -> tuple[Fraction, ...]:
+        """omega_0 over the simple roots: the marked column of C^-1, built on each read."""
+        det, adj = self.rs.cartan_inverse
+        return tuple(Fraction(row[self.node - 1], det) for row in adj)
+
+    @property
+    def omega0_norm(self) -> Fraction:
+        """(omega_0, omega_0): omega_0's marked coordinate, since (omega_0, a_node) = 1."""
+        return self.omega0[self.node - 1]
 
     @property
     def description(self) -> str:
@@ -310,7 +319,6 @@ def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
     for j in range(n):
         if sum([c * v for c, v in zip(rs.cartan[j], w)]) != (det if j == i else 0):
             raise ConsistencyError(f"{t.name}/P{node}: (omega_0, alpha_{j + 1}^vee) is not delta")
-    omega0 = tuple(Fraction(v, det) for v in w)
 
     levels: dict[int, list[tuple[int, Root]]] = {}
     for a, key in zip(rs.positive_roots, rs.rho_numerators):
@@ -328,8 +336,6 @@ def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
         node=node,
         d_num=d_num,
         d_den=d_num[i],
-        omega0=omega0,
-        omega0_norm=omega0[i],
         index=0,  # placeholder, replaced below once the formulas agree
         lmax=lmax,
         dim=dim,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from canstrip import verify
+from canstrip import proposer, verify
 from canstrip.cli import CSV_COLUMNS, canonical_json, main
 from canstrip.ratpoly import squarefree_parts
 
@@ -393,12 +393,17 @@ class TestCheck:
         assert code == 0 and report["verdicts"] == {"CL": "holds"}
         assert [(c["count"], c["chain_length"]) for c in report["certificates"]] == [(2, 3)]
         # its advisory roots: u^2 (u + 1) repeats a root, so no signs
-        # alternate and the multiplicities come from the square-free parts
-        calls = []
+        # alternate and the multiplicities come from the square-free parts,
+        # z and z^2 + 1, each proposed from circles
+        calls, starts = [], []
         monkeypatch.setattr(verify, "squarefree_parts", lambda p: calls.append(p) or squarefree_parts(p))
+        aberth = proposer._aberth
+        monkeypatch.setattr(proposer, "_aberth",
+                            lambda ints, circles=False: starts.append(circles) or aberth(ints, circles))
         code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,1,0,1", "--digits", "6", "--format", "json")
         block = json.loads(out)["approx_roots"]
         assert code == 0 and len(calls) == 1 and block["converged"] is True
+        assert starts == [False, True, True]
         assert [(v["re"], v["im"], v["mult"]) for v in block["values"]] == pytest.approx(
             [(0.0, -1.0, 1), (0.0, 0.0, 4), (0.0, 1.0, 1)])
         # z^4 (z^2 - 1): the same double root, with the real pair +-1 off the line
@@ -563,8 +568,9 @@ def test_digits_below_one_are_refused_before_any_work(capsys, tmp_path, name, fm
     (("sweep", "--max-rank", "2", "--series", "H"), "unknown series ['H']"),
     (("sweep", "--max-rank", "2", "--series", "A,,B"), "bad series list 'A,,B'"),
     (("sweep", "--max-rank", "2", "--series", ","), "bad series list ','"),
+    (("check", "--coeffs", "1/0"), "bad coefficient list: coefficient 1: zero denominator in '1/0'"),
 ], ids=["E9", "F5", "B1", "C1", "D2", "degrees 0", "degrees 1,,2", "degrees 2,", "jobs 0",
-        "max-codim -1", "series H", "series A,,B", "series ,"])
+        "max-codim -1", "series H", "series A,,B", "series ,", "coeffs 1/0"])
 def test_refusal_is_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

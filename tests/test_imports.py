@@ -1,9 +1,13 @@
 """Import and export hygiene of the package, read with the stdlib `ast`:
 every name a module imports is used in that module (the package's
 `__init__` uses a name by listing it in `__all__`), every `__all__`
-entry resolves, and every top-level definition is used or exported."""
+entry resolves, and every top-level definition is used or exported.  Last,
+in fresh processes, which runs load the float proposer."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -113,3 +117,30 @@ def test_only_the_process_entry_freezes_the_heap():
     (freeze,) = calls_to(trees["__main__.py"], "freeze")
     (main,) = calls_to(run, "main")
     assert run.name == "run" and main.lineno < freeze.lineno <= run.end_lineno
+
+
+# `python -m canstrip argv`, reporting at exit whether the float proposer was loaded
+PROPOSER_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"\\nproposer: {'canstrip.proposer' in sys.modules}\\n"))
+sys.argv[0] = "canstrip"
+runpy.run_module("canstrip", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), False),
+    (("sweep", "--max-rank", "3", "--max-total-degree", "2"), False),
+    (("ci", "--type", "E8", "--node", "4", "--degrees", "3"), True),
+], ids=["import", "small sweep", "hard residual"])
+def test_only_a_run_that_proposes_loads_the_float_proposer(argv, loaded):
+    """`import canstrip.cli` and a sweep whose even parts all stay below
+    ALTERNATION_MIN_DEGREE never compile the double-precision proposer; a
+    residual whose even part reaches it (degree 53 here) loads it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, canstrip.cli; print('canstrip.proposer' in sys.modules)" if not argv else PROPOSER_PROBE
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = done.stdout if not argv else done.stderr.rsplit("proposer: ", 1)[1]
+    assert report.strip() == str(loaded)

@@ -30,12 +30,8 @@ from canstrip.ratpoly import (  # noqa: E402
 )
 from canstrip.root_system import all_simple_types, marked  # noqa: E402
 from canstrip.varieties import section_step  # noqa: E402
-from canstrip.verify import (  # noqa: E402
-    ALTERNATION_MIN_DEGREE,
-    LineCheck,
-    _alternating_points,
-    _certify,
-)
+from canstrip.proposer import _alternating_points  # noqa: E402
+from canstrip.verify import ALTERNATION_MIN_DEGREE, LineCheck, _certify  # noqa: E402
 
 from oracles import (  # noqa: E402
     alternates,
@@ -87,15 +83,18 @@ def test_mul_matches_convolution(a, b):
 
 def assert_normal_form(p):
     """Primitive integers with gcd 1 and no trailing zero, times a positive
-    Fraction content; the zero polynomial is ((), 0)."""
-    assert type(p.content) is Fraction and all(type(v) is int for v in p.ints)
+    content num/den in lowest terms with den >= 1; the zero polynomial is
+    ((), 0, 1).  `content` is the Fraction num/den."""
+    assert all(type(v) is int for v in (*p.ints, p.num, p.den))
+    assert p.den >= 1 and math.gcd(p.num, p.den) == 1
+    assert type(p.content) is Fraction and p.content == Fraction(p.num, p.den)
     if not p.ints:
-        assert p.content == 0
+        assert (p.num, p.den) == (0, 1)
     else:
-        assert p.content > 0 and p.ints[-1] != 0 and math.gcd(*p.ints) == 1
+        assert p.num > 0 and p.ints[-1] != 0 and math.gcd(*p.ints) == 1
 
 
-scalars = st.one_of(st.sampled_from([0, -1, 2, -3]), rationals)
+scalars = st.one_of(st.sampled_from([0, -1, 2, -3, Fraction(-3, 4)]), rationals)
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,6 +104,9 @@ def test_arithmetic_keeps_the_canonical_form(a, b, s):
     a, b = trim(a), trim(b)
     cases = [
         (p + q, padd(a, b)),
+        (p * q, pmul(a, b)),
+        (p * 0, []),
+        (p * Fraction(-3, 4), pmul(a, [Fraction(-3, 4)])),
         (p + (-1) * q, psub(a, b)),
         ((-1) * p, psub([], a)),
         (p * s, pmul(a, [Fraction(s)])),
@@ -126,7 +128,7 @@ def test_coeffs_round_trip_and_fields_are_fixed(a):
     assert list(p.coeffs) == trim(a)
     back = RatPoly(p.coeffs)
     assert back == p and hash(back) == hash(p) and back.coeffs == p.coeffs
-    for name in ("ints", "content", "coeffs"):
+    for name in ("ints", "num", "den", "content", "coeffs"):
         with pytest.raises(AttributeError):
             setattr(p, name, getattr(p, name))
 
@@ -143,6 +145,7 @@ def test_exact_evaluation_matches_horner(coeffs, x):
 @given(coeff_lists, nonzero_rationals, rationals)
 def test_compose_affine_matches_horner(coeffs, a, b):
     got = RatPoly(tuple(coeffs)).compose_affine(a, b)
+    assert_normal_form(got)
     assert list(got.coeffs) == pcompose_affine(trim(coeffs), a, b)
 
 
@@ -205,6 +208,7 @@ def test_symmetric_split_matches_the_reflection_identity(p):
         assert got is None
         return
     c, q = want
+    assert_normal_form(got[1])
     assert got == (c, RatPoly(tuple(q)))
     assert pshift(interleave(q, (len(p) - 1) % 2), c) == p
 

@@ -31,12 +31,13 @@ class TestArith:
     def test_members_are_the_operations_the_pipeline_runs(self):
         members = {name for name, v in vars(RatPoly).items()
                    if isinstance(v, (FunctionType, property, classmethod, staticmethod))}
-        assert members == {"__init__", "coeffs", "degree", "leading", "__bool__", "__add__",
+        assert members == {"__init__", "content", "coeffs", "degree", "leading", "__bool__", "__add__",
                            "__mul__", "__rmul__", "__call__", "compose_affine", "__divmod__",
                            "exact_div", "__str__"}
 
     def test_mul(self):
         assert P(1, 1) * P(-1, 1) == P(-1, 0, 1)
+        assert P(1, 2) * 0.5 == 0.5 * P(1, 2) == P(Fraction(1, 2), 1)
 
     def test_sub_self_is_zero(self):
         p = P(3, -2, 7)

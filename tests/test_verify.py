@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from canstrip import verify
+from canstrip import proposer, verify
 from canstrip.hilbert import HilbertData, LevelTable, expand, hilbert_gp
 from canstrip.ratpoly import ConsistencyError, RatPoly, symmetric_split
 from canstrip.root_system import all_simple_types, marked
@@ -140,20 +140,20 @@ class TestAlternation:
         # the even parts of the three hard-residuals cases and E8/P4 cut by
         # (2, 8), with the points the fast path certified them by
         seen = []
-        found = verify._alternating_points
+        found = proposer._alternating_points
 
         def spy(q):
             seen.append((q, found(q)))
             return seen[-1][1]
 
         e8 = marked("E", 8, 4)
-        verify._alternating_points = spy
+        proposer._alternating_points = spy
         try:
             for hd in (complete_intersection(e8, [3]), double_cover(e8, 9),
                        complete_intersection(e8, [1, 1]), complete_intersection(e8, [2, 8])):
                 assert strip_report(hd).all_applicable_hold
         finally:
-            verify._alternating_points = found
+            proposer._alternating_points = found
         return seen
 
     def test_oracle_accepts_the_fast_path_points(self, hard_points):
@@ -172,11 +172,11 @@ class TestAlternation:
     def test_failed_proposer_falls_back_to_the_same_checks(self, monkeypatch, garbage):
         p = around_half(*geometric_roots(self.N), P(-self.R2 / 2, 1))
         q = symmetric_split(p)[1]
-        assert verify._alternating_points(q) is not None
+        assert proposer._alternating_points(q) is not None
         want = certify(p, self.R2)
         assert want[1].status == "certified" and want[1].segment_pairs == 1
 
-        def proposer(ints):
+        def garbage_proposer(ints):
             n = len(ints) - 1
             ys = {
                 "wrong reals": [complex(k, 0) for k in range(n)],
@@ -187,8 +187,8 @@ class TestAlternation:
             sweeps = iter([]) if garbage == "nothing" else iter(lambda: (ys, [0.0] * n), None)
             return 0, sweeps
 
-        monkeypatch.setattr(verify, "_aberth", proposer)
-        assert verify._alternating_points(q) is None
+        monkeypatch.setattr(proposer, "_aberth", garbage_proposer)
+        assert proposer._alternating_points(q) is None
         assert certify(p, self.R2) == want
 
     def test_a_complex_pair_gives_up_within_the_cap(self, monkeypatch):
@@ -199,15 +199,15 @@ class TestAlternation:
         q = symmetric_split(p)[1]
         assert q.degree >= verify.ALTERNATION_MIN_DEGREE
         sweeps = []
-        propose = verify._aberth
+        propose = proposer._aberth
 
         def counted(ints):
             shift, gen = propose(ints)
             return shift, (sweeps.append(1) or s for s in gen)
 
-        monkeypatch.setattr(verify, "_aberth", counted)
-        assert verify._alternating_points(q) is None
-        assert 0 < len(sweeps) < verify.CERTIFY_SWEEPS
+        monkeypatch.setattr(proposer, "_aberth", counted)
+        assert proposer._alternating_points(q) is None
+        assert 0 < len(sweeps) < proposer.CERTIFY_SWEEPS
         line, segment = certify(p, self.R2)
         assert line.status == segment.status == "violated"
         assert line.certificates[0].count == segment.certificates[0].count == self.N
@@ -218,14 +218,14 @@ def test_exceptional_residuals_never_fall_back_to_sturm(monkeypatch):
     degree <= 3, and its double covers of degree d <= index: 412 cases, all
     holding.  Every even part that reaches the proposer (degree 13 to 53)
     gets alternating points, so no residual here falls back to Sturm."""
-    found = verify._alternating_points
+    found = proposer._alternating_points
     calls = []
 
     def spy(q):
         calls.append((q.degree, found(q)))
         return calls[-1][1]
 
-    monkeypatch.setattr(verify, "_alternating_points", spy)
+    monkeypatch.setattr(proposer, "_alternating_points", spy)
     cases = 0
     for rank in (6, 7, 8):
         for node in range(1, rank + 1):
