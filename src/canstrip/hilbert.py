@@ -212,7 +212,8 @@ def validate(hd: HilbertData) -> None:
         raise ConsistencyError(
             f"{hd.description}: expanded degree {degree} != dim {hd.dim}"
         )
-    if hd.residual.degree >= 1 and (hd.split is None or hd.split[0] != Fraction(-hd.index, 2)):
+    if hd.residual.degree >= 1 and (  # the center is -iota/2, compared on integers
+            hd.split is None or 2 * hd.split[0].numerator != -hd.index * hd.split[0].denominator):
         raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
     values, den = _window_values(hd)
     for k, value in zip(_WINDOW, values):

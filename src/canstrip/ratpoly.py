@@ -91,12 +91,6 @@ class RatPoly(Record):
         """Degree, with the convention deg 0 = -1."""
         return len(self.ints) - 1
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.ints:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num * self.ints[-1], self.den)
-
     def __bool__(self) -> bool:
         return bool(self.ints)
 

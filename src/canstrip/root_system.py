@@ -259,10 +259,6 @@ class MarkedSystem(NamedTuple):
     def description(self) -> str:
         return f"{self.rs.simple_type.name}/P{self.node}"
 
-    @property
-    def cominuscule(self) -> bool:
-        return self.lmax == 1
-
 
 def rho_pair(ms: MarkedSystem, a: Root) -> Fraction:
     """(rho, a) in the marked normalization: sum of c_i * d_i."""

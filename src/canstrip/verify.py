@@ -27,7 +27,6 @@ from .hilbert import HilbertData
 from .ratpoly import (
     RatPoly,
     SturmCertificate,
-    _from_integer,
     _scaled_value,
     _sign,
     _sturm_sequence,
@@ -42,6 +41,7 @@ from .ratpoly import (
 # with both certificates, Sturm costs 0.93x alternation at degree 12, 1.06x
 # at 13 and 3.2x at 20.
 ALTERNATION_MIN_DEGREE = 13
+_HALF = Fraction(-1, 2)  # a positive-index residual's center -iota/2, anticanonically
 
 
 class LineCheck(NamedTuple):
@@ -255,18 +255,19 @@ def strip_report(hd: HilbertData) -> StripReport:
     """Extract exact rational roots, certify the residual, decide verdicts.
 
     `hd` was validated when it was built, so its residual R is symmetric
-    about -iota/2 and its split `hd.split` exists whenever deg R >= 1.
-    For a positive index, every level factor (l*z + k) contributes the
-    anticanonical root -k/(l*iota) with its table multiplicity, and the
-    residual is certified on the line Re(z) = -1/2, allowing real pairs
-    inside the closed strip segment (the tight-strip dichotomy; the allowance
-    degenerates to the bare line for iota 1 and 2); the split is rescaled to
-    that variable, with no shift.  For iota <= 0, (S) admits no table, so the
-    whole polynomial is the residual and only the line hypothesis applies,
-    about its symmetry center -iota/2 in the L-variable.
+    about -iota/2 and its split `hd.split` exists whenever deg R >= 1; the
+    split is certified as it stands, in L, for every index.  For a positive
+    index, every level factor (l*z + k) contributes the anticanonical root
+    -k/(l*iota) with its table multiplicity, and the residual's real pairs
+    may fill the closed tight segment (the tight-strip dichotomy; none for
+    iota 1 and 2), of squared half-width (1/2 - 1/iota)^2 in z/iota and
+    ((iota - 2)/2)^2 in L: a positive rescale, which changes no count, so the
+    report prints the center -1/2 and each certificate's bound over iota^2.
+    For iota <= 0, (S) admits no table, so the whole polynomial is the
+    residual and only the line hypothesis applies, about -iota/2.
     """
-    iota, res, found = hd.index, hd.residual, hd.split
-    D, radius2 = 1, Fraction(0)
+    iota, res = hd.index, hd.residual
+    D, radius2, scale = 1, Fraction(0), 1
     roots: dict[int, int] = {}
     if iota > 0:
         # the root -k/(l*iota) of a factor (l*z + k), k = n/q, is -n*(D/(l*q*iota))
@@ -276,17 +277,13 @@ def strip_report(hd: HilbertData) -> StripReport:
             step = D // (table.level * table.den * iota)
             for n, h in table.counts.items():
                 roots[-n * step] = roots.get(-n * step, 0) + h
-        if found:  # R(iota*z) = iota^eps * w^eps * q(iota^2 * w^2) with w = z - c/iota
-            c, q = found
-            ints = [a * iota ** (2 * i) for i, a in enumerate(q.ints)]
-            found = c / iota, _from_integer(ints, q.num * iota ** (res.degree % 2), q.den)
-        # the squared half-width of the tight segment, (1/2 - 1/iota)^2
-        radius2 = Fraction((iota - 2) ** 2, 4 * iota**2) if iota > 2 else Fraction(0)
+        # the squared half-width of the tight segment in L, ((iota - 2)/2)^2
+        radius2, scale = Fraction((iota - 2) ** 2, 4) if iota > 2 else Fraction(0), iota**2
     numerators = sorted(roots)
     res_roots = res.degree >= 1
     line = dichotomy = LineCheck("not_applicable", None)
     if res_roots:
-        line, dichotomy = _certify(found, radius2)
+        line, dichotomy = _certify(hd.split, radius2)
     verdicts: dict[str, str] = {}
     witnesses: dict[str, str] = {}
 
@@ -333,10 +330,10 @@ def strip_report(hd: HilbertData) -> StripReport:
         root_den=D,
         root_numerators=[(r, roots[r]) for r in numerators],
         residual_variable="anticanonical" if iota > 0 else "ample_generator",
-        residual_line=line.center,
+        residual_line=_HALF if iota > 0 and res_roots else line.center,
         residual_on_line=line.status,
         residual_dichotomy=dichotomy.status,
-        certificates=list(dichotomy.certificates),
+        certificates=[c._replace(hi=c.hi / scale) for c in dichotomy.certificates],
         verdicts=verdicts,
         witnesses=witnesses,
         boundary_contact=boundary,

@@ -130,7 +130,7 @@ class TestCrossChecks:
         # full splitting: anticanonical roots are -j/iota, 0 < j < iota
         for series, rank, node in [("A", 4, 1), ("A", 5, 2), ("D", 5, 1), ("E", 6, 1)]:
             ms = marked(series, rank, node)
-            assert ms.cominuscule
+            assert ms.lmax == 1
             hd = hilbert_gp(ms)
             roots = {}
             for table in hd.levels:

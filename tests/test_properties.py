@@ -17,7 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from canstrip.cli import main  # noqa: E402
+from canstrip import verify  # noqa: E402
+from canstrip.cli import _iter_multidegrees, main  # noqa: E402
 from canstrip.hilbert import LevelTable, expand, hilbert_gp, multiply_linear  # noqa: E402
 from canstrip.ratpoly import (  # noqa: E402
     ConsistencyError,
@@ -29,7 +30,7 @@ from canstrip.ratpoly import (  # noqa: E402
     symmetric_split,
 )
 from canstrip.root_system import all_simple_types, marked  # noqa: E402
-from canstrip.varieties import section_step  # noqa: E402
+from canstrip.varieties import complete_intersection, double_cover, section_step  # noqa: E402
 from canstrip.proposer import _alternating_points  # noqa: E402
 from canstrip.verify import ALTERNATION_MIN_DEGREE, LineCheck, _certify  # noqa: E402
 
@@ -313,7 +314,7 @@ def test_alternation_certifies_as_sturm_does(case):
 def chain_gcd(coeffs):
     """The last term of the Sturm sequence, made monic: gcd(p, p')."""
     last = RatPoly(_sturm_sequence(RatPoly(tuple(coeffs)))[-1])
-    return last * (1 / last.leading)
+    return last * Fraction(last.den, last.num * last.ints[-1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -541,3 +542,59 @@ def test_cli_exit_codes_are_total(argv):
         assert err.getvalue().count("\n") == 1
     if code != 2 and "json" in argv:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)  # strict RFC 8259
+
+
+def rank4_objects():
+    """Every section (codim <= 3, total degree <= index + 3) and every double
+    cover (d <= 2 * index + 2) of the marks of rank <= 4."""
+    for t in all_simple_types(4):
+        for node in range(1, t.rank + 1):
+            ms = marked(t.series, t.rank, node)
+            for degrees in _iter_multidegrees(ms.index + 3, min(3, ms.dim)):
+                if degrees:
+                    yield complete_intersection(ms, list(degrees))
+            for d in range(1, 2 * ms.index + 3):
+                yield double_cover(ms, d)
+
+
+def test_strip_report_matches_the_anticanonical_even_part(sympy, monkeypatch):
+    # the report certifies the residual's split in L; sympy's counts of the
+    # roots of the anticanonical even part, in z/iota, read the same
+    seen, kept = set(), []
+    certify = verify._certify
+
+    def spy(found, radius2):
+        kept[:] = certify(found, radius2)
+        return kept
+
+    monkeypatch.setattr(verify, "_certify", spy)
+    for hd in rank4_objects():
+        iota, R = hd.index, list(hd.residual.coeffs)
+        rep = verify.strip_report(hd)
+        if len(R) < 2:
+            assert rep.residual_on_line == rep.residual_dichotomy == "not_applicable"
+            assert rep.certificates == [] and rep.residual_line is None
+            continue
+        center, q = symmetric_even_part(pcompose_affine(R, iota, 0) if iota > 0 else R)
+        r2 = Fraction(iota - 2, 2 * iota) ** 2 if iota > 2 else Fraction(0)
+        assert rep.residual_line == center == (Fraction(-1, 2) if iota > 0 else Fraction(-iota, 2))
+        on_line = in_segment = distinct = 0
+        if len(q) > 1:
+            Q = as_sympy(sympy, q).sqf_part()
+            on_line, in_segment, distinct = Q.count_roots(None, 0), Q.count_roots(None, r2), Q.degree()
+            [cert] = rep.certificates
+            assert (cert.hi, cert.count) == (r2, in_segment)
+        else:  # a constant even part: both checks hold with nothing to count
+            assert rep.certificates == []
+        assert rep.residual_on_line == ("certified" if on_line == distinct else "violated")
+        assert rep.residual_dichotomy == ("certified" if in_segment == distinct else "violated")
+        assert kept[1].segment_pairs == in_segment - on_line
+        if iota > 0:
+            ends = (Fraction(1 - iota, iota), Fraction(-1, iota))
+            touch = any(r in ends for r, _ in rep.rational_roots)
+            assert rep.boundary_contact == (touch or r2 > 0 and peval(q, r2) == 0)
+        seen.add((iota, kept[1].segment_pairs > 0, hd.description))
+    # no segment at iota 1 and 2; an odd iota > 2 has the bound (iota - 2)^2/4
+    # with denominator 4 in L; C4/P2 ∩ (1) has a real pair in its segment
+    assert {1, 2, 3} <= {i for i, _, _ in seen}
+    assert (6, True, "C4/P2 ∩ (1)") in seen

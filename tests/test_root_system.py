@@ -291,7 +291,7 @@ class TestCominuscule:
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
-                if ms.cominuscule:
+                if ms.lmax == 1:
                     seen += 1
                     assert ms.dim == ms.omega0_norm * ms.index, ms.description
         assert seen > 20
@@ -303,7 +303,7 @@ class TestCominuscule:
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
-                if not ms.cominuscule:
+                if ms.lmax != 1:
                     continue
                 assert ms.index == 1 + rho_pair(ms, rs.highest_root)
                 if all(d == 1 for d in ms.d):

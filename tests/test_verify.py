@@ -121,6 +121,21 @@ class TestCertifyMultipleRoots:
         shifted.clear()
         assert strip_report(hd).residual_line == Fraction(-1, 2)
         assert shifted == []
+        # no second even part in the anticanonical variable: the Sturm chain
+        # (below ALTERNATION_MIN_DEGREE) and the proposer (from it on) both
+        # take the split's own q
+        taken = []
+        chain, points = verify._sturm_sequence, proposer._alternating_points
+        monkeypatch.setattr(verify, "_sturm_sequence", lambda q: taken.append(q) or chain(q))
+        monkeypatch.setattr(proposer, "_alternating_points", lambda q: taken.append(q) or points(q))
+        small = complete_intersection(marked("C", 4, 2), [1])
+        large = complete_intersection(marked("E", 8, 4), [3])
+        for hd in (small, large):
+            taken.clear()
+            rep = strip_report(hd)
+            assert hd.index > 2 and rep.residual_line == Fraction(-1, 2)
+            assert len(taken) == 1 and taken[0] is hd.split[1]
+        assert small.split[1].degree < verify.ALTERNATION_MIN_DEGREE <= large.split[1].degree
 
 
 def geometric_roots(n):
