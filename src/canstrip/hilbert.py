@@ -3,17 +3,12 @@
 The primary object is the table of exponents h_{l,k}: the number of positive
 roots at level l whose rho-pairing equals k.  Each table keeps its keys as
 integer numerators over one denominator, so the tables, the min rule of the
-sections and the expansion all run on integers.  The polynomial itself is the
-product of the factors ((l*z + k)/k)^h times a residual factor.  It is
-multiplied out, by one Kronecker-substituted big-int product, only when its
-expansion is first read: a section step reads its parent's and keeps the
-H(z) -/+ H(z-d) it divided as its own, while a G/P that is only reported is
-never expanded.  Every `HilbertData` is validated once, when it is built,
-with no product taken, and refuses arguments that break an invariant;
-`validate` checks the anticanonical symmetry on the residual's one split, which
-`verify.strip_report` certifies, since the table symmetry (S) gives it to
-the factors.  A `HilbertData` is frozen, so `hilbert_gp` can hand the same
-object to every caller of a mark.
+sections and the products all run on integers.  The polynomial is the
+product of the factors ((l*z + k)/k)^h times a residual factor, kept in
+v = 2z + iota, where the anticanonical symmetry makes it v^eps * Q(v^2).
+A G/P that is only reported is never multiplied out.  Every `HilbertData`
+is validated once, when it is built, with no product taken; it is frozen,
+so `hilbert_gp` can hand the same object to every caller of a mark.
 """
 
 from __future__ import annotations
@@ -25,8 +20,8 @@ from math import factorial, gcd, prod
 from operator import add
 from typing import Optional, Sequence
 
-from .ratpoly import (ConsistencyError, RatPoly, Record, _ONE, _from_integer, _scaled_value, _set,
-                      symmetric_split)
+from .ratpoly import (ConsistencyError, RatPoly, Record, _ONE, _from_integer, _reduced, _scaled_value,
+                      _set, symmetric_split)
 from .root_system import MarkedSystem
 
 
@@ -95,64 +90,98 @@ def _factors(levels: Sequence[LevelTable]) -> tuple[list[int], list[int], list[i
     return slopes, keys, [h for t in levels for h in t.counts.values()]
 
 
-def multiply_linear(levels: Sequence[LevelTable]) -> RatPoly:
-    """The product of the tables' factors ((l*z + k)/k)^h.
+def multiply_linear(levels: Sequence[LevelTable], dim: int, index: int) -> RatPoly:
+    """D with F(v) * (v/2)^e = v^(dim mod 2) * D(v^2), v = 2z + iota, for the
+    product F of symmetric tables' factors ((l*z + k)/k)^h and e = deg R mod 2.
 
-    With k = n/q a factor is (l*q*z + n)/n, so one content carries every
-    denominator and the integer product is taken by Kronecker substitution:
-    evaluated at X = 2^(8w), each factor is one integer, and one big-int
-    product holds the product's coefficients in w-byte slots.  Every key n is
-    positive, so no coefficient is negative and none exceeds their sum
-    prod (l*q + n)^h < X: each slot, read unsigned, is its coefficient.
+    With k = n/q and a = l*q a factor is (a*v + b)/(2n), b = 2n - a*iota, and
+    (S) pairs it with the key a*iota - n, whose b is -b: the pair is
+    (a^2 u - b^2)/(4n(a*iota - n)) in u = v^2; a middle key, b = 0, is v/iota.
+    In t = -u a pair is -(a^2 t + b^2): at X = 2^(8w) each is one integer,
+    and one big-int product holds the coefficients in w-byte slots.  None is
+    negative or above their sum prod (a^2 + b^2)^h < X: read unsigned.
     """
-    slopes, keys, exps = _factors(levels)
+    slopes, keys, exps, den, middle = [], [], [], 1, 0
+    for t in levels:
+        a = t.level * t.den
+        for n, h in t.counts.items():
+            if 2 * n < a * index:  # the pair's lower key
+                slopes.append(a * a), keys.append((a * index - 2 * n) ** 2), exps.append(h)
+                den *= (4 * n * (a * index - n)) ** h
+            elif 2 * n == a * index:
+                middle, den = middle + h, den * index**h
     w = (prod(map(pow, map(add, slopes, keys), exps)).bit_length() + 7) // 8
-    value = prod(map(pow, [(a << 8 * w) + n for a, n in zip(slopes, keys)], exps))
-    raw = value.to_bytes(w + w * sum(exps), "little")
-    out = [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
-    return _from_integer(out, 1, prod(map(pow, keys, exps)))
+    raw = prod(map(pow, [(a << 8 * w) + n for a, n in zip(slopes, keys)], exps)).to_bytes(
+        w + w * sum(exps), "little")
+    ints = [(-1) ** i * int.from_bytes(raw[w * i : w * i + w], "little") for i in range(len(raw) // w)]
+    e = (dim - middle) % 2  # sum h = middle + 2 * sum(exps)
+    return _from_integer([0] * ((e + middle - dim % 2) // 2) + ints, (-1) ** sum(exps), den << e)
+
+
+def _at(eps: int, q: RatPoly, a: int, b: int, den: int = 1) -> RatPoly:
+    """v^eps * q(v^2) / den at v = a*z + b, by one substitution."""
+    ints = [0] * (eps + 2 * len(q.ints) - 1)
+    ints[eps::2] = q.ints
+    return _reduced(tuple(ints), q.num, q.den * den).compose_affine(a, b)
 
 
 class HilbertData(Record):
-    """A Hilbert polynomial in factored form with its discrete invariants.
+    """A Hilbert polynomial in factored and centered form with its invariants.
 
-    `levels` carries the rational-root factors; `residual` is the leftover
-    polynomial factor in the L-variable (1 for a homogeneous space itself).
-    The expansion `poly` is taken once and shared by every reader: a section
-    or cover carries the H(z) -/+ H(z-d) its step divided (see `_carrying`);
-    any other object multiplies the residual by the factor product on the
-    first read of `poly` and keeps it.  `split` is the residual's center and
-    even part (`symmetric_split`, which refuses a zero residual), None for a
-    constant or an asymmetric one.
-    `sections` memoizes this object's hypersurface sections by degree for
-    `complete_intersection`.  None of the three takes part in equality.
-    `simply_laced` (all root lengths equal) makes (U) a theorem.
-    Construction runs `validate`, so a broken object is never built.
+    `levels` carries the rational-root factors.  In v = 2z + iota the whole
+    is v^eps * Q(v^2), eps = dim mod 2, and the leftover factor R is
+    (v/2)^e * Q_R(v^2), e = deg R mod 2, so Q_R(4w^2) is R's even part in
+    w = z + iota/2.  `residual_even` is Q_R (1 on a G/P); `even` is Q, carried
+    from a section's step, else multiplied out on its first read and kept.
+    `residual` and `poly` are R and H in z, by one substitution where read.
+    `sections` memoizes sections by degree for `complete_intersection`; the
+    caches take no part in equality.  `simply_laced` makes (U) a theorem.
+    Construction from R in z splits it once, refusing a wrong degree or
+    center; every construction runs `validate`.
     """
 
-    _fields = ("description", "dim", "index", "levels", "residual", "simply_laced")
-    __slots__ = (*_fields, "_poly", "split", "sections")
+    _fields = ("description", "dim", "index", "levels", "residual_even", "simply_laced")
+    __slots__ = (*_fields, "_even", "_poly", "sections")
 
     def __init__(self, description: str, dim: int, index: int, levels: Sequence[LevelTable] = (),
                  residual: RatPoly = _ONE, simply_laced: bool = True) -> None:
-        _carrying(None, description, dim, index, tuple(levels), residual, simply_laced, hd=self)
+        degree = residual.degree + sum(_factors(levels)[2])
+        if degree != dim:
+            raise ConsistencyError(f"{description}: expanded degree {degree} != dim {dim}")
+        even = residual
+        if residual.degree >= 1:  # the center must be -iota/2, compared on integers
+            found = symmetric_split(residual)
+            if found is None or 2 * found[0].numerator != -index * found[0].denominator:
+                raise ConsistencyError(f"{description}: anticanonical symmetry fails")
+            even = found[1].compose_affine(Fraction(1, 4), 0)  # q(w^2) = Q_R(4w^2)
+        _carrying(None, description, dim, index, tuple(levels), even, simply_laced, hd=self)
+
+    @property
+    def residual(self) -> RatPoly:
+        e = (self.dim - sum(_factors(self.levels)[2])) % 2
+        return _at(e, self.residual_even, 2, self.index, 2**e)
+
+    @property
+    def even(self) -> RatPoly:
+        if self._even is None:
+            D = multiply_linear(self.levels, self.dim, self.index)
+            _set(self, "_even", D if self.residual_even == _ONE else self.residual_even * D)
+        return self._even
 
     @property
     def poly(self) -> RatPoly:
-        """The expansion: the one carried, or R times the factor product, kept."""
         if self._poly is None:
-            poly = multiply_linear(self.levels)
-            _set(self, "_poly", poly if self.residual == _ONE else self.residual * poly)
+            _set(self, "_poly", _at(self.dim % 2, self.even, 2, self.index))
         return self._poly
 
 
-def _carrying(poly: Optional[RatPoly], *fields, hd: Optional[HilbertData] = None) -> HilbertData:
-    """The HilbertData of `fields` (into `hd`, if given), validated; `poly` is
-    its expansion, or None to multiply it out when it is first read."""
+def _carrying(even: Optional[RatPoly], *fields, hd: Optional[HilbertData] = None) -> HilbertData:
+    """The HilbertData of `fields` (into `hd`, if given), validated; `even` is
+    its Q, or None to multiply it out when it is first read."""
     hd = object.__new__(HilbertData) if hd is None else hd
     hd._fill(*fields)
-    _set(hd, "_poly", poly)
-    _set(hd, "split", symmetric_split(hd.residual) if hd.residual.degree else None)
+    _set(hd, "_even", even)
+    _set(hd, "_poly", None)
     _set(hd, "sections", {})
     validate(hd)
     return hd
@@ -164,14 +193,11 @@ def expand(hd: HilbertData) -> RatPoly:
 
 
 def degree_of(hd: HilbertData) -> int:
-    """dim! times the leading coefficient; the degree of the polarization.
-
-    Read off the factored form with no expansion: a factor ((l*q*z + n)/n)^h
-    leads with (l*q/n)^h, so the value is dim! * lead(R) * prod (l*q/n)^h.
-    """
+    """dim! times the leading coefficient, the degree of the polarization, read
+    off the factors' (l*q/n)^h and R's 4^(deg Q_R) * lead(Q_R)."""
     slopes, keys, exps = _factors(hd.levels)
-    R = hd.residual
-    num = factorial(hd.dim) * R.num * R.ints[-1] * prod(map(pow, slopes, exps))
+    R = hd.residual_even
+    num = factorial(hd.dim) * R.num * R.ints[-1] * prod(map(pow, slopes, exps)) << 2 * R.degree
     den = R.den * prod(map(pow, keys, exps))
     value, rest = divmod(num, den)
     if rest or value <= 0:
@@ -180,25 +206,12 @@ def degree_of(hd: HilbertData) -> int:
 
 
 def validate(hd: HilbertData) -> None:
-    """Assert the structural invariants (once per object, from `_carrying`).
-
-    Symmetry of every table (unimodality too, for simply-laced marks), the
-    expected degree deg R + sum h, the anticanonical symmetry
-    H(-iota-z) = (-1)^dim H(z), integrality on the window `_WINDOW` of
-    integers, and chi(O) = H(0) = 1 whenever the index is positive.  The
-    values H(k) come from the expansion a section carries, and from the
-    tables otherwise (`_window_values`), so validation multiplies nothing out.
-
-    The anticanonical symmetry is checked on the residual R alone.  Under
-    z -> -iota-z a factor (l*z + k)/k becomes -(l*z + k')/k with
-    k' = l*iota - k, and (S), asserted on every table first, gives k' the
-    exponent of k.  So the factor product F satisfies
-    F(-iota-z) = (-1)^deg F * F(z), and since H = R*F with
-    dim = deg R + deg F, H(-iota-z) = (-1)^dim H(z) holds exactly when
-    R(-iota-z) = (-1)^deg R * R(z): when R's split `hd.split` exists and is
-    centered at -iota/2, its only possible center.  A constant R, as on
-    every G/P, is its own mirror.
-    """
+    """Assert the structural invariants (once per object, from `_carrying`):
+    symmetry of every table (unimodality too, for simply-laced marks),
+    integrality on the window `_WINDOW` and chi(O) = H(0) = 1 for a positive
+    index, with no product taken.  The degree and H(-iota-z) = (-1)^dim H(z)
+    hold by construction: a section divides a Q exactly, and construction
+    from R checks both on its one split."""
     for table in hd.levels:
         table.check_symmetric(hd.index)
         if hd.simply_laced:
@@ -207,14 +220,6 @@ def validate(hd: HilbertData) -> None:
                 raise ConsistencyError(
                     f"{hd.description}: level {table.level} not unimodal at {bad[0]}"
                 )
-    degree = hd.residual.degree + sum([sum(t.counts.values()) for t in hd.levels])
-    if degree != hd.dim:
-        raise ConsistencyError(
-            f"{hd.description}: expanded degree {degree} != dim {hd.dim}"
-        )
-    if hd.residual.degree >= 1 and (  # the center is -iota/2, compared on integers
-            hd.split is None or 2 * hd.split[0].numerator != -hd.index * hd.split[0].denominator):
-        raise ConsistencyError(f"{hd.description}: anticanonical symmetry fails")
     values, den = _window_values(hd)
     for k, value in zip(_WINDOW, values):
         if value % den:
@@ -230,22 +235,20 @@ _WINDOW = range(-3, 10)  # the integers k on which `validate` asks H(k) to be an
 
 
 def _window_values(hd: HilbertData) -> tuple[list[int], int]:
-    """([H(k) * den for k in _WINDOW], den), all integers.
-
-    A section or cover evaluates the expansion it carries by integer Horner,
-    which is faster there than the tables; any other object, every G/P, uses
-    the factored form H(k) = R(k) * prod (l*q*k + n)^h / prod n^h.
-    """
-    H = hd._poly
-    if H is not None:
-        return [_scaled_value(H.ints, k) * H.num for k in _WINDOW], H.den
-    R, (slopes, keys, exps) = hd.residual, _factors(hd.levels)
-    num, den = R.num, R.den * prod(map(pow, keys, exps))
+    """([H(k) * den for k in _WINDOW], den), all integers, at v = 2k + iota:
+    v^eps * Q(v^2) by Horner at half the degree where Q is carried, as on
+    every section, else (v/2)^e * Q_R(v^2) * prod (l*q*k + n)^h / prod n^h
+    from the tables, as on every G/P."""
+    Q, vs = hd._even, range(2 * _WINDOW.start + hd.index, 2 * _WINDOW.stop + hd.index, 2)
+    if Q is not None:
+        return [_scaled_value(Q.ints, v * v) * v ** (hd.dim % 2) * Q.num for v in vs], Q.den
+    R, (slopes, keys, exps) = hd.residual_even, _factors(hd.levels)
+    e = (hd.dim - sum(exps)) % 2
     bases, values = [n + a * (_WINDOW.start - 1) for a, n in zip(slopes, keys)], []
-    for k in _WINDOW:
+    for v in vs:
         bases = list(map(add, bases, slopes))  # a*k + n
-        values.append(_scaled_value(R.ints, k) * num * prod(map(pow, bases, exps)))
-    return values, den
+        values.append(_scaled_value(R.ints, v * v) * v**e * R.num * prod(map(pow, bases, exps)))
+    return values, R.den * prod(map(pow, keys, exps)) << e
 
 
 @lru_cache(maxsize=1)

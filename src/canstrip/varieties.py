@@ -1,10 +1,9 @@
 """Hyperplane sections, double covers, and abelian complete intersections.
 
 A hypersurface section of degree d turns H(z) into H(z) - H(z-d); the
-double cover branched in |2dL| gives H(z) + H(z-d).  Both propagate the
-factored form by the same min-of-exponents rule on the level tables: the
-kept factors divide both H(z) and H(z-d), and the residual is the exact
-quotient by them, with a zero remainder asserted on every step.
+double cover branched in |2dL| gives H(z) + H(z-d).  Both keep the factors
+that divide H(z) and H(z-d), by the min rule on the level tables, and the
+residual is the exact quotient by them, asserted on every step.
 """
 
 from __future__ import annotations
@@ -12,21 +11,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .hilbert import HilbertData, LevelTable, _carrying, expand, hilbert_gp, multiply_linear
-from .ratpoly import ConsistencyError, RatPoly, Record
+from .hilbert import HilbertData, LevelTable, _at, _carrying, hilbert_gp, multiply_linear
+from .ratpoly import ConsistencyError, RatPoly, Record, _from_integer
 from .root_system import MarkedSystem
 
 
 def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> HilbertData:
     """One degree-d step: difference for "intersection", sum for "cover".
 
-    Per level, the new exponent at k is min(h_k, h_{k+l*d}): those factors
-    divide both H(z) and H(z-d), and the residual is the exact quotient of
-    H(z) -/+ H(z-d) by them.  A non-zero remainder means the kept factors do
-    not divide, and is the step's reconstruction check; building the result
-    validates it.  H(z) is hd's expansion, which a G/P multiplies out on this
-    first read and keeps for its other steps.  `description` names the
-    result, by default after hd and d.
+    Per level, the new exponent at k is min(h_k, h_{k+l*d}).  With
+    v' = 2z + iota - d, H(z) is S(v') = G(v' + d) for hd's G(v) = v^eps Q(v^2),
+    and H(z-d) is (-1)^dim S(-v'): H(z) -/+ H(z-d) is twice S's monomials of
+    the new dim's parity, whose Q' in u = v'^2 takes one shift.  Q_R is its
+    exact quotient by the kept factors (`multiply_linear`); a remainder fails
+    the reconstruction.  `description` names the result, by default after
+    hd and d.
     """
     if kind not in ("intersection", "cover"):
         raise ValueError(f"unknown section kind {kind!r}")
@@ -49,19 +48,18 @@ def section_step(hd: HilbertData, d: int, kind: str, description: str = "") -> H
             new_tables.append(LevelTable(l, q, kept))
 
     if kind == "intersection":
-        sign, new_dim = -1, hd.dim - 1
+        new_dim, op = hd.dim - 1, "-"
         desc = description or f"{hd.description} ∩ ({d})"
     else:
-        sign, new_dim = 1, hd.dim
+        new_dim, op = hd.dim, "+"
         desc = description or f"double cover of {hd.description} branched in |{2 * d}L|"
 
-    H_old = expand(hd)
-    target = H_old + sign * H_old.compose_affine(1, -d)
-    residual, rest = divmod(target, multiply_linear(new_tables))
+    S = _at(hd.dim % 2, hd.even, 1, d)
+    target = 2 * _from_integer(S.ints[new_dim % 2 :: 2], S.num, S.den)
+    residual, rest = divmod(target, multiply_linear(new_tables, new_dim, hd.index - d))
     if rest:
-        op = "+" if sign > 0 else "-"
         raise ConsistencyError(f"{desc}: factored form does not reconstruct H(z) {op} H(z-d)")
-    # the quotient reconstructs target exactly, so target is the expansion
+    # the quotient reconstructs target exactly, so target is the new Q
     return _carrying(target, desc, new_dim, hd.index - d, tuple(new_tables), residual, hd.simply_laced)
 
 

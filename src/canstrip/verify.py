@@ -7,11 +7,11 @@ proposes points or displays approximations, and never feeds a verdict: the
 double-precision proposer is its own module, `proposer`, imported only when
 an even part reaches ALTERNATION_MIN_DEGREE or advisory roots are asked for.
 
-With w = z - center, a symmetric polynomial is w^eps * q(w^2), and a root of
-q at u corresponds to roots center +- sqrt(u).  So "all roots on the vertical
-line" means q has only real roots u <= 0, and "on the line or real within
-distance r of the center" means q has only real roots u <= r^2.  Both are
-exact counts of q's roots on (-oo, 0] and (-oo, r^2].
+With w = z - center, a symmetric polynomial is w^eps * q(w^2) (for a
+report's residual, q is the carried Q_R in u = 4w^2), and a root u of q gives
+roots center +- sqrt(u).  So "all roots on the vertical line" means q has
+only real roots u <= 0, and "on the line or real within distance r of the
+center" means only real roots u <= r^2: exact counts on (-oo, 0], (-oo, r^2].
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ class LineCheck(NamedTuple):
     segment_boundary: bool = False
 
 
-def _certify(found: Optional[tuple[Fraction, RatPoly]], radius2: Fraction) -> tuple[LineCheck, LineCheck]:
+def _certify(found: Optional[tuple[Fraction, RatPoly]], radius2: int) -> tuple[LineCheck, LineCheck]:
     """Certify all roots of p (deg p >= 1) on its symmetry line and, second,
     on the line or real at squared distance up to radius2 from the center.
 
     `found` is p's split (center, q), p = w^eps * q(w^2) with w = z - center,
-    from the caller's one Taylor shift (`symmetric_split`); None, for a p
-    with no center, violates both checks, with center None.  Each check holds
+    up to a positive rescale of w; None, for a p with no center, violates
+    both checks, with center None.  Each check holds
     exactly when q's count of distinct roots on (-oo, x] (x = 0, then
     radius2) reaches all of its distinct roots.  From degree
     ALTERNATION_MIN_DEGREE on, exact signs alternating at n + 1 points prove
@@ -92,7 +92,7 @@ def _certify(found: Optional[tuple[Fraction, RatPoly]], radius2: Fraction) -> tu
     else:
         distinct = q.degree
         certificate = partial(_alternation_certificate, q, points)
-    on_line = certificate(Fraction(0))
+    on_line = certificate(0)
     line = LineCheck(
         "certified" if on_line.count == distinct else "violated", center, [on_line]
     )
@@ -101,7 +101,7 @@ def _certify(found: Optional[tuple[Fraction, RatPoly]], radius2: Fraction) -> tu
     cert = certificate(radius2)
     status = "certified" if cert.count == distinct else "violated"
     pairs = cert.count - on_line.count
-    return line, LineCheck(status, center, [cert], pairs, q(radius2) == 0)
+    return line, LineCheck(status, center, [cert], pairs, not _scaled_value(q.ints, radius2))
 
 
 def _alternation_certificate(q: RatPoly, points: list[Fraction], x: Fraction) -> SturmCertificate:
@@ -135,7 +135,7 @@ def check_line(p: RatPoly) -> LineCheck:
     """
     if not p.degree:  # a constant
         return LineCheck("not_applicable", None)
-    return _certify(symmetric_split(p), Fraction(0))[0]
+    return _certify(symmetric_split(p), 0)[0]
 
 
 def _finite(x: float) -> Optional[float]:
@@ -254,20 +254,19 @@ class StripReport(NamedTuple):
 def strip_report(hd: HilbertData) -> StripReport:
     """Extract exact rational roots, certify the residual, decide verdicts.
 
-    `hd` was validated when it was built, so its residual R is symmetric
-    about -iota/2 and its split `hd.split` exists whenever deg R >= 1; the
-    split is certified as it stands, in L, for every index.  For a positive
+    The residual R is symmetric about -iota/2 by construction, and its even
+    part Q_R in u = (2z + iota)^2 is certified as it stands.  For a positive
     index, every level factor (l*z + k) contributes the anticanonical root
-    -k/(l*iota) with its table multiplicity, and the residual's real pairs
-    may fill the closed tight segment (the tight-strip dichotomy; none for
-    iota 1 and 2), of squared half-width (1/2 - 1/iota)^2 in z/iota and
-    ((iota - 2)/2)^2 in L: a positive rescale, which changes no count, so the
-    report prints the center -1/2 and each certificate's bound over iota^2.
-    For iota <= 0, (S) admits no table, so the whole polynomial is the
-    residual and only the line hypothesis applies, about -iota/2.
+    -k/(l*iota) with its table multiplicity, and R's real pairs may fill the
+    closed tight segment (the tight-strip dichotomy; none for iota 1 and 2),
+    of squared half-width (1/2 - 1/iota)^2 in z/iota and (iota - 2)^2 in u:
+    a positive rescale, which changes no count, so the report prints the
+    center -1/2 and each certificate's bound over 4 iota^2.  For iota <= 0,
+    (S) admits no table: R is the whole polynomial, and only the line
+    hypothesis applies, about -iota/2.
     """
-    iota, res = hd.index, hd.residual
-    D, radius2, scale = 1, Fraction(0), 1
+    iota = hd.index
+    D, radius2, scale = 1, 0, 1
     roots: dict[int, int] = {}
     if iota > 0:
         # the root -k/(l*iota) of a factor (l*z + k), k = n/q, is -n*(D/(l*q*iota))
@@ -277,13 +276,13 @@ def strip_report(hd: HilbertData) -> StripReport:
             step = D // (table.level * table.den * iota)
             for n, h in table.counts.items():
                 roots[-n * step] = roots.get(-n * step, 0) + h
-        # the squared half-width of the tight segment in L, ((iota - 2)/2)^2
-        radius2, scale = Fraction((iota - 2) ** 2, 4) if iota > 2 else Fraction(0), iota**2
+        # the squared half-width of the tight segment in u, (iota - 2)^2
+        radius2, scale = (iota - 2) ** 2 if iota > 2 else 0, 4 * iota**2
     numerators = sorted(roots)
-    res_roots = res.degree >= 1
+    res_roots = hd.dim > sum(roots.values())  # deg R >= 1
     line = dichotomy = LineCheck("not_applicable", None)
     if res_roots:
-        line, dichotomy = _certify(hd.split, radius2)
+        line, dichotomy = _certify((_HALF if iota > 0 else Fraction(-iota, 2), hd.residual_even), radius2)
     verdicts: dict[str, str] = {}
     witnesses: dict[str, str] = {}
 
@@ -330,10 +329,10 @@ def strip_report(hd: HilbertData) -> StripReport:
         root_den=D,
         root_numerators=[(r, roots[r]) for r in numerators],
         residual_variable="anticanonical" if iota > 0 else "ample_generator",
-        residual_line=_HALF if iota > 0 and res_roots else line.center,
+        residual_line=line.center,
         residual_on_line=line.status,
         residual_dichotomy=dichotomy.status,
-        certificates=[c._replace(hi=c.hi / scale) for c in dichotomy.certificates],
+        certificates=[c._replace(hi=Fraction(c.hi, scale)) for c in dichotomy.certificates],
         verdicts=verdicts,
         witnesses=witnesses,
         boundary_contact=boundary,

@@ -104,6 +104,23 @@ def factored_value(exponents, x):
     return value
 
 
+def factor_product(exponents):
+    """prod ((l*z + k)/k)^h over [(l, {k: h})] as a coefficient list, one
+    Fraction convolution per factor."""
+    out = [Fraction(1)]
+    for level, table in exponents:
+        for k, h in table.items():
+            for _ in range(h):
+                out = pmul(out, [Fraction(1), level / k])
+    return out
+
+
+def centered(p, iota, e=0):
+    """p((v - iota)/2) * (v/2)^e as a coefficient list in v = 2z + iota."""
+    out = pcompose_affine(p, Fraction(1, 2), Fraction(-iota, 2))
+    return pmul(out, [Fraction(0), Fraction(1, 2)]) if e else out
+
+
 def binom_poly(n):
     """C(z + n, n) as a coefficient list."""
     out = [Fraction(1)]

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from canstrip import hilbert, ratpoly, varieties
+from canstrip import hilbert, ratpoly, varieties, verify
 from canstrip.cli import main
 from canstrip.hilbert import (
     HilbertData,
@@ -20,7 +20,8 @@ from canstrip.root_system import all_simple_types, build_root_system, mark, mark
 from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import check_line, strip_report
 
-from oracles import binom_poly, factored_value, pcompose_affine, peval, pmul
+from oracles import (binom_poly, centered, factor_product, factored_value, interleave, padd,
+                     pcompose_affine, peval, pmul, pshift)
 
 E6_P4_TABLES = {
     1: {1: 1, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
@@ -245,25 +246,23 @@ class TestIntegerKernel:
         for h in (0, -1, 2.0):
             with pytest.raises(ValueError, match="level 1: .* every multiplicity a positive integer"):
                 LevelTable(1, 1, {1: h, 3: h})
-        # numerators over den: the factor ((l*z + k)/k)^h for k = n/den
-        def factor_product(tables):
-            want = [Fraction(1)]
-            for t in tables:
-                for k, h in t.exponents.items():
-                    for _ in range(h):
-                        want = pmul(want, [Fraction(1), t.level / k])
-            return want
-
-        tables = [LevelTable(2, 4, {6: 2, 5: 1}), LevelTable(3, 3, {2: 1, 7: 3})]
-        assert tables[0].den == 4 and tables[1].den == 3
-        assert list(multiply_linear(tables).coeffs) == factor_product(tables)
+        # numerators over den: the factor ((l*z + k)/k)^h for k = n/den, in
+        # the centered form v^(dim mod 2) * D(v^2) of F(z) * (v/2)^e; the
+        # second table has the middle key 9/3 = l*iota/2
+        tables = [LevelTable(2, 4, {6: 2, 10: 2}), LevelTable(3, 3, {2: 1, 16: 1, 9: 3})]
+        assert (tables[0].den, tables[1].den) == (2, 3)
+        F = factor_product([(t.level, t.exponents) for t in tables])
+        for e in (0, 1):
+            D = multiply_linear(tables, 9 + e, 2)
+            assert interleave(list(D.coeffs), (9 + e) % 2) == centered(F, 2, e)
         # a section rebuilt by hand from its fields multiplies its residual by
         # the factor product, and so recovers the H(z) - H(z-d) the step divided
         cut = complete_intersection(marked("B", 3, 2), [1])
         assert cut.levels[0].den == 2 and cut.residual.degree == 3
         rebuilt = HilbertData(cut.description, cut.dim, cut.index, cut.levels, cut.residual, cut.simply_laced)
         assert rebuilt == cut and rebuilt.poly == cut.poly
-        assert list(rebuilt.poly.coeffs) == pmul(list(cut.residual.coeffs), factor_product(cut.levels))
+        exponents = [(t.level, t.exponents) for t in cut.levels]
+        assert list(rebuilt.poly.coeffs) == pmul(list(cut.residual.coeffs), factor_product(exponents))
 
     def test_expansion_is_stored_once_and_its_sources_are_fixed(self):
         hd = hilbert_gp(marked("B", 3, 2))
@@ -281,7 +280,7 @@ class TestFactoredForm:
     def test_a_gp_is_multiplied_out_on_its_first_read(self, monkeypatch):
         calls = []
         real = hilbert.multiply_linear
-        monkeypatch.setattr(hilbert, "multiply_linear", lambda t: calls.append(t) or real(t))
+        monkeypatch.setattr(hilbert, "multiply_linear", lambda *a: calls.append(a) or real(*a))
         hd = hilbert_gp.__wrapped__(marked("E", 8, 4))
         assert degree_of(hd) > 0 and strip_report(hd).verdicts
         assert calls == [] and hd._poly is None
@@ -329,11 +328,11 @@ class TestFactoredForm:
 
 
 def assert_factored(hd, parent, d, sign):
-    """The residual times the factor product, multiplied out by
-    `RatPoly.__mul__`, is the H(z) -/+ H(z-d) of the parent that hd's step
-    divided."""
-    H = expand(parent)
-    assert hd.residual * multiply_linear(hd.levels) == H + sign * H.compose_affine(1, -d)
+    """The residual times the factor product, multiplied out by the oracle,
+    is the H(z) -/+ H(z-d) of the parent that hd's step divided."""
+    H = list(expand(parent).coeffs)
+    product = pmul(list(hd.residual.coeffs), factor_product([(t.level, t.exponents) for t in hd.levels]))
+    assert product == padd(H, [sign * c for c in pshift(H, d)])
 
 
 def assert_mirror(hd):
@@ -395,23 +394,38 @@ class TestAnticanonicalMirror:
                 validate(hd)
                 strip_report(hd)
         assert shifts == []
-        # a section shifts H by -d once, and its residual once to the center
-        # -iota/2 = -2, which validate and the report then share
+        # a section shifts G by +d once, in v = 2z + iota; validate and the
+        # report read the Q and Q_R it carries and shift nothing more
         cut = section_step(hilbert_gp(marked("E", 6, 4)), 3, "intersection")
         validate(cut)
         strip_report(cut)
-        assert (cut.index, cut.residual.degree, shifts) == (4, 23, [-3, -2])
+        assert shifts == [3]
+        # reading R in z is one substitution, v = 2z + iota
+        assert (cut.index, cut.residual.degree, shifts) == (4, 23, [3, 4])
 
-    def test_one_shift_per_section_step_and_residual_in_a_sweep(self, shifts, monkeypatch, capsys):
-        made = []
+    def test_one_shift_per_section_step_in_a_sweep(self, shifts, monkeypatch, capsys):
+        made, splits = [], []
         step = varieties.section_step
         monkeypatch.setattr(varieties, "section_step", lambda *a: made.append(step(*a)) or made[-1])
+        real = ratpoly.symmetric_split
+        for module in (ratpoly, hilbert, verify):
+            monkeypatch.setattr(module, "symmetric_split", lambda p: splits.append(p) or real(p))
         hilbert_gp.cache_clear()  # no section memoized by an earlier test
-        assert main(["sweep", "--max-rank", "4", "--max-total-degree", "2", "--jobs", "1"]) == 0
+        assert main(["sweep", "--max-rank", "4", "--max-total-degree", "3", "--jobs", "1"]) == 0
         capsys.readouterr()
-        residuals = sum(hd.residual.degree >= 1 for hd in made)
-        assert 0 < residuals < len(made)
-        assert len(shifts) == len(made) + residuals
+        assert len(shifts) == len(made) > 0 and splits == []
+        assert 0 < sum(hd.residual_even.degree >= 1 for hd in made) < len(made)
+
+    def test_a_gp_report_takes_no_product(self, monkeypatch, capsys):
+        # a G/P is reported from its tables: neither its expansion in z nor
+        # its Q in u, which only a section needs, is multiplied out
+        calls = []
+        real = hilbert.multiply_linear
+        monkeypatch.setattr(hilbert, "multiply_linear", lambda *a: calls.append(a) or real(*a))
+        hilbert_gp.cache_clear()
+        assert main(["gp", "--type", "E8", "--node", "4", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert calls == []
 
     def test_a_residual_with_no_center_fails_the_mirror(self):
         # 1 + z^3 is symmetric about no point: construction refuses it, and

@@ -36,7 +36,9 @@ from canstrip.verify import ALTERNATION_MIN_DEGREE, LineCheck, _certify  # noqa:
 
 from oracles import (  # noqa: E402
     alternates,
+    centered,
     cover_sum,
+    factor_product,
     interleave,
     iterated_difference,
     padd,
@@ -386,38 +388,49 @@ def test_sturm_count_through_an_odd_multiplier(sympy, sign):
     assert sturm_count(p, None, Fraction(0)) == 1
 
 
-linear_tables = st.lists(
-    st.tuples(
-        st.integers(1, 4),
-        st.integers(1, 6),
-        st.dictionaries(st.integers(1, 60), st.integers(1, 4), max_size=4),
+centered_tables = st.tuples(
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(
+            st.integers(1, 4),
+            st.integers(1, 6),
+            st.dictionaries(st.integers(1, 60), st.integers(1, 4), max_size=4),
+        ),
+        max_size=3,
     ),
-    max_size=3,
+    st.integers(0, 1),
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(linear_tables)
-# the empty product is 1
-@example([])
-# the coefficient bound prod (l*q + n)^h just below 256 and 256^2 fills one
-# and two 8-bit slots; at 256 (z + 1)^8 needs a second slot
-@example([(1, 1, {254: 1})])
-@example([(1, 1, {2: 1, 4: 1, 16: 1, 256: 1})])
-@example([(1, 1, {1: 7})])
-@example([(1, 1, {1: 8})])
-@example([(2, 3, {4: 2, 5: 1})])
-def test_multiply_linear_matches_the_product(specs):
-    """The Kronecker-substitution product against the oracle's convolution
-    of one factor (l*z + k)/k per unit of exponent, for positive keys over a
-    denominator and repeated factors."""
-    tables = [LevelTable(level, den, counts) for level, den, counts in specs if counts]
-    want = [Fraction(1)]
-    for t in tables:
-        for k, h in t.exponents.items():
-            for _ in range(h):
-                want = pmul(want, [Fraction(1), t.level / k])
-    assert list(multiply_linear(tables).coeffs) == want
+@given(centered_tables)
+# the empty product is 1, with a residual of either parity
+@example((1, [], 0))
+@example((1, [], 1))
+# a pair's t-coefficients sum to a^2 + b^2: 25 + 225 = 250 fills one 8-bit
+# slot; (t + 1)^7 fills one and (t + 1)^8, summing to 256, needs a second
+@example((5, [(5, 1, {5: 1})], 0))
+@example((3, [(1, 1, {1: 7})], 1))
+@example((3, [(1, 1, {1: 8})], 0))
+# keys over a denominator, and a middle key l*iota/2, which is v/iota
+@example((2, [(2, 3, {4: 2, 5: 1})], 1))
+@example((2, [(1, 1, {1: 3})], 0))
+def test_multiply_linear_matches_the_product(case):
+    """The centered Kronecker-substitution product against the oracle's
+    convolution of one factor (l*z + k)/k per unit of exponent, carried to
+    v = 2z + iota, for symmetric tables with positive keys over a
+    denominator, repeated factors and middle keys."""
+    index, specs, e = case
+    tables = []
+    for level, den, lower in specs:
+        full = level * den * index  # a key n over den pairs with full - n
+        counts = {m: h for n, h in lower.items() if 2 * n <= full for m in (n, full - n)}
+        if counts:
+            tables.append(LevelTable(level, den, counts))
+    dim = sum(sum(t.counts.values()) for t in tables) + e
+    D = multiply_linear(tables, dim, index)
+    want = centered(factor_product([(t.level, t.exponents) for t in tables]), index, e)
+    assert interleave(list(D.coeffs), dim % 2) == want
 
 
 MARKS = [(t.series, t.rank, node) for t in all_simple_types(4) for node in range(1, t.rank + 1)]

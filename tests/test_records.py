@@ -123,5 +123,5 @@ def test_an_unexpanded_gp_copies_and_pickles():
     twins = (copy.copy(hd), copy.deepcopy(hd), pickle.loads(pickle.dumps(hd)))
     assert hd._poly is None and all(twin._poly is None for twin in twins)
     for twin in twins:
-        assert twin == hd and twin.split == hd.split and twin.sections == {}
+        assert twin == hd and twin.residual_even == hd.residual_even and twin.sections == {}
         assert twin.poly == hd.poly and twin.poly is not hd.poly

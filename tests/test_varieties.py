@@ -6,8 +6,9 @@ from math import factorial
 import pytest
 
 from canstrip import hilbert, varieties
-from canstrip.hilbert import degree_of, expand, hilbert_gp, multiply_linear
-from canstrip.ratpoly import ConsistencyError, RatPoly
+from canstrip.cli import _iter_multidegrees
+from canstrip.hilbert import HilbertData, degree_of, expand, hilbert_gp
+from canstrip.ratpoly import ConsistencyError, RatPoly, symmetric_split
 from canstrip.root_system import all_simple_types, build_root_system, mark, marked
 from canstrip.varieties import (
     AbelianSpec,
@@ -20,7 +21,8 @@ from canstrip.varieties import (
 )
 from canstrip.verify import check_line, strip_report
 
-from oracles import binom_poly, cover_sum, iterated_difference, padd, pmul
+from oracles import (binom_poly, cover_sum, factor_product, iterated_difference, padd, pdivmod, pmul,
+                     pshift, psub, symmetric_even_part)
 
 
 def as_ratpoly(coeffs):
@@ -66,10 +68,10 @@ class TestSectionStep:
             # the carried expansion against the factored form, multiplied
             # out by RatPoly.__mul__
             cut = section_step(hd, d, "intersection")
-            factored = cut.residual * multiply_linear(cut.levels)
+            factored = cut.residual * RatPoly(factor_product([(t.level, t.exponents) for t in cut.levels]))
             assert expand(cut) == factored == H + (-1) * H.compose_affine(1, -d)
             cov = section_step(hd, d, "cover")
-            factored = cov.residual * multiply_linear(cov.levels)
+            factored = cov.residual * RatPoly(factor_product([(t.level, t.exponents) for t in cov.levels]))
             assert expand(cov) == factored == H + H.compose_affine(1, -d)
             assert cov.dim == hd.dim and cut.dim == hd.dim - 1
             assert cov.index == cut.index == hd.index - d
@@ -77,20 +79,20 @@ class TestSectionStep:
     def test_a_remainder_fails_the_reconstruction(self, monkeypatch):
         # kept factors that do not divide H(z) - H(z-d) leave a remainder
         real = varieties.multiply_linear
-        monkeypatch.setattr(varieties, "multiply_linear", lambda t: real(t) * RatPoly((3, 1)))
+        monkeypatch.setattr(varieties, "multiply_linear", lambda *a: real(*a) * RatPoly((3, 1)))
         with pytest.raises(ConsistencyError, match="does not reconstruct H\\(z\\) - H\\(z-d\\)"):
             section_step(hilbert_gp(marked("B", 3, 2)), 1, "intersection")
 
     def test_one_product_per_step(self, monkeypatch):
         # the step multiplies out only its divisor and keeps the quotient's
-        # target as the expansion; the parent's own expansion, taken on its
-        # first read, is taken before the calls are counted
+        # target as its Q; the parent's own Q, taken on its first read, is
+        # taken before the calls are counted
         calls = []
         real = varieties.multiply_linear
         for module in (varieties, hilbert):
-            monkeypatch.setattr(module, "multiply_linear", lambda t: calls.append(t) or real(t))
+            monkeypatch.setattr(module, "multiply_linear", lambda *a: calls.append(a) or real(*a))
         hd = hilbert_gp(marked("E", 6, 4))
-        expand(hd)
+        hd.even
         for kind in ("intersection", "cover"):
             calls.clear()
             assert section_step(hd, 3, kind).residual.degree > 0
@@ -106,6 +108,56 @@ class TestSectionStep:
         assert point.dim == 0
         with pytest.raises(ValueError):
             section_step(point, 1, "intersection")
+
+
+class TestCenteredForm:
+    """A section or cover carries Q and Q_R in u = v^2, v = 2z + iota; its
+    fields in z, rebuilt from them where they are read, against the Fraction
+    oracles."""
+
+    def assert_matches(self, hd, H):
+        # H is the oracle's H(z) -/+ H(z-d); R is its quotient by the factors
+        assert list(expand(hd).coeffs) == H, hd.description
+        R, rest = pdivmod(H, factor_product([(t.level, t.exponents) for t in hd.levels]))
+        assert rest == [] and list(hd.residual.coeffs) == R, hd.description
+        if len(R) > 1:  # Q_R is the split's q in u = 4w^2, content included
+            center, q = symmetric_even_part(R)
+            assert center == Fraction(-hd.index, 2)
+            assert [c * 4**i for i, c in enumerate(hd.residual_even.coeffs)] == q
+            assert symmetric_split(hd.residual)[1].coeffs == tuple(q)
+        else:
+            assert list(hd.residual_even.coeffs) == R
+        # a copy built by hand from the fields in z splits R once, and
+        # multiplies out the same Q from its tables
+        bare = HilbertData(hd.description, hd.dim, hd.index, hd.levels, hd.residual, hd.simply_laced)
+        assert bare == hd and bare._even is None and bare.even == hd.even
+
+    def test_every_section_and_cover_up_to_rank_4(self):
+        # codim <= 3 and total degree <= iota + 3; covers d <= 2 * iota + 2
+        count = 0
+        for t in all_simple_types(4):
+            for node in range(1, t.rank + 1):
+                ms = marked(t.series, t.rank, node)
+                gp = hilbert_gp(ms)
+                H = {(): factor_product([(t.level, t.exponents) for t in gp.levels])}
+                for degrees in _iter_multidegrees(ms.index + 3, min(3, ms.dim)):
+                    if degrees:
+                        parent = H[degrees[:-1]]
+                        H[degrees] = psub(parent, pshift(parent, degrees[-1]))
+                        self.assert_matches(complete_intersection(ms, list(degrees)), H[degrees])
+                        count += 1
+                for d in range(1, 2 * ms.index + 3):
+                    self.assert_matches(double_cover(ms, d), cover_sum(H[()], d))
+                    count += 1
+        assert count == 2107
+
+    def test_an_asymmetric_residual_is_refused(self):
+        cut = complete_intersection(marked("E", 6, 4), [3])
+        assert cut.index == 4 and cut.residual.degree == 23
+        # R + z keeps R's top two coefficients, so its only possible center,
+        # -iota/2, but adds a monomial of the wrong parity about it
+        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
+            HilbertData("by hand", cut.dim, cut.index, cut.levels, cut.residual + RatPoly((0, 1)))
 
 
 class TestCompleteIntersection:

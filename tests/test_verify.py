@@ -116,14 +116,15 @@ class TestCertifyMultipleRoots:
         shifted.clear()
         check_line(p)
         assert shifted == [p]
-        # a report certifies its residual's split, taken when the object was built
+        # a report certifies its residual's even part, split once when the
+        # object was built
         hd = HilbertData("by hand", 2, 1, [], RatPoly((1, 5, 5)))
         shifted.clear()
         assert strip_report(hd).residual_line == Fraction(-1, 2)
         assert shifted == []
         # no second even part in the anticanonical variable: the Sturm chain
         # (below ALTERNATION_MIN_DEGREE) and the proposer (from it on) both
-        # take the split's own q
+        # take the carried Q_R as it stands
         taken = []
         chain, points = verify._sturm_sequence, proposer._alternating_points
         monkeypatch.setattr(verify, "_sturm_sequence", lambda q: taken.append(q) or chain(q))
@@ -134,8 +135,8 @@ class TestCertifyMultipleRoots:
             taken.clear()
             rep = strip_report(hd)
             assert hd.index > 2 and rep.residual_line == Fraction(-1, 2)
-            assert len(taken) == 1 and taken[0] is hd.split[1]
-        assert small.split[1].degree < verify.ALTERNATION_MIN_DEGREE <= large.split[1].degree
+            assert len(taken) == 1 and taken[0] is hd.residual_even
+        assert small.residual_even.degree < verify.ALTERNATION_MIN_DEGREE <= large.residual_even.degree
 
 
 def geometric_roots(n):
