@@ -81,6 +81,7 @@ def canonical_json(obj) -> str:
 
 
 def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> dict:
+    residual = hd.residual  # rebuilt by one substitution on each read
     report = {
         "description": hd.description,
         "dim": hd.dim,
@@ -94,7 +95,7 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
             }
             for t in hd.levels
         ],
-        "residual": [str(c) for c in hd.residual.coeffs],
+        "residual": [str(c) for c in residual.coeffs],
         "rational_roots": [{"root": str(r), "mult": m} for r, m in rep.rational_roots],
         "verdicts": rep.verdicts,
         "witnesses": rep.witnesses,
@@ -105,7 +106,7 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
         "certificates": [c.as_dict() for c in rep.certificates],
     }
     if digits is not None and hd.dim >= 1:
-        res = hd.residual.compose_affine(hd.index, 0) if hd.index > 0 else expand(hd)
+        res = residual.compose_affine(hd.index, 0) if hd.index > 0 else expand(hd)
         report["approx_roots"] = approx_roots(res, digits, rep.rational_roots)
     return report
 

@@ -148,6 +148,8 @@ class HilbertData(Record):
         degree = residual.degree + sum(_factors(levels)[2])
         if degree != dim:
             raise ConsistencyError(f"{description}: expanded degree {degree} != dim {dim}")
+        if not residual:
+            raise ConsistencyError(f"{description}: the residual is zero")
         even = residual
         if residual.degree >= 1:  # the center must be -iota/2, compared on integers
             found = symmetric_split(residual)

@@ -175,8 +175,8 @@ def approx_roots(p: RatPoly, digits: int = 12, rational: Sequence[tuple[Fraction
     APPROX_SWEEPS sweeps pass; the block is converged if all settled.  A residual is
     |p(z)| / sum |c_i z^i| on the `_balanced` doubles (0 for a rational root);
     a value that is no finite double is None.  Advisory only."""
-    if digits < 1 or p.degree < 1 and not rational:
-        raise ValueError("need digits >= 1" if digits < 1 else "need deg >= 1")
+    if digits < 1 or not p or p.degree < 1 and not rational:
+        raise ValueError("need digits >= 1" if digits < 1 else "need deg >= 1" if p else "need p != 0")
     # imported here: the advisory roots are proposed in doubles
     from .proposer import (APPROX_SWEEPS, DOUBLE_DIGITS, _aberth, _alternating_points, _balanced,
                            _horner, _ldexp, _split)
@@ -283,43 +283,33 @@ def strip_report(hd: HilbertData) -> StripReport:
     line = dichotomy = LineCheck("not_applicable", None)
     if res_roots:
         line, dichotomy = _certify((_HALF if iota > 0 else Fraction(-iota, 2), hd.residual_even), radius2)
-    verdicts: dict[str, str] = {}
-    witnesses: dict[str, str] = {}
-
-    def decide(name: str, root_ok, residual_status: str, res_inside: bool) -> None:
-        if residual_status == "violated":
-            verdicts[name] = "fails"
-            witnesses[name] = (
-                "residual roots escape the certified region" if iota > 0
-                else "roots off the symmetry line"
-            )
-            return
-        if res_roots and not res_inside:
-            verdicts[name] = "fails"
-            witnesses[name] = "residual roots fall outside the strip"
-            return
-        bad = next((r for r in numerators if not root_ok(r)), None)
-        if bad is None:
-            verdicts[name] = "holds"
-        else:
-            verdicts[name] = "fails"
-            witnesses[name] = str(Fraction(bad, D))
-
+    # (S) pairs each table root r with -D - r, and each region below is an interval
+    # about -D/2 (for CL, that point): every root lies in it exactly when the smallest,
+    # r0, does, and a failing r0 is the first failure in increasing order.
+    r0 = numerators[0] if numerators else None  # with no table root every test passes
+    verdicts = dict.fromkeys(("CS", "NCS", "TCS"), "not_applicable")
+    rules = {"CL": (line.status, True, r0 is None or 2 * r0 == -D)}  # name -> (status, inside, r0 ok)
+    boundary = False
     if iota > 0:
-        lo, hi = D // iota - D, -D // iota  # the tight strip [-1 + 1/iota, -1/iota]
-        boundary = any(r in (lo, hi) for r in numerators) or dichotomy.segment_boundary
-        # the narrow strip is (-1 + 1/m, -1/m) with m = dim + 1; certified
-        # residual roots sit on the center line -1/2, inside it when m > 2,
-        # plus (under the dichotomy) real pairs in the closed tight segment
-        m = hd.dim + 1
+        lo, m = D // iota - D, hd.dim + 1  # the tight strip [lo, -D - lo] is [-1 + 1/iota, -1/iota]
+        boundary = lo in roots or dichotomy.segment_boundary
+        # the narrow strip is (-1 + 1/m, -1/m); certified residual roots sit on the
+        # center line -1/2, inside it when m > 2, plus (under the dichotomy) real
+        # pairs in the closed tight segment
         res_in_narrow = m > 2 and (dichotomy.segment_pairs == 0 or iota < m)
-        decide("CS", lambda r: -D < r < 0, dichotomy.status, True)
-        decide("NCS", lambda r: D - m * D < m * r < -D, dichotomy.status, res_in_narrow)
-        decide("TCS", lambda r: lo <= r <= hi, dichotomy.status, True)
-    else:
-        boundary = False
-        verdicts.update(dict.fromkeys(("CS", "NCS", "TCS"), "not_applicable"))
-    decide("CL", lambda r: 2 * r == -D, line.status, True)
+        rules = {"CS": (dichotomy.status, True, r0 is None or -D < r0),
+                 "NCS": (dichotomy.status, res_in_narrow, r0 is None or D - m * D < m * r0),
+                 "TCS": (dichotomy.status, True, r0 is None or lo <= r0), **rules}
+    escape = "residual roots escape the certified region" if iota > 0 else "roots off the symmetry line"
+    witnesses: dict[str, str] = {}
+    for name, (status, inside, r0_ok) in rules.items():
+        if status == "violated":
+            witnesses[name] = escape
+        elif res_roots and not inside:
+            witnesses[name] = "residual roots fall outside the strip"
+        elif not r0_ok:
+            witnesses[name] = str(Fraction(r0, D))
+        verdicts[name] = "fails" if name in witnesses else "holds"
 
     return StripReport(
         description=hd.description,

@@ -210,3 +210,37 @@ def alternates(coeffs, points):
         return False
     values = [peval(coeffs, x) for x in points]
     return all(values) and all((a > 0) != (b > 0) for a, b in zip(values, values[1:]))
+
+
+def strip_scan(roots, iota, dim, line, dichotomy, segment_pairs, segment_boundary, res_roots):
+    """(verdicts, witnesses, boundary contact) by scanning every rational root
+    (Fractions in the anticanonical variable, increasing) against Fraction
+    strips: CS (-1, 0), NCS (-1 + 1/m, -1/m) with m = dim + 1, TCS
+    [-1 + 1/iota, -1/iota] and CL {-1/2}.  `line` and `dichotomy` are the
+    residual's statuses.  A violated status fails its hypotheses first; then
+    NCS fails when residual roots leave the narrow strip; then the first
+    root outside a strip is its witness."""
+    verdicts, witnesses = {}, {}
+
+    def decide(name, status, inside, ok):
+        bad = next((r for r in roots if not ok(r)), None)
+        if status == "violated":
+            witnesses[name] = ("residual roots escape the certified region" if iota > 0
+                               else "roots off the symmetry line")
+        elif res_roots and not inside:
+            witnesses[name] = "residual roots fall outside the strip"
+        elif bad is not None:
+            witnesses[name] = str(bad)
+        verdicts[name] = "fails" if name in witnesses else "holds"
+
+    if iota > 0:
+        m, ends = dim + 1, (Fraction(1 - iota, iota), Fraction(-1, iota))
+        decide("CS", dichotomy, True, lambda r: -1 < r < 0)
+        narrow = m > 2 and (segment_pairs == 0 or iota < m)
+        decide("NCS", dichotomy, narrow, lambda r: Fraction(1 - m, m) < r < Fraction(-1, m))
+        decide("TCS", dichotomy, True, lambda r: ends[0] <= r <= ends[1])
+        boundary = any(r in ends for r in roots) or segment_boundary
+    else:
+        verdicts, boundary = dict.fromkeys(("CS", "NCS", "TCS"), "not_applicable"), False
+    decide("CL", line, True, lambda r: r == Fraction(-1, 2))
+    return verdicts, witnesses, boundary

@@ -153,6 +153,11 @@ class TestValidate:
         hd = hilbert_gp(marked("C", 4, 2))
         assert not hd.simply_laced
 
+    def test_a_zero_residual_is_refused(self):
+        # its degree -1 matches dim -1, but no Hilbert polynomial is zero
+        with pytest.raises(ConsistencyError, match="the residual is zero"):
+            HilbertData("zero", -1, 0, [], RatPoly())
+
     def test_wrong_chi_detected(self):
         with pytest.raises(ConsistencyError):
             HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
@@ -402,6 +407,15 @@ class TestAnticanonicalMirror:
         assert shifts == [3]
         # reading R in z is one substitution, v = 2z + iota
         assert (cut.index, cut.residual.degree, shifts) == (4, 23, [3, 4])
+
+    def test_a_digits_report_reads_the_residual_once(self, shifts, capsys):
+        # the section's shift by d = 3, R read once in v = 2z + 6, then
+        # approx_roots' input R(6z) (a shift by 0) and its split
+        hilbert_gp.cache_clear()  # no section memoized by an earlier test
+        argv = ["ci", "--type", "E8", "--node", "4", "--degrees", "3", "--format", "json", "--digits", "6"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert shifts == [3, 6, 0, -1]
 
     def test_one_shift_per_section_step_in_a_sweep(self, shifts, monkeypatch, capsys):
         made, splits = [], []

@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from canstrip import verify  # noqa: E402
 from canstrip.cli import _iter_multidegrees, main  # noqa: E402
-from canstrip.hilbert import LevelTable, expand, hilbert_gp, multiply_linear  # noqa: E402
+from canstrip.hilbert import HilbertData, LevelTable, expand, hilbert_gp, multiply_linear  # noqa: E402
 from canstrip.ratpoly import (  # noqa: E402
     ConsistencyError,
     RatPoly,
@@ -48,6 +48,7 @@ from oracles import (  # noqa: E402
     pmul,
     pshift,
     psub,
+    strip_scan,
     symmetric_even_part,
     trim,
 )
@@ -581,9 +582,20 @@ def test_strip_report_matches_the_anticanonical_even_part(sympy, monkeypatch):
         return kept
 
     monkeypatch.setattr(verify, "_certify", spy)
-    for hd in rank4_objects():
+    # no table root of rank <= 4 leaves the tight strip; these two do (TCS is
+    # empty at index 1, and -5/6 lies left of -2/3 at index 3)
+    outside = (HilbertData("level 3 at index 1", 2, 1, [LevelTable(3, 1, {1: 1, 2: 1})]),
+               HilbertData("level 2 at index 3", 5, 3, [LevelTable(2, 1, dict.fromkeys(range(1, 6), 1))]))
+    for hd in (*rank4_objects(), *outside):
         iota, R = hd.index, list(hd.residual.coeffs)
+        kept[:] = [LineCheck("not_applicable", None)] * 2  # unless R is certified
         rep = verify.strip_report(hd)
+        # the verdicts from the smallest root match a scan of every root, in order
+        scan = strip_scan([r for r, _ in rep.rational_roots], iota, hd.dim, rep.residual_on_line,
+                          rep.residual_dichotomy, kept[1].segment_pairs, kept[1].segment_boundary,
+                          len(R) > 1)
+        assert (list(rep.verdicts.items()), list(rep.witnesses.items()), rep.boundary_contact) == (
+            list(scan[0].items()), list(scan[1].items()), scan[2])
         if len(R) < 2:
             assert rep.residual_on_line == rep.residual_dichotomy == "not_applicable"
             assert rep.certificates == [] and rep.residual_line is None

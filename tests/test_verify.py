@@ -381,6 +381,12 @@ class TestApproxRoots:
         with pytest.raises(ValueError):
             approx_roots(P(3))
 
+    def test_rejects_the_zero_polynomial(self):
+        # zero vanishes at every given root, so dividing them out never ends
+        for rational in ((), [(Fraction(-1, 2), 1)]):
+            with pytest.raises(ValueError, match="need p != 0"):
+                approx_roots(P(), 6, rational)
+
     def test_rational_roots_add_the_residuals_share(self):
         # on every rank <= 4 mark, its hyperplane and quadric sections and
         # its double cover branched in |2L|: the multiplicities sum to the
