@@ -20,8 +20,7 @@ from math import factorial, gcd, prod
 from operator import add
 from typing import Optional, Sequence
 
-from .ratpoly import (ConsistencyError, RatPoly, Record, _ONE, _from_integer, _reduced, _scaled_value,
-                      _set, symmetric_split)
+from .ratpoly import ConsistencyError, RatPoly, Record, _ONE, _from_integer, _reduced, _scaled_value, _set
 from .root_system import MarkedSystem
 
 
@@ -31,21 +30,22 @@ class LevelTable(Record):
     A key k is stored as its numerator n = k * den over the table's one
     denominator `den` (1 in the simply-laced case), and `counts` maps the
     numerators, in increasing order, to their multiplicities.  The level,
-    `den` and every key (a rho-pairing) are positive and every multiplicity
-    is a positive integer; anything else is refused, since `multiply_linear`
+    `den`, every key (a rho-pairing) and every multiplicity are positive
+    `int`s (not `bool`s); anything else is refused, since `multiply_linear`
     reads its product back unsigned and `validate` takes integer powers.
     Construction sorts the keys and divides `den` and the numerators by
     their gcd, so `den` is as small as the keys allow and equal tables
     compare equal.  `exponents` is the same table keyed by the rationals k.
+    A table holds a dict, so it has no hash.
     """
 
     __slots__ = _fields = ("level", "den", "counts")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, level: int, den: int, counts: dict[int, int]) -> None:
-        if level < 1 or den < 1 or min(counts, default=1) <= 0 or not all(
-                isinstance(h, int) and h >= 1 for h in counts.values()):
+        if not all(type(x) is int and x >= 1 for x in (level, den, *counts, *counts.values())):
             raise ValueError(f"level {level}: the level, the denominator and every key must be "
-                             "positive, and every multiplicity a positive integer")
+                             "positive integers, and every multiplicity a positive integer")
         g = gcd(den, *counts)
         if g > 1:
             den, counts = den // g, {n // g: h for n, h in counts.items()}
@@ -55,14 +55,14 @@ class LevelTable(Record):
     def exponents(self) -> dict[Fraction, int]:
         return {Fraction(n, self.den): h for n, h in self.counts.items()}
 
-    def check_symmetric(self, index: int) -> None:
+    def check_symmetric(self, index: int, description: str) -> None:
         """Assert property (S): h at k matches h at level*index - k."""
         counts, li = self.counts, self.level * index * self.den
         for n, h in counts.items():
             if counts.get(li - n) != h:
                 raise ConsistencyError(
-                    f"level {self.level}: h at {Fraction(n, self.den)} is {h} but at "
-                    f"{self.level * index}-{Fraction(n, self.den)} is {counts.get(li - n)}"
+                    f"{description}: level {self.level} not symmetric: h({Fraction(n, self.den)}) = "
+                    f"{h} but h({Fraction(li - n, self.den)}) = {counts.get(li - n, 0)}"
                 )
 
     def unimodality_violations(self, index: int) -> list[tuple[Fraction, Fraction]]:
@@ -133,30 +133,29 @@ class HilbertData(Record):
     (v/2)^e * Q_R(v^2), e = deg R mod 2, so Q_R(4w^2) is R's even part in
     w = z + iota/2.  `residual_even` is Q_R (1 on a G/P); `even` is Q, carried
     from a section's step, else multiplied out on its first read and kept.
-    `residual` and `poly` are R and H in z, by one substitution where read.
+    `residual` is R in z, and `expand(hd)` H, by one substitution where read.
     `sections` memoizes sections by degree for `complete_intersection`; the
     caches take no part in equality.  `simply_laced` makes (U) a theorem.
-    Construction from R in z splits it once, refusing a wrong degree or
-    center; every construction runs `validate`.
+    The constructor takes the fields as they are kept: e is what the degree
+    leaves, dim - sum h - 2 deg Q_R, refused unless 0 or 1, so R is
+    symmetric about -iota/2 by its form.  Every construction runs
+    `validate`.  Its tables hold dicts, so it has no hash.
     """
 
     _fields = ("description", "dim", "index", "levels", "residual_even", "simply_laced")
-    __slots__ = (*_fields, "_even", "_poly", "sections")
+    __slots__ = (*_fields, "_even", "sections")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, description: str, dim: int, index: int, levels: Sequence[LevelTable] = (),
-                 residual: RatPoly = _ONE, simply_laced: bool = True) -> None:
-        degree = residual.degree + sum(_factors(levels)[2])
-        if degree != dim:
-            raise ConsistencyError(f"{description}: expanded degree {degree} != dim {dim}")
-        if not residual:
+                 residual_even: RatPoly = _ONE, simply_laced: bool = True) -> None:
+        if not residual_even:
             raise ConsistencyError(f"{description}: the residual is zero")
-        even = residual
-        if residual.degree >= 1:  # the center must be -iota/2, compared on integers
-            found = symmetric_split(residual)
-            if found is None or 2 * found[0].numerator != -index * found[0].denominator:
-                raise ConsistencyError(f"{description}: anticanonical symmetry fails")
-            even = found[1].compose_affine(Fraction(1, 4), 0)  # q(w^2) = Q_R(4w^2)
-        _carrying(None, description, dim, index, tuple(levels), even, simply_laced, hd=self)
+        levels = tuple(levels)
+        degree = sum(_factors(levels)[2]) + 2 * residual_even.degree
+        if dim - degree not in (0, 1):
+            raise ConsistencyError(f"{description}: dim {dim} is neither {degree}, the degree of "
+                                   "the tables and Q_R(v^2), nor one more")
+        _carrying(None, description, dim, index, levels, residual_even, simply_laced, hd=self)
 
     @property
     def residual(self) -> RatPoly:
@@ -170,12 +169,6 @@ class HilbertData(Record):
             _set(self, "_even", D if self.residual_even == _ONE else self.residual_even * D)
         return self._even
 
-    @property
-    def poly(self) -> RatPoly:
-        if self._poly is None:
-            _set(self, "_poly", _at(self.dim % 2, self.even, 2, self.index))
-        return self._poly
-
 
 def _carrying(even: Optional[RatPoly], *fields, hd: Optional[HilbertData] = None) -> HilbertData:
     """The HilbertData of `fields` (into `hd`, if given), validated; `even` is
@@ -183,15 +176,15 @@ def _carrying(even: Optional[RatPoly], *fields, hd: Optional[HilbertData] = None
     hd = object.__new__(HilbertData) if hd is None else hd
     hd._fill(*fields)
     _set(hd, "_even", even)
-    _set(hd, "_poly", None)
     _set(hd, "sections", {})
     validate(hd)
     return hd
 
 
 def expand(hd: HilbertData) -> RatPoly:
-    """The expansion in the ample-generator variable, taken once per object."""
-    return hd.poly
+    """H in the ample-generator variable z: v^eps * Q(v^2) at v = 2z + iota,
+    by one substitution on each call."""
+    return _at(hd.dim % 2, hd.even, 2, hd.index)
 
 
 def degree_of(hd: HilbertData) -> int:
@@ -212,16 +205,15 @@ def validate(hd: HilbertData) -> None:
     symmetry of every table (unimodality too, for simply-laced marks),
     integrality on the window `_WINDOW` and chi(O) = H(0) = 1 for a positive
     index, with no product taken.  The degree and H(-iota-z) = (-1)^dim H(z)
-    hold by construction: a section divides a Q exactly, and construction
-    from R checks both on its one split."""
+    hold by construction: a section divides a Q exactly, and the constructor
+    checks the degree and takes Q_R in v^2."""
     for table in hd.levels:
-        table.check_symmetric(hd.index)
+        table.check_symmetric(hd.index, hd.description)
         if hd.simply_laced:
             bad = table.unimodality_violations(hd.index)
             if bad:
-                raise ConsistencyError(
-                    f"{hd.description}: level {table.level} not unimodal at {bad[0]}"
-                )
+                raise ConsistencyError(f"{hd.description}: level {table.level} not unimodal: "
+                                       f"h({bad[0][0]}) > h({bad[0][1]})")
     values, den = _window_values(hd)
     for k, value in zip(_WINDOW, values):
         if value % den:

@@ -7,8 +7,8 @@ zero polynomial is ((), 0, 1).  The form is unique, so equality and hashing
 compare it directly, and every kernel (products, sums, shifts, evaluation,
 pseudo-division and the Sturm chains built on it, whose last term is
 gcd(p, p')) multiplies and adds plain integers, and reduces the content with
-one `math.gcd` and no `Fraction`.  `content` and `coeffs`, the `Fraction`
-views, are derived on demand only for printing.  `RatPoly` has only the
+one `math.gcd` and no `Fraction`.  `coeffs`, the `Fraction` view, is
+derived on demand only for printing.  `RatPoly` has only the
 operations the pipeline runs: sums, products by a polynomial or a scalar,
 evaluation, affine substitution and division, all exact; floats never enter
 any verdict-relevant path.
@@ -31,7 +31,10 @@ class ConsistencyError(RuntimeError):
 class Record:
     """The frozen base of the records a `NamedTuple` cannot hold: `_fill` sets
     the fields once, then assignment raises AttributeError.  Records of one
-    class compare, hash and print by `_fields`, in constructor order."""
+    class compare, hash and print by `_fields`, in constructor order, so
+    `type(r)(*r._values()) == r` for all but `RatPoly`, which is built from
+    its coefficients.  A record that holds a dict has no hash: `LevelTable`,
+    and `HilbertData` through its tables."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -74,11 +77,6 @@ class RatPoly(Record):
         den = lcm(*(c.denominator for c in cs))
         p = _from_integer([c.numerator * (den // c.denominator) for c in cs], 1, den)
         self._fill(p.ints, p.num, p.den)
-
-    @property
-    def content(self) -> Fraction:
-        """num / den as a Fraction, built on each read."""
-        return Fraction(self.num, self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

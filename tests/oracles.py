@@ -121,6 +121,17 @@ def centered(p, iota, e=0):
     return pmul(out, [Fraction(0), Fraction(1, 2)]) if e else out
 
 
+def residual_even(p, iota):
+    """Q_R with p = (v/2)^e Q_R(v^2) in v = 2z + iota, e = deg p mod 2, as a
+    coefficient list: the form a HilbertData keeps its residual in.  None
+    when p is not symmetric about -iota/2."""
+    e = (len(trim(p)) - 1) % 2
+    c = centered(p, iota)
+    if any(c[1 - e :: 2]):
+        return None
+    return [x * 2**e for x in c[e::2]]
+
+
 def binom_poly(n):
     """C(z + n, n) as a coefficient list."""
     out = [Fraction(1)]

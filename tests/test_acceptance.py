@@ -94,7 +94,7 @@ def test_criterion_02_symmetry_unimodality_extremals(capsys):
         for ms in enumerate_marked(8):
             hd = hilbert_gp(ms)  # construction already asserts (S)
             for table in hd.levels:
-                table.check_symmetric(hd.index)
+                table.check_symmetric(hd.index, hd.description)
                 bad = table.unimodality_violations(hd.index)
                 if hd.simply_laced:
                     assert not bad, (ms.description, table.level)

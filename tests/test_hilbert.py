@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from canstrip import hilbert, ratpoly, varieties, verify
-from canstrip.cli import main
+from canstrip.cli import _iter_multidegrees, main
 from canstrip.hilbert import (
     HilbertData,
     LevelTable,
@@ -21,7 +21,7 @@ from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import check_line, strip_report
 
 from oracles import (binom_poly, centered, factor_product, factored_value, interleave, padd,
-                     pcompose_affine, peval, pmul, pshift)
+                     pcompose_affine, peval, pmul, pshift, residual_even)
 
 E6_P4_TABLES = {
     1: {1: 1, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
@@ -143,8 +143,36 @@ class TestCrossChecks:
 
 class TestValidate:
     def test_symmetry_violation_detected(self):
-        with pytest.raises(ConsistencyError):
+        # of the right degree, so (S) is what refuses it: the key 2 at index 2
+        # mirrors to 0, which the table lacks
+        with pytest.raises(ConsistencyError, match=r"^broken: level 1 not symmetric: h\(2\) = 1 but h\(0\) = 0$"):
+            HilbertData("broken", 3, 2, [LevelTable(1, 1, {1: 2, 2: 1})])
+
+    def test_unimodality_violation_detected(self):
+        # symmetric about l*iota/2 and of the right degree, but h falls below
+        # the middle; the keys print as rationals
+        with pytest.raises(ConsistencyError, match=r"^broken: level 1 not unimodal: h\(1\) > h\(2\)$"):
+            HilbertData("broken", 5, 4, [LevelTable(1, 1, {1: 2, 2: 1, 3: 2})])
+        with pytest.raises(ConsistencyError, match=r"^broken: level 1 not unimodal: h\(1/2\) > h\(1\)$"):
+            HilbertData("broken", 5, 2, [LevelTable(1, 2, {1: 2, 2: 1, 3: 2})])
+        assert LevelTable(1, 1, {1: 2, 2: 1, 3: 2}).unimodality_violations(4) == [(1, 2)]
+
+    def test_degree_must_leave_zero_or_one(self):
+        # dim - sum h - 2 deg Q_R is the e of R = (v/2)^e Q_R(v^2)
+        with pytest.raises(ConsistencyError, match=r"^broken: dim 2 is neither 3, the degree"):
             HilbertData("broken", 2, 2, [LevelTable(1, 1, {1: 2, 2: 1})])
+        with pytest.raises(ConsistencyError, match=r"^broken: dim 4 is neither 2, .* nor one more$"):
+            HilbertData("broken", 4, 0, [], RatPoly((0, 1)))
+        # one more is e = 1: R = (v/2) * (v^2/2) at index 0, where v = 2z
+        assert expand(HilbertData("2z^3", 3, 0, [], RatPoly((0, Fraction(1, 2))))) == RatPoly((0, 0, 0, 2))
+
+    def test_a_negative_degree_is_refused(self):
+        # -z at index 0: R = -(v/2) in v = 2z, integer-valued, and with no
+        # chi check at index 0 it is built; its degree -1 is refused
+        hd = HilbertData("negative", 1, 0, [], RatPoly((-1,)))
+        assert expand(hd) == RatPoly((0, -1))
+        with pytest.raises(ConsistencyError, match=r"^negative: degree -1 is not a positive integer$"):
+            degree_of(hd)
 
     def test_unimodality_gate(self):
         # same shape that real mixed-length marks produce; allowed only there
@@ -154,20 +182,20 @@ class TestValidate:
         assert not hd.simply_laced
 
     def test_a_zero_residual_is_refused(self):
-        # its degree -1 matches dim -1, but no Hilbert polynomial is zero
+        # refused before its degree is read: no Hilbert polynomial is zero
         with pytest.raises(ConsistencyError, match="the residual is zero"):
             HilbertData("zero", -1, 0, [], RatPoly())
 
     def test_wrong_chi_detected(self):
-        with pytest.raises(ConsistencyError):
-            HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
+        # 4z + 2 with index 1: Q_R = 4 in R = (v/2) * Q_R, v = 2z + 1
+        with pytest.raises(ConsistencyError, match=r"chi\(O\) = 2 != 1"):
+            HilbertData("broken", 1, 1, [], RatPoly((4,)))
 
     def test_chi_alone_detected(self):
-        # 2(z + 1) on P^1 with index 2: symmetric and integer-valued, chi = 2
+        # 2(z + 1) on P^1 with index 2, v = 2z + 2: symmetric and
+        # integer-valued, chi = 2
         with pytest.raises(ConsistencyError, match="chi"):
-            HilbertData("broken", 1, 2, [], RatPoly((2, 2)))
-        with pytest.raises(ConsistencyError, match="anticanonical symmetry"):
-            HilbertData("broken", 1, 1, [], RatPoly((2, 2)))
+            HilbertData("broken", 1, 2, [], RatPoly((2,)))
 
     def test_non_integer_value_detected(self, monkeypatch):
         # both are refused from the tables alone, with no product taken
@@ -260,22 +288,34 @@ class TestIntegerKernel:
         for e in (0, 1):
             D = multiply_linear(tables, 9 + e, 2)
             assert interleave(list(D.coeffs), (9 + e) % 2) == centered(F, 2, e)
-        # a section rebuilt by hand from its fields multiplies its residual by
-        # the factor product, and so recovers the H(z) - H(z-d) the step divided
+        # a section rebuilt by hand from its fields multiplies Q_R by the
+        # factor product, and so recovers the H(z) - H(z-d) the step divided
         cut = complete_intersection(marked("B", 3, 2), [1])
         assert cut.levels[0].den == 2 and cut.residual.degree == 3
-        rebuilt = HilbertData(cut.description, cut.dim, cut.index, cut.levels, cut.residual, cut.simply_laced)
-        assert rebuilt == cut and rebuilt.poly == cut.poly
+        rebuilt = HilbertData(*cut._values())
+        assert rebuilt == cut and rebuilt._even is None and expand(rebuilt) == expand(cut)
         exponents = [(t.level, t.exponents) for t in cut.levels]
-        assert list(rebuilt.poly.coeffs) == pmul(list(cut.residual.coeffs), factor_product(exponents))
+        assert list(expand(rebuilt).coeffs) == pmul(list(cut.residual.coeffs), factor_product(exponents))
 
-    def test_expansion_is_stored_once_and_its_sources_are_fixed(self):
+    def test_expansion_is_rebuilt_where_read_and_its_sources_are_fixed(self):
+        # Q is kept once read; H in z is one substitution of it per read
         hd = hilbert_gp(marked("B", 3, 2))
-        assert expand(hd) is hd.poly is expand(hd)
+        assert hd.even is hd.even and expand(hd) == expand(hd)
+        assert not hasattr(hd, "poly") and "_poly" not in HilbertData.__slots__
         assert isinstance(hd.levels, tuple)
-        for name in ("levels", "residual", "poly"):
+        for name in ("levels", "residual_even", "residual", "even"):
             with pytest.raises(AttributeError):
                 setattr(hd, name, getattr(hd, name))
+
+    @pytest.mark.parametrize("level, den, counts", [
+        (2.0, 1, {1: 1, 3: 1}),        # a float level
+        (1, 1.0, {1: 1}),              # a float denominator
+        (1, 1, {Fraction(1): 1}),      # a key that is not an int
+        (1, 1, {1: True}),             # a bool multiplicity
+    ], ids=["level", "den", "key", "bool multiplicity"])
+    def test_a_table_refuses_what_it_cannot_hold(self, level, den, counts):
+        with pytest.raises(ValueError, match=f"^level {level}: .* must be positive integers"):
+            LevelTable(level, den, counts)
 
 
 class TestFactoredForm:
@@ -288,8 +328,8 @@ class TestFactoredForm:
         monkeypatch.setattr(hilbert, "multiply_linear", lambda *a: calls.append(a) or real(*a))
         hd = hilbert_gp.__wrapped__(marked("E", 8, 4))
         assert degree_of(hd) > 0 and strip_report(hd).verdicts
-        assert calls == [] and hd._poly is None
-        assert expand(hd) is hd.poly is expand(hd)
+        assert calls == [] and hd._even is None
+        assert expand(hd) == expand(hd) and hd.even is hd.even
         assert len(calls) == 1
 
     def test_factored_values_and_degree_match_the_expansion(self):
@@ -302,7 +342,7 @@ class TestFactoredForm:
                 hd = hilbert_gp.__wrapped__(mark(rs, node))
                 values, den = hilbert._window_values(hd)
                 degree = degree_of(hd)
-                assert hd._poly is None
+                assert hd._even is None
                 exponents = [(table.level, table.exponents) for table in hd.levels]
                 want = [factored_value(exponents, k) for k in hilbert._WINDOW]
                 assert [Fraction(v, den) for v in values] == want, hd.description
@@ -321,15 +361,33 @@ class TestFactoredForm:
                 gp = hilbert_gp.__wrapped__(marked(t.series, t.rank, node))
                 for d, kind in ((1, "intersection"), (2, "intersection"), (2, "cover")):
                     hd = section_step(gp, d, kind)
-                    bare = HilbertData(hd.description, hd.dim, hd.index, hd.levels, hd.residual,
-                                       hd.simply_laced)
-                    H = list(hd.poly.coeffs)
+                    bare = HilbertData(*hd._values())
+                    H = list(expand(hd).coeffs)
                     want = [peval(H, k) for k in hilbert._WINDOW]
                     for obj in (hd, bare):
                         values, den = hilbert._window_values(obj)
                         assert [Fraction(v, den) for v in values] == want, hd.description
-                    assert bare._poly is None and bare == hd
+                    assert bare._even is None and bare == hd
                     assert degree_of(hd) == factorial(hd.dim) * H[-1], hd.description
+
+    def test_every_object_is_rebuilt_from_its_fields(self):
+        # the constructor takes the fields it keeps: every G/P, section
+        # (codim <= 3, total degree <= 3) and cover (d <= 2 iota + 2) of the
+        # rank <= 4 marks equals the object built from its _values(), which
+        # multiplies out its Q from the tables, and expands to the same H
+        count = 0
+        for t in all_simple_types(4):
+            for node in range(1, t.rank + 1):
+                ms = marked(t.series, t.rank, node)
+                objects = [complete_intersection(ms, list(degrees))
+                           for degrees in _iter_multidegrees(3, min(3, ms.dim))]
+                objects += [double_cover(ms, d) for d in range(1, 2 * ms.index + 3)]
+                for hd in objects:
+                    bare = HilbertData(*hd._values())
+                    assert bare == hd and repr(bare) == repr(hd), hd.description
+                    assert bare.even == hd.even and expand(bare) == expand(hd), hd.description
+                    count += 1
+        assert count == 701
 
 
 def assert_factored(hd, parent, d, sign):
@@ -422,7 +480,8 @@ class TestAnticanonicalMirror:
         step = varieties.section_step
         monkeypatch.setattr(varieties, "section_step", lambda *a: made.append(step(*a)) or made[-1])
         real = ratpoly.symmetric_split
-        for module in (ratpoly, hilbert, verify):
+        assert not hasattr(hilbert, "symmetric_split")
+        for module in (ratpoly, verify):
             monkeypatch.setattr(module, "symmetric_split", lambda p: splits.append(p) or real(p))
         hilbert_gp.cache_clear()  # no section memoized by an earlier test
         assert main(["sweep", "--max-rank", "4", "--max-total-degree", "3", "--jobs", "1"]) == 0
@@ -442,11 +501,11 @@ class TestAnticanonicalMirror:
         assert calls == []
 
     def test_a_residual_with_no_center_fails_the_mirror(self):
-        # 1 + z^3 is symmetric about no point: construction refuses it, and
-        # the line check of the bare polynomial finds no line either
+        # 1 + z^3 is symmetric about no point: it has no Q_R, so no object
+        # can carry it, and the line check of the bare polynomial finds no
+        # line either
         assert symmetric_split(RatPoly((1, 0, 0, 1))) is None
-        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
-            HilbertData("no centre", 3, 1, [], RatPoly((1, 0, 0, 1)))
+        assert residual_even([1, 0, 0, 1], 1) is None
         line = check_line(RatPoly((1, 0, 0, 1)))
         assert (line.status, line.center, line.certificates) == ("violated", None, ())
 

@@ -36,7 +36,7 @@ class TestArith:
     def test_members_are_the_operations_the_pipeline_runs(self):
         members = {name for name, v in vars(RatPoly).items()
                    if isinstance(v, (FunctionType, property, classmethod, staticmethod))}
-        assert members == {"__init__", "content", "coeffs", "degree", "__bool__", "__add__",
+        assert members == {"__init__", "coeffs", "degree", "__bool__", "__add__",
                            "__mul__", "__rmul__", "__call__", "compose_affine", "__divmod__",
                            "exact_div", "__str__"}
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from canstrip.hilbert import HilbertData, LevelTable, hilbert_gp
+from canstrip.hilbert import HilbertData, LevelTable, expand, hilbert_gp
 from canstrip.ratpoly import RatPoly, SturmCertificate, _sturm_sequence, sturm_certificate
 from canstrip.root_system import SimpleType, build_root_system, mark, marked
 from canstrip.varieties import AbelianSpec, complete_intersection
@@ -72,28 +72,48 @@ def test_level_table_normalizes_its_keys():
     assert list(LevelTable(1, 1, {2: 2, 1: 1, 3: 1}).counts) == [1, 2, 3]
 
 
-def test_hilbert_data_equality_ignores_poly_and_sections():
+def test_hilbert_data_equality_ignores_its_caches():
     ms = marked("A", 3, 1)
     cached = hilbert_gp(ms)
-    complete_intersection(ms, [2])  # memoized in cached.sections
+    complete_intersection(ms, [2])  # memoized in cached.sections, which read Q
     fresh = hilbert_gp.__wrapped__(ms)
     assert cached.sections and not fresh.sections
+    assert cached._even is not None and fresh._even is None
     assert fresh == cached and fresh is not cached
     other = copy.copy(fresh)
-    object.__setattr__(other, "_poly", RatPoly())  # the slot behind `poly`
-    assert other.poly == RatPoly() and other == fresh
+    object.__setattr__(other, "_even", RatPoly())  # the slot behind `even`
+    assert other.even == RatPoly() and other == fresh
     assert isinstance(fresh.levels, tuple)
     assert HilbertData("x", 0, 1) != HilbertData("y", 0, 1)
-    # P^1 with its factor in a table, or left in the residual: one expansion,
-    # but not the same factored form
+    # P^1 with its factor z + 1 in a table, or left in the residual, where it
+    # is (v/2)^1 * Q_R(v^2) with Q_R = 1 in v = 2z + 2: one expansion, but
+    # not the same factored form
     by_table = HilbertData("x", 1, 2, [LevelTable(1, 1, {1: 1})])
-    by_residual = HilbertData("x", 1, 2, [], RatPoly((1, 1)))
-    assert by_table.poly == by_residual.poly and by_table != by_residual
+    by_residual = HilbertData("x", 1, 2)
+    assert by_residual.residual == RatPoly((1, 1))
+    assert expand(by_table) == expand(by_residual) and by_table != by_residual
+
+
+@pytest.mark.parametrize("name", ["SimpleType", "RootSystem", "LevelTable", "HilbertData",
+                                  "AbelianSpec"])
+def test_a_record_is_rebuilt_from_its_fields(name):
+    record = RECORDS[name][0]()
+    assert type(record)(*record._values()) == record
+
+
+def test_records_that_hold_a_dict_have_no_hash():
+    # a level table's counts is a dict, and a HilbertData holds tables
+    for record in (LevelTable(1, 1, {1: 1}), HilbertData("point", 0, 1), hilbert_gp(marked("A", 2, 1))):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+            hash(record)
+    for name in ("RatPoly", "SimpleType", "RootSystem", "AbelianSpec"):
+        record = RECORDS[name][0]()
+        assert hash(record) == hash(copy.copy(record))
 
 
 def test_ratpoly_equality_and_hash_follow_the_normal_form():
     a, b = RatPoly((Fraction(1, 2), 1)), RatPoly((1, 2)) * Fraction(1, 2)
-    assert (a.ints, a.content) == ((1, 2), Fraction(1, 2))
+    assert (a.ints, a.num, a.den) == ((1, 2), 1, 2)
     assert a == b and hash(a) == hash(b)
     assert RatPoly((0, 2, 0)) == 2 * RatPoly((0, 1))
     assert RatPoly((1, 2)) != RatPoly((2, 4))
@@ -121,7 +141,7 @@ def test_an_unexpanded_gp_copies_and_pickles():
     # the copies carry no expansion either, and each takes its own on first read
     hd = hilbert_gp.__wrapped__(marked("E", 6, 4))
     twins = (copy.copy(hd), copy.deepcopy(hd), pickle.loads(pickle.dumps(hd)))
-    assert hd._poly is None and all(twin._poly is None for twin in twins)
+    assert hd._even is None and all(twin._even is None for twin in twins)
     for twin in twins:
         assert twin == hd and twin.residual_even == hd.residual_even and twin.sections == {}
-        assert twin.poly == hd.poly and twin.poly is not hd.poly
+        assert twin.even == hd.even and twin.even is not hd.even

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -125,11 +126,13 @@ class TestCenteredForm:
             assert center == Fraction(-hd.index, 2)
             assert [c * 4**i for i, c in enumerate(hd.residual_even.coeffs)] == q
             assert symmetric_split(hd.residual)[1].coeffs == tuple(q)
+            # the z-form recipe for building by hand recovers Q_R from R
+            assert symmetric_split(hd.residual)[1].compose_affine(Fraction(1, 4), 0) == hd.residual_even
         else:
             assert list(hd.residual_even.coeffs) == R
-        # a copy built by hand from the fields in z splits R once, and
-        # multiplies out the same Q from its tables
-        bare = HilbertData(hd.description, hd.dim, hd.index, hd.levels, hd.residual, hd.simply_laced)
+        # a copy built by hand from the fields multiplies out the same Q from
+        # its tables
+        bare = HilbertData(*hd._values())
         assert bare == hd and bare._even is None and bare.even == hd.even
 
     def test_every_section_and_cover_up_to_rank_4(self):
@@ -155,9 +158,12 @@ class TestCenteredForm:
         cut = complete_intersection(marked("E", 6, 4), [3])
         assert cut.index == 4 and cut.residual.degree == 23
         # R + z keeps R's top two coefficients, so its only possible center,
-        # -iota/2, but adds a monomial of the wrong parity about it
-        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
-            HilbertData("by hand", cut.dim, cut.index, cut.levels, cut.residual + RatPoly((0, 1)))
+        # -iota/2, but adds a monomial of the wrong parity about it: the
+        # z-form recipe's split finds no even part, so there is no Q_R to
+        # build on; R itself passed as Q_R is refused for its degree
+        assert symmetric_split(cut.residual + RatPoly((0, 1))) is None
+        with pytest.raises(ConsistencyError, match=re.escape("E6/P4 ∩ (3): dim 28 is neither 51,")):
+            HilbertData(cut.description, cut.dim, cut.index, cut.levels, cut.residual)
 
 
 class TestCompleteIntersection:
@@ -248,7 +254,7 @@ class TestSharedSections:
             assert cut12.levels == plain.levels
             assert cut12.residual == plain.residual
             assert cut12.description == plain.description == f"{ms.description} ∩ (1,2)"
-            assert cut12.poly == plain.poly
+            assert expand(cut12) == expand(plain)
 
     def test_fields_cannot_be_assigned(self):
         hd = complete_intersection(marked("A", 3, 1), [2])

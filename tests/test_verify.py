@@ -5,12 +5,12 @@ import pytest
 
 from canstrip import proposer, verify
 from canstrip.hilbert import HilbertData, LevelTable, expand, hilbert_gp
-from canstrip.ratpoly import ConsistencyError, RatPoly, symmetric_split
+from canstrip.ratpoly import RatPoly, symmetric_split
 from canstrip.root_system import all_simple_types, marked
 from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import _certify, approx_roots, check_line, strip_report
 
-from oracles import alternates, binom_poly, iterated_difference
+from oracles import alternates, binom_poly, iterated_difference, residual_even
 
 
 def P(*coeffs):
@@ -116,9 +116,8 @@ class TestCertifyMultipleRoots:
         shifted.clear()
         check_line(p)
         assert shifted == [p]
-        # a report certifies its residual's even part, split once when the
-        # object was built
-        hd = HilbertData("by hand", 2, 1, [], RatPoly((1, 5, 5)))
+        # a report certifies its residual's even part, carried from construction
+        hd = HilbertData("by hand", 2, 1, [], P(*residual_even([1, 5, 5], 1)))
         shifted.clear()
         assert strip_report(hd).residual_line == Fraction(-1, 2)
         assert shifted == []
@@ -312,24 +311,27 @@ class TestStripReport:
         assert rep.residual_line == Fraction(1)  # -iota/2 with iota = -2
 
     def test_residual_without_a_center(self):
-        # 1 + z^3 has no symmetry center, so no object is built on it; a
-        # valid residual of index -1, 5z^2 - 5z + 1, is centered at 1/2 but
-        # has the real roots 1/2 +- sqrt(1/20) off its line
-        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
-            HilbertData("no center", dim=3, index=-1, residual=P(1, 0, 0, 1))
-        rep = strip_report(HilbertData("off the line", dim=2, index=-1, residual=P(1, -5, 5)))
+        # 1 + z^3 has no symmetry center, so it has no Q_R and no object can
+        # carry it; a valid residual of index -1, 5z^2 - 5z + 1, is
+        # (5v^2 - 1)/4 in v = 2z - 1, centered at 1/2 but with the real roots
+        # 1/2 +- sqrt(1/20) off its line
+        assert symmetric_split(P(1, 0, 0, 1)) is None and residual_even([1, 0, 0, 1], -1) is None
+        Q_R = symmetric_split(P(1, -5, 5))[1].compose_affine(Fraction(1, 4), 0)
+        assert Q_R == P(*residual_even([1, -5, 5], -1)) == P(Fraction(-1, 4), Fraction(5, 4))
+        rep = strip_report(HilbertData("off the line", dim=2, index=-1, residual_even=Q_R))
         assert rep.residual_on_line == "violated" and rep.residual_line == Fraction(1, 2)
         assert rep.verdicts["CL"] == "fails"
         assert rep.witnesses["CL"] == "roots off the symmetry line"
 
     def test_residual_centered_off_minus_half(self):
         # z^2 + 1 with index 3 is 9z^2 + 1 in the anticanonical variable,
-        # centered at 0 instead of -1/2, so no object is built on it; a valid
-        # residual of index 1, 5z^2 + 5z + 1, is centered at -1/2 but has the
-        # real roots -1/2 +- sqrt(1/20) off the line
-        with pytest.raises(ConsistencyError, match="anticanonical symmetry fails"):
-            HilbertData("off center", dim=2, index=3, residual=P(1, 0, 1))
-        rep = strip_report(HilbertData("off the line", dim=2, index=1, residual=P(1, 5, 5)))
+        # centered at 0 instead of -1/2: its split finds the center 0, not
+        # -iota/2, so it has no Q_R at index 3; a valid residual of index 1,
+        # 5z^2 + 5z + 1, is centered at -1/2 but has the real roots
+        # -1/2 +- sqrt(1/20) off the line
+        assert symmetric_split(P(1, 0, 1))[0] == 0 and residual_even([1, 0, 1], 3) is None
+        rep = strip_report(HilbertData("off the line", dim=2, index=1,
+                                       residual_even=P(*residual_even([1, 5, 5], 1))))
         assert rep.residual_on_line == "violated" and rep.residual_line == Fraction(-1, 2)
         assert set(rep.verdicts.values()) == {"fails"}
         assert set(rep.witnesses.values()) == {"residual roots escape the certified region"}
