@@ -20,7 +20,6 @@ from .root_system import (
     index_formulas,
     mark,
     marked,
-    rho_pair,
 )
 from .hilbert import HilbertData, LevelTable, degree_of, expand, hilbert_gp, validate
 from .varieties import (
@@ -35,7 +34,6 @@ from .varieties import (
 from .verify import (
     LineCheck,
     StripReport,
-    approx_roots,
     check_line,
     strip_report,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "abelian_ci",
     "abelian_spec_from_json",
     "all_simple_types",
-    "approx_roots",
     "build_root_system",
     "canonicalize",
     "check_line",
@@ -72,7 +69,6 @@ __all__ = [
     "mark",
     "marked",
     "pell",
-    "rho_pair",
     "section_step",
     "squarefree_parts",
     "strip_report",

@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .hilbert import HilbertData, degree_of, expand, hilbert_gp
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, symmetric_split
 from .root_system import MarkedSystem, all_simple_types, marked
 from .varieties import abelian_ci, abelian_spec_from_json, complete_intersection, double_cover
-from .verify import StripReport, approx_roots, check_line, strip_report
+from .verify import StripReport, _certify, strip_report
 
 HARD_RANK_CAP = 10
 
@@ -106,8 +106,13 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
         "certificates": [c.as_dict() for c in rep.certificates],
     }
     if digits is not None and hd.dim >= 1:
-        res = residual.compose_affine(hd.index, 0) if hd.index > 0 else expand(hd)
-        report["approx_roots"] = approx_roots(res, digits, rep.rational_roots)
+        from .proposer import approx_roots  # imported here: only advisory roots load the proposer
+
+        # the carried Q_R, in u = (2z + iota)^2, and the table roots; with no
+        # tables (iota <= 0) R is H, whose roots come as a bare polynomial's
+        poly = residual if hd.index > 0 else expand(hd)
+        found = (Fraction(-1, 2), hd.residual_even) if hd.index > 0 else symmetric_split(poly)
+        report["approx_roots"] = approx_roots(poly, digits, found, rep.rational_roots, hd.index)
     return report
 
 
@@ -257,10 +262,11 @@ def cmd_cover(args) -> int:
 
 
 def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optional[str] = None) -> int:
-    """Certify the line hypothesis for a bare polynomial and emit its report:
-    `fields` are the command's own keys, `heading` starts the text line of H(z),
-    and `note` is reported when H has no symmetry center."""
-    line = check_line(poly)
+    """Certify the line hypothesis for a bare polynomial of degree >= 1 and
+    emit its report: `fields` are the command's own keys, `heading` starts the
+    text line of H(z), and `note` is reported when H has no symmetry center."""
+    found = symmetric_split(poly)  # deg >= 1; the one split of the line check and the roots
+    line = _certify(found, 0)[0]
     if line.center is not None:  # printed below, and built from several coefficients
         _printable(line.center, f"the symmetry center of the {fields['description']}")
     verdict = "fails" if line.status == "violated" else "holds"
@@ -273,8 +279,10 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
     )
     if note and line.center is None:
         report["note"] = note
-    if args.digits is not None and poly.degree >= 1:
-        report["approx_roots"] = approx_roots(poly, args.digits)
+    if args.digits is not None:
+        from .proposer import approx_roots  # imported here: only advisory roots load the proposer
+
+        report["approx_roots"] = approx_roots(poly, args.digits, found)
     if args.format == "json":
         _emit(canonical_json(report), args.out)
     else:

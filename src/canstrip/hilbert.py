@@ -138,7 +138,8 @@ class HilbertData(Record):
     caches take no part in equality.  `simply_laced` makes (U) a theorem.
     The constructor takes the fields as they are kept: e is what the degree
     leaves, dim - sum h - 2 deg Q_R, refused unless 0 or 1, so R is
-    symmetric about -iota/2 by its form.  Every construction runs
+    symmetric about -iota/2 by its form.  `dim` and `index` are `int`s (not
+    `bool`s), or a `ValueError` names the field.  Every construction runs
     `validate`.  Its tables hold dicts, so it has no hash.
     """
 
@@ -148,6 +149,9 @@ class HilbertData(Record):
 
     def __init__(self, description: str, dim: int, index: int, levels: Sequence[LevelTable] = (),
                  residual_even: RatPoly = _ONE, simply_laced: bool = True) -> None:
+        for name, value in (("dim", dim), ("index", index)):
+            if type(value) is not int:
+                raise ValueError(f"{description}: {name} must be an int, not {value!r}")
         if not residual_even:
             raise ConsistencyError(f"{description}: the residual is zero")
         levels = tuple(levels)
@@ -253,7 +257,10 @@ def hilbert_gp(ms: MarkedSystem) -> HilbertData:
     after another, and they share this object and its memoized sections.
     """
     # `mark` has asserted through `extremal_roots` that each level's
-    # extremal keys sum to l * iota
+    # extremal keys sum to l * iota; a key k at level l is at least l, with
+    # 1 at the marked root, so the largest table root in v is iota - 2
+    if min(min(keys) - l * ms.d_den for l, keys in ms.pairings.items()):
+        raise ConsistencyError(f"{ms.description}: the smallest key over level is not 1")
     tables = [LevelTable(l, ms.d_den, Counter(keys)) for l, keys in ms.pairings.items()]
     return HilbertData(
         description=ms.description,

@@ -4,8 +4,8 @@
 turns its real iterates into dyadic points and keeps them only when q's
 exact signs alternate there, so a proposal that fails costs time and never
 a verdict.  `verify` imports this module only when an even part reaches
-`verify.ALTERNATION_MIN_DEGREE` or advisory roots are asked for, so a run that
-never proposes never loads float code.
+`verify.ALTERNATION_MIN_DEGREE`, and `cli` only for the advisory `--digits`
+roots (`approx_roots`), so a run that never proposes never loads float code.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .ratpoly import RatPoly, _scaled_value, _sign
+from .ratpoly import RatPoly, _scaled_value, _sign, squarefree_parts
 
 # decimal digits a double carries; advisory approximations aim no finer
 DOUBLE_DIGITS = sys.float_info.dig
@@ -215,3 +215,102 @@ def _aberth(ints: Sequence[int], circles: bool = False) -> tuple[int, Iterator[t
             yield ys, steps
 
     return shift, sweeps()
+
+
+def _finite(x: float) -> Optional[float]:
+    """x, or None (JSON null) for a NaN or an infinity, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
+def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, digits: int) -> Fraction:
+    """The root of q = sum ints[i] u^i between dyadics a < b of opposite exact
+    signs, bisected (on integers over 2^k) to a relative width of 10^-digits,
+    then one secant step, exact on a linear q.  A root at 0, which no relative
+    width reaches, is tried first and returned exactly."""
+    n, k = len(ints) - 1, max(a.denominator, b.denominator).bit_length() - 1
+    A, B = int(a * 2**k), int(b * 2**k)
+    fa, fb = (_scaled_value([c << k * (n - i) for i, c in enumerate(ints)], x) for x in (A, B))
+    while (B - A) * 10**digits > min(abs(A), abs(B)):
+        M, k = (0 if A < 0 < B else A + B), k + 1
+        fm = _scaled_value([c << k * (n - i) for i, c in enumerate(ints)], M)  # 2^(k*n) q(M/2^k)
+        if not fm:
+            return Fraction(M, 1 << k)
+        if (fm > 0) == (fa > 0):
+            A, fa, B, fb = M, fm, 2 * B, fb << n
+        else:
+            A, fa, B, fb = 2 * A, fa << n, M, fm
+    return Fraction(A * fb - B * fa, (fb - fa) << k)
+
+
+def _scaled(y: complex, e: int, k: int = 1) -> complex:
+    """y * 2^e / k, part by part, so that an infinite part makes no NaN."""
+    return complex(_ldexp(y.real, e) / k, _ldexp(y.imag, e) / k)
+
+
+def approx_roots(p: RatPoly, digits: int, found: Optional[tuple[Fraction, RatPoly]],
+                 rational: Sequence[tuple[Fraction, int]] = (), index: int = 0) -> dict:
+    """The advisory block of p's roots.  `found` is p's split (c, q),
+    p = w^eps * q(w^2) in w = z - c (`symmetric_split`), or None for a p with
+    no center.  With index > 0, p is a report's residual R, `found` is
+    (-1/2, Q_R) in u = (2z + index)^2, roots are in x = z/index, and each
+    table root r < c in `rational` where R vanishes takes, with its mirror
+    2c - r, one more per exact division of Q_R by its u.  The centre takes
+    eps plus two per root u = 0; each other root u gives c +- sqrt(u) (over
+    2 index), bisected on exact signs (`_bisect`) where q alternates, else
+    from each square-free part's circle-started `_aberth` (as for a p with
+    no center), run until every relative step is at most 10^-digits, its
+    iterates freeze or APPROX_SWEEPS sweeps pass (converged if all settle).
+    A row's residual is |p(z)| / sum |c_i z^i| at z = index * x on the
+    `_balanced` doubles: 0 for a rational root, None if not a finite double."""
+    if digits < 1 or not p or p.degree < 1 and not rational:
+        raise ValueError("need digits >= 1" if digits < 1 else "need deg >= 1" if p else "need p != 0")
+    digits = min(digits, DOUBLE_DIGITS)
+    tol = 10.0**-digits
+    k, t = (2 * index, index) if index > 0 else (1, 1)  # x = c +- sqrt(u)/k, and z = t*x
+    exact, converged, roots = dict(rational), True, []
+    (c, q), eps, zeros, points = found or (0, p), p.degree % 2, 0, None
+    if found is not None:
+        for r in [r for r in exact if r < c]:
+            u = (k * (r - c)) ** 2
+            while not q(u):  # R vanishes at r and at its mirror 2c - r
+                q = q.exact_div(RatPoly((-u, 1)))
+                exact[r], exact[2 * c - r] = exact[r] + 1, exact[2 * c - r] + 1
+        zeros = next(i for i, a in enumerate(q.ints) if a)  # q's roots u = 0, at x = c
+        q = RatPoly(q.coeffs[zeros:])
+        points = _alternating_points(q) if q.degree >= 1 else []
+    x = _ldexp(*_split(c))
+    if points is not None:  # q's simple roots u = m * 2^f, bisected on exact signs
+        us = [(*_split(_bisect(q.ints, a, b, digits)), 1) for a, b in zip(points, points[1:])]
+    else:
+        us = []
+        for f, mult in squarefree_parts(q):
+            shift, sweeps = _aberth(f.ints, circles=True)
+            for _, (ys, steps) in zip(range(APPROX_SWEEPS), sweeps):
+                if settled := all(s <= tol * abs(y) for y, s in zip(ys, steps)):
+                    break
+            converged &= settled
+            us += [(y, shift, mult) for y in ys]
+    # imported here: only the advisory roots take complex square roots
+    import cmath
+
+    for y, e, mult in us:  # the root u = y * 2^e of q, or of a p with no center
+        if found:  # u gives x +- sqrt(u)/k
+            w = _scaled(cmath.sqrt(_scaled(y, e % 2)), e // 2, k)
+            zs = (x + w, x - w)
+        else:
+            zs = (_scaled(y, e),)
+        for z in zs:  # a root from circles within 10^-digits of the real axis is real
+            roots.append((z.real if points is None and abs(z.imag) < tol * max(1.0, abs(z)) else z, mult))
+    if c in exact:
+        exact[c] += eps + 2 * zeros
+    elif found and (eps or zeros):
+        roots.append((x, eps + 2 * zeros))
+    rows = [(complex(r), m, 0.0) for r, m in exact.items()]
+    _, shift, terms = _balanced(p.ints)
+    for z, m in roots:
+        y = _scaled(complex(z.real * t, z.imag * t), -shift)
+        v, _, e = _horner(terms, y) if abs(y) <= 1 else _horner(terms[::-1], 1 / y)
+        rows.append((complex(z), m, abs(v) / e if e else 0.0))
+    values = [{"re": _finite(z.real), "im": _finite(z.imag), "mult": m, "residual": _finite(e)}
+              for z, m, e in sorted(rows, key=lambda r: (round(r[0].real, 9), round(r[0].imag, 9)))]
+    return {"advisory": True, "converged": converged, "digits": digits, "values": values}

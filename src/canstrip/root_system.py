@@ -6,7 +6,7 @@ so pairing a root (as a coefficient vector) against the i-th simple coroot is
 row i of C times the vector.  Marking a node rescales the invariant pairing
 so the marked simple root has squared length 2.  The pairing runs on integers:
 the rescaled symmetrizer and the inverse Cartan matrix each carry one common
-denominator, and the public values are exact `Fraction`s built from them.
+denominator, and the pipeline reads their integer numerators.
 The root closure carries each root's coroot pairings (C a) along, and each
 `RootSystem` keeps the integer rho-numerators of its positive roots, which
 every marking of it shares.
@@ -167,10 +167,6 @@ class RootSystem(Record):
         return self.simple_type.rank
 
     @cached_property
-    def root_set(self) -> frozenset[Root]:
-        return frozenset(self.positive_roots)
-
-    @cached_property
     def d_num(self) -> tuple[int, ...]:
         """The symmetrizer scaled to coprime positive integers."""
         scale = lcm(*(v.denominator for v in self.symmetrizer))
@@ -205,10 +201,6 @@ class RootSystem(Record):
     def highest_root(self) -> Root:
         return self.positive_roots[-1]
 
-    def is_root(self, a: Root) -> bool:
-        a = tuple(a)
-        return a in self.root_set or tuple(-c for c in a) in self.root_set
-
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
@@ -241,31 +233,8 @@ class MarkedSystem(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
-    def d(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.d_den) for v in self.d_num)
-
-    @property
-    def omega0(self) -> tuple[Fraction, ...]:
-        """omega_0 over the simple roots: the marked column of C^-1, built on each read."""
-        det, adj = self.rs.cartan_inverse
-        return tuple(Fraction(row[self.node - 1], det) for row in adj)
-
-    @property
-    def omega0_norm(self) -> Fraction:
-        """(omega_0, omega_0): omega_0's marked coordinate, since (omega_0, a_node) = 1."""
-        return self.omega0[self.node - 1]
-
-    @property
     def description(self) -> str:
         return f"{self.rs.simple_type.name}/P{self.node}"
-
-
-def rho_pair(ms: MarkedSystem, a: Root) -> Fraction:
-    """(rho, a) in the marked normalization: sum of c_i * d_i."""
-    a = tuple(a)
-    if not ms.rs.is_root(a):
-        raise ValueError(f"{a} is not a root of {ms.rs.simple_type.name}")
-    return Fraction(sum(c * di for c, di in zip(a, ms.d_num)), ms.d_den)
 
 
 def index_formulas(ms: MarkedSystem) -> tuple[Fraction, Fraction]:

@@ -3,9 +3,9 @@
 Verdicts are decided only by exact rational roots read off the factored form
 and by root counts on the residual's even part: exact signs alternating at
 points that floats proposed, or else a Sturm sequence.  A float only ever
-proposes points or displays approximations, and never feeds a verdict: the
-double-precision proposer is its own module, `proposer`, imported only when
-an even part reaches ALTERNATION_MIN_DEGREE or advisory roots are asked for.
+proposes points, and never feeds a verdict: the double-precision proposer is
+its own module, `proposer`, imported only when an even part reaches
+ALTERNATION_MIN_DEGREE.  The advisory `--digits` roots live there too.
 
 With w = z - center, a symmetric polynomial is w^eps * q(w^2) (for a
 report's residual, q is the carried Q_R in u = 4w^2), and a root u of q gives
@@ -16,7 +16,6 @@ center" means only real roots u <= r^2: exact counts on (-oo, 0], (-oo, r^2].
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
@@ -30,7 +29,6 @@ from .ratpoly import (
     _scaled_value,
     _sign,
     _sturm_sequence,
-    squarefree_parts,
     sturm_certificate,
     symmetric_split,
 )
@@ -82,9 +80,9 @@ def _certify(found: Optional[tuple[Fraction, RatPoly]], radius2: int) -> tuple[L
     points = None
     if q.degree >= ALTERNATION_MIN_DEGREE:
         # imported here: only an even part this large runs the float proposer
-        from . import proposer
+        from .proposer import _alternating_points
 
-        points = proposer._alternating_points(q)
+        points = _alternating_points(q)
     if points is None:
         chain = _sturm_sequence(q)
         distinct = q.degree - (len(chain[-1]) - 1)
@@ -136,88 +134,6 @@ def check_line(p: RatPoly) -> LineCheck:
     if not p.degree:  # a constant
         return LineCheck("not_applicable", None)
     return _certify(symmetric_split(p), 0)[0]
-
-
-def _finite(x: float) -> Optional[float]:
-    """x, or None (JSON null) for a NaN or an infinity, which JSON cannot hold."""
-    return x if math.isfinite(x) else None
-
-
-def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, digits: int) -> Fraction:
-    """The root of q = sum ints[i] u^i between dyadics a < b of opposite exact
-    signs, bisected (on integers over 2^k) to a relative width of 10^-digits,
-    then one secant step, exact on a linear q.  A root at 0, which no relative
-    width reaches, is tried first and returned exactly."""
-    n, k = len(ints) - 1, max(a.denominator, b.denominator).bit_length() - 1
-    A, B = int(a * 2**k), int(b * 2**k)
-    fa, fb = (_scaled_value([c << k * (n - i) for i, c in enumerate(ints)], x) for x in (A, B))
-    while (B - A) * 10**digits > min(abs(A), abs(B)):
-        M, k = (0 if A < 0 < B else A + B), k + 1
-        fm = _scaled_value([c << k * (n - i) for i, c in enumerate(ints)], M)  # 2^(k*n) q(M/2^k)
-        if not fm:
-            return Fraction(M, 1 << k)
-        if (fm > 0) == (fa > 0):
-            A, fa, B, fb = M, fm, 2 * B, fb << n
-        else:
-            A, fa, B, fb = 2 * A, fa << n, M, fm
-    return Fraction(A * fb - B * fa, (fb - fa) << k)
-
-
-def approx_roots(p: RatPoly, digits: int = 12, rational: Sequence[tuple[Fraction, int]] = ()) -> dict:
-    """The advisory block of the roots of p * prod (z - r)^m over `rational`,
-    exact roots (a report's, with p its residual) that keep their m plus one
-    per exact division of p by z - r.  When p = w^eps * q(w^2), w = z - c,
-    and q's signs alternate (`proposer._alternating_points`), p's roots are
-    c +- sqrt(u) for q's simple roots u (`_bisect`), and c with multiplicity
-    eps + 2*[q(0) = 0].  Otherwise each of p's `squarefree_parts` runs the
-    circle-started `proposer._aberth` until every relative step is at most
-    10^-digits (digits <= DOUBLE_DIGITS), or its iterates freeze, or
-    APPROX_SWEEPS sweeps pass; the block is converged if all settled.  A residual is
-    |p(z)| / sum |c_i z^i| on the `_balanced` doubles (0 for a rational root);
-    a value that is no finite double is None.  Advisory only."""
-    if digits < 1 or not p or p.degree < 1 and not rational:
-        raise ValueError("need digits >= 1" if digits < 1 else "need deg >= 1" if p else "need p != 0")
-    # imported here: the advisory roots are proposed in doubles
-    from .proposer import (APPROX_SWEEPS, DOUBLE_DIGITS, _aberth, _alternating_points, _balanced,
-                           _horner, _ldexp, _split)
-
-    digits = min(digits, DOUBLE_DIGITS)
-    exact = dict(rational)
-    for r in exact:
-        while not p(r):
-            p, exact[r] = p.exact_div(RatPoly((-r, 1))), exact[r] + 1
-    converged, points, roots = True, None, []
-    if p.degree >= 1 and (found := symmetric_split(p)):
-        center, q = found
-        points = _alternating_points(q) if q.degree >= 1 else []
-    if points is not None:
-        c = _ldexp(*_split(center))
-        for u in (_bisect(q.ints, a, b, digits) for a, b in zip(points, points[1:])):
-            m, f = _split(abs(u))
-            s = _ldexp(math.sqrt(m), f // 2)
-            w = complex(0, s) if u < 0 else s  # the root c + w of p and its mirror c - w
-            roots += [(c + w, 1), (c - w, 1)] if u else []
-        if p.degree % 2 or not q.ints[0]:  # c is a root of p
-            roots.append((c, p.degree % 2 + 2 * (not q.ints[0])))
-    elif p.degree >= 1:
-        for f, mult in squarefree_parts(p):
-            shift, sweeps = _aberth(f.ints, circles=True)
-            for _, (ys, steps) in zip(range(APPROX_SWEEPS), sweeps):
-                if settled := all(s <= 10.0**-digits * abs(y) for y, s in zip(ys, steps)):
-                    break
-            converged &= settled
-            for y in ys:
-                z = complex(_ldexp(y.real, shift), _ldexp(y.imag, shift))
-                roots.append((z.real if abs(z.imag) < 10.0**-digits * max(1.0, abs(z)) else z, mult))
-    rows = [(complex(r), m, 0.0) for r, m in exact.items()]
-    _, shift, terms = _balanced(p.ints)
-    for z, m in roots:
-        y = complex(_ldexp(z.real, -shift), _ldexp(z.imag, -shift))
-        v, _, e = _horner(terms, y) if abs(y) <= 1 else _horner(terms[::-1], 1 / y)
-        rows.append((complex(z), m, abs(v) / e if e else 0.0))
-    values = [{"re": _finite(z.real), "im": _finite(z.imag), "mult": m, "residual": _finite(e)}
-              for z, m, e in sorted(rows, key=lambda r: (round(r[0].real, 9), round(r[0].imag, 9)))]
-    return {"advisory": True, "converged": converged, "digits": digits, "values": values}
 
 
 class StripReport(NamedTuple):

@@ -23,7 +23,6 @@ from canstrip.root_system import (
     extremal_roots,
     mark,
     marked,
-    rho_pair,
 )
 from canstrip.varieties import (
     AbelianSpec,
@@ -35,7 +34,8 @@ from canstrip.varieties import (
 )
 from canstrip.verify import check_line, strip_report
 
-from oracles import binom_poly, cover_sum, iterated_difference
+from oracles import (binom_poly, cover_sum, fraction_marked_lengths, fraction_rho_pair,
+                     iterated_difference)
 
 
 @contextmanager
@@ -100,9 +100,10 @@ def test_criterion_02_symmetry_unimodality_extremals(capsys):
                     assert not bad, (ms.description, table.level)
                 elif bad:
                     mixed_violations.append((ms.description, table.level))
+            d = fraction_marked_lengths(ms.rs.cartan, ms.node - 1)
             for level in range(1, ms.lmax + 1):
                 beta, gamma = extremal_roots(ms, level)
-                assert rho_pair(ms, beta) + rho_pair(ms, gamma) == ms.index * level
+                assert fraction_rho_pair(d, beta) + fraction_rho_pair(d, gamma) == ms.index * level
             systems += 1
         assert systems == 161
         notes.append(f"{systems} marked systems; symmetry exact everywhere")
@@ -197,11 +198,12 @@ def test_criterion_06_weyl_product_cross_check(capsys):
             H = expand(hilbert_gp(ms))
             assert H(0) == 1
             i = ms.node - 1
+            d = fraction_marked_lengths(ms.rs.cartan, i)
             for k in range(6):
                 direct = Fraction(1)
                 for a in ms.rs.positive_roots:
                     if a[i] > 0:
-                        rho = rho_pair(ms, a)
+                        rho = fraction_rho_pair(d, a)
                         direct *= (k * a[i] + rho) / rho
                 assert H(k) == direct, (ms.description, k)
         notes.append("161 marked systems, six integer points each, exact")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from canstrip import proposer, verify
+from canstrip import proposer
 from canstrip.cli import CSV_COLUMNS, canonical_json, main
 from canstrip.ratpoly import squarefree_parts
 
@@ -138,7 +138,7 @@ class TestGp:
         # each root is bisected on exact signs, with no square-free parts,
         # and lies where the certificate puts it: on the symmetry line, or
         # real in the tight segment [-8/9, -1/9]
-        monkeypatch.setattr(verify, "squarefree_parts", None)
+        monkeypatch.setattr(proposer, "squarefree_parts", None)
         for cut in (("ci", "--degrees", "3"), ("cover", "--degree", "9")):
             code, out, err = run(capsys, cut[0], "--type", "E8", "--node", "4", *cut[1:],
                                  "--digits", "6", "--format", "json")
@@ -215,7 +215,7 @@ class TestGolden:
          "89d9b3ce1962db7f36160742c1dace1239db38871e9b22c88f7c94d672ebdb25"),
         (("cover", "--type", "E7", "--node", "7", "--degree", "2", "--digits", "12",
           "--format", "json"),
-         "4c394fb411e4ee965d05b9c2ada2f19161f2f5e33799733a22eab8c35b79788e"),
+         "2dd1b261e41e602e867f59e213b9df79c7e58f019c2664f32c576e8fad88bd90"),
         (("ci", "--type", "A", "--rank", "2", "--node", "1", "--degrees", "3", "--digits", "3",
           "--format", "json"),
          "ef58075292c07dfc0f0dd1d932f4ca73ef247fb292cd92f40a50ca0ea069595a"),
@@ -392,20 +392,29 @@ class TestCheck:
         report = json.loads(out)
         assert code == 0 and report["verdicts"] == {"CL": "holds"}
         assert [(c["count"], c["chain_length"]) for c in report["certificates"]] == [(2, 3)]
-        # its advisory roots: u^2 (u + 1) repeats a root, so no signs
-        # alternate and the multiplicities come from the square-free parts,
-        # z and z^2 + 1, each proposed from circles
+        # its advisory roots: the double root u = 0 is read off exactly, as
+        # the center 0 taken four times, and the rest u + 1 alternates in
+        # sign, so no square-free parts are taken
         calls, starts = [], []
-        monkeypatch.setattr(verify, "squarefree_parts", lambda p: calls.append(p) or squarefree_parts(p))
+        monkeypatch.setattr(proposer, "squarefree_parts", lambda p: calls.append(p) or squarefree_parts(p))
         aberth = proposer._aberth
         monkeypatch.setattr(proposer, "_aberth",
                             lambda ints, circles=False: starts.append(circles) or aberth(ints, circles))
         code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,1,0,1", "--digits", "6", "--format", "json")
         block = json.loads(out)["approx_roots"]
-        assert code == 0 and len(calls) == 1 and block["converged"] is True
-        assert starts == [False, True, True]
+        assert (code, calls, starts, block["converged"]) == (0, [], [False], True)
         assert [(v["re"], v["im"], v["mult"]) for v in block["values"]] == pytest.approx(
             [(0.0, -1.0, 1), (0.0, 0.0, 4), (0.0, 1.0, 1)])
+        # z^2 (z^2 + 1)^2: the rest (u + 1)^2 repeats its root, so no signs
+        # alternate; its square-free part u + 1, proposed from circles, gives
+        # the multiplicity, and each root u the two roots +-sqrt(u)
+        del starts[:]
+        code, out, _ = run(capsys, "check", "--coeffs", "0,0,1,0,2,0,1", "--digits", "6", "--format", "json")
+        block = json.loads(out)["approx_roots"]
+        assert code == 0 and len(calls) == 1 and block["converged"] is True
+        assert starts == [False, True]
+        assert [(v["re"], v["im"], v["mult"]) for v in block["values"]] == pytest.approx(
+            [(0.0, -1.0, 2), (0.0, 0.0, 2), (0.0, 1.0, 2)])
         # z^4 (z^2 - 1): the same double root, with the real pair +-1 off the line
         code, out, _ = run(capsys, "check", "--coeffs", "0,0,0,0,-1,0,1", "--format", "json")
         report = json.loads(out)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -15,13 +16,14 @@ from canstrip.hilbert import (
     validate,
 )
 from canstrip.ratpoly import ConsistencyError, RatPoly, symmetric_split
-from canstrip.root_system import all_simple_types, build_root_system, mark, marked, rho_pair
+from canstrip.root_system import all_simple_types, build_root_system, mark, marked
 
 from canstrip.varieties import complete_intersection, double_cover, section_step
 from canstrip.verify import check_line, strip_report
 
-from oracles import (binom_poly, centered, factor_product, factored_value, interleave, padd,
-                     pcompose_affine, peval, pmul, pshift, residual_even)
+from oracles import (binom_poly, centered, factor_product, factored_value, fraction_marked_lengths,
+                     fraction_rho_pair, interleave, padd, pcompose_affine, peval, pmul, pshift,
+                     residual_even)
 
 E6_P4_TABLES = {
     1: {1: 1, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
@@ -34,9 +36,10 @@ def weyl_product(ms, k):
     """chi(L^k) straight from the root list, bypassing the level tables."""
     value = Fraction(1)
     i = ms.node - 1
+    d = fraction_marked_lengths(ms.rs.cartan, i)
     for a in ms.rs.positive_roots:
         if a[i] > 0:
-            rho = rho_pair(ms, a)
+            rho = fraction_rho_pair(d, a)
             value *= (k * a[i] + rho) / rho
     return value
 
@@ -72,6 +75,24 @@ class TestHilbertGP:
                     keys = table.exponents
                     assert min(keys) + max(keys) == table.level * ms.index
                     assert sum(keys.values()) == len(ms.levels[table.level])
+
+    def test_the_largest_table_root_is_iota_minus_2(self):
+        # on every mark of rank <= 10 the smallest key over level is 1, so the
+        # largest table root in v = 2z + iota, iota - 2k/l, is iota - 2; a
+        # mark whose keys break it is refused by name
+        count = 0
+        for t in all_simple_types(10):
+            rs = build_root_system(t)
+            for node in range(1, t.rank + 1):
+                hd = hilbert_gp(mark(rs, node))
+                roots = [hd.index - Fraction(2 * n, table.level * table.den)
+                         for table in hd.levels for n in table.counts]
+                assert max(roots) == hd.index - 2, hd.description
+                count += 1
+        assert count == 237
+        ms = marked("E", 8, 4)
+        with pytest.raises(ConsistencyError, match="^E8/P4: the smallest key over level is not 1$"):
+            hilbert_gp.__wrapped__(ms._replace(d_den=2 * ms.d_den))
 
 
 class TestDegree:
@@ -166,6 +187,16 @@ class TestValidate:
         # one more is e = 1: R = (v/2) * (v^2/2) at index 0, where v = 2z
         assert expand(HilbertData("2z^3", 3, 0, [], RatPoly((0, Fraction(1, 2))))) == RatPoly((0, 0, 0, 2))
 
+    @pytest.mark.parametrize("dim, index, name", [
+        (1.0, 2, "dim"), (1, 2.0, "index"), (True, 2, "dim"), (1, True, "index"),
+    ], ids=["float dim", "float index", "bool dim", "bool index"])
+    def test_dim_and_index_must_be_ints(self, dim, index, name):
+        # a float died deep in validate with a bare TypeError, and dim=True
+        # built a P^1; each is refused up front, by the field's name
+        value = dim if name == "dim" else index
+        with pytest.raises(ValueError, match=f"^x: {name} must be an int, not {re.escape(repr(value))}$"):
+            HilbertData("x", dim, index)
+
     def test_a_negative_degree_is_refused(self):
         # -z at index 0: R = -(v/2) in v = 2z, integer-valued, and with no
         # chi check at index 0 it is built; its degree -1 is refused
@@ -252,10 +283,11 @@ class TestIntegerKernel:
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
+                d = fraction_marked_lengths(rs.cartan, node - 1)
                 want = [Fraction(1)]
                 for level, roots in ms.levels.items():
                     for a in roots:
-                        k = rho_pair(ms, a)
+                        k = fraction_rho_pair(d, a)
                         fractional += k.denominator > 1
                         want = pmul(want, [Fraction(1), level / k])
                 assert list(expand(hilbert_gp(ms)).coeffs) == want, ms.description
@@ -467,13 +499,19 @@ class TestAnticanonicalMirror:
         assert (cut.index, cut.residual.degree, shifts) == (4, 23, [3, 4])
 
     def test_a_digits_report_reads_the_residual_once(self, shifts, capsys):
-        # the section's shift by d = 3, R read once in v = 2z + 6, then
-        # approx_roots' input R(6z) (a shift by 0) and its split
+        # the section's shift by d = 3 and R read once in v = 2z + 6, as
+        # without --digits: the advisory roots read the carried Q_R in u and
+        # evaluate their residuals on that same R, with no rescale or split
         hilbert_gp.cache_clear()  # no section memoized by an earlier test
         argv = ["ci", "--type", "E8", "--node", "4", "--degrees", "3", "--format", "json", "--digits", "6"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert shifts == [3, 6, 0, -1]
+        assert shifts == [3, 6]
+        # a bare polynomial is split once, for its line check and its roots
+        del shifts[:]
+        assert main(["check", "--coeffs", "1,0,1", "--digits", "6"]) == 0
+        capsys.readouterr()
+        assert shifts == [0]
 
     def test_one_shift_per_section_step_in_a_sweep(self, shifts, monkeypatch, capsys):
         made, splits = [], []

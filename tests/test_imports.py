@@ -119,6 +119,35 @@ def test_only_the_process_entry_freezes_the_heap():
     assert run.name == "run" and main.lineno < freeze.lineno <= run.end_lineno
 
 
+def proposer_imports(tree):
+    """Every `from .proposer import ...` and `from . import proposer` in the
+    module, as (node, names)."""
+    return [(node, [a.name for a in node.names]) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and (node.module == "proposer" or any(a.name == "proposer" for a in node.names))]
+
+
+def test_verify_holds_exact_code_only():
+    """`verify` decides the verdicts: it binds neither float module (from
+    `math` it takes only the integer `lcm`), and from the proposer it takes
+    only `_alternating_points`, inside the function that proposes.  `cli`
+    loads the proposer only inside its `--digits` branches, so no module
+    imports it at the top."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    verify = trees["verify.py"]
+    modules = {alias.name for node in ast.walk(verify) if isinstance(node, ast.Import)
+               for alias in node.names}
+    taken = {alias.name for node in ast.walk(verify) if isinstance(node, ast.ImportFrom)
+             and node.module in ("math", "cmath") for alias in node.names}
+    assert not modules & {"math", "cmath"} and taken == {"lcm"}
+    found = proposer_imports(verify)
+    assert [names for _, names in found] == [["_alternating_points"]]
+    assert found[0][0] not in verify.body
+    for name, tree in trees.items():
+        assert not [node for node, _ in proposer_imports(tree) if node in tree.body], name
+    assert [names for _, names in proposer_imports(trees["cli.py"])] == [["approx_roots"]] * 2
+
+
 # `python -m canstrip argv`, reporting at exit whether the float proposer was loaded
 PROPOSER_PROBE = """
 import atexit, runpy, sys

@@ -16,7 +16,6 @@ from canstrip.root_system import (
     index_formulas,
     mark,
     marked,
-    rho_pair,
 )
 
 from oracles import (
@@ -25,6 +24,24 @@ from oracles import (
     fraction_rho_pair,
     reflection_closure,
 )
+
+
+def rho(ms, a):
+    """(rho, a) as the pipeline reads it, a's rho-numerator over the mark's
+    denominator, checked against the Fraction oracle on the way."""
+    value = Fraction(ms.rs.rho_numerators[ms.rs.positive_roots.index(a)], ms.d_den)
+    assert value == fraction_rho_pair(fraction_marked_lengths(ms.rs.cartan, ms.node - 1), a)
+    return value
+
+
+def omega0(ms):
+    """omega_0 over the simple roots by the Fraction oracle, checked against
+    the marked column of the pipeline's adj C / det C."""
+    det, adj = ms.rs.cartan_inverse
+    column = fraction_inverse_column(ms.rs.cartan, ms.node - 1)
+    assert column == [Fraction(row[ms.node - 1], det) for row in adj]
+    return column
+
 
 # closure-generated G2 roots against the textbook table
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -148,8 +165,9 @@ class TestMark:
         # brute-forced from the generated B3 roots and rescaled symmetrizer
         ms = marked("B", 3, 2)
         assert (ms.index, ms.lmax, ms.dim) == (4, 2, 7)
-        assert ms.d == (Fraction(1), Fraction(1), Fraction(1, 2))
-        level1 = sorted(rho_pair(ms, a) for a in ms.levels[1])
+        assert (ms.d_num, ms.d_den) == ((2, 2, 1), 2)
+        level1 = sorted(rho(ms, a) for a in ms.levels[1])
+        assert level1 == [Fraction(k, ms.d_den) for k in ms.pairings[1]]
         assert level1 == [1, Fraction(3, 2), 2, 2, Fraction(5, 2), 3]
 
     def test_cache_hit_hashes_the_type_not_the_root_system(self, monkeypatch):
@@ -174,11 +192,9 @@ class TestMark:
         for t in all_simple_types(5):
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
-                ms = mark(rs, node)
+                column = omega0(mark(rs, node))
                 for j in range(t.rank):
-                    pairing = sum(
-                        Fraction(rs.cartan[j][k]) * ms.omega0[k] for k in range(t.rank)
-                    )
+                    pairing = sum(Fraction(rs.cartan[j][k]) * column[k] for k in range(t.rank))
                     assert pairing == (1 if j == node - 1 else 0)
 
     def test_levels_partition_dim(self):
@@ -194,31 +210,26 @@ class TestMark:
 class TestRhoPair:
     def test_e6_highest_root(self):
         ms = marked("E", 6, 4)
-        assert rho_pair(ms, ms.rs.highest_root) == 11
+        assert rho(ms, ms.rs.highest_root) == 11
 
     def test_marked_root_is_one(self):
         for name, rank, node in [("A", 5, 3), ("B", 4, 2), ("G", 2, 1), ("F", 4, 4)]:
             ms = marked(name, rank, node)
             alpha0 = tuple(int(i == node - 1) for i in range(rank))
-            assert rho_pair(ms, alpha0) == 1
+            assert rho(ms, alpha0) == 1
 
     def test_g2_markings(self):
         short = marked("G", 2, 1)
-        assert short.d == (Fraction(1), Fraction(3))
-        assert rho_pair(short, (0, 1)) == 3
+        assert (short.d_num, short.d_den) == ((1, 3), 1)
+        assert rho(short, (0, 1)) == 3
         long = marked("G", 2, 2)
-        assert long.d == (Fraction(1, 3), Fraction(1))
-        assert rho_pair(long, (1, 0)) == Fraction(1, 3)
+        assert (long.d_num, long.d_den) == ((1, 3), 3)
+        assert rho(long, (1, 0)) == Fraction(1, 3)
 
     def test_simply_laced_height(self):
         ms = marked("D", 5, 2)
         for a in ms.rs.positive_roots:
-            assert rho_pair(ms, a) == sum(a)
-
-    def test_not_a_root(self):
-        ms = marked("A", 2, 1)
-        with pytest.raises(ValueError):
-            rho_pair(ms, (2, 0))
+            assert rho(ms, a) == sum(a)
 
 
 class TestExtremalRoots:
@@ -226,15 +237,15 @@ class TestExtremalRoots:
         ms = marked("E", 6, 4)
         for level, (blo, bhi) in {1: (1, 6), 2: (5, 9), 3: (10, 11)}.items():
             beta, gamma = extremal_roots(ms, level)
-            assert rho_pair(ms, beta) == blo
-            assert rho_pair(ms, gamma) == bhi
+            assert rho(ms, beta) == blo
+            assert rho(ms, gamma) == bhi
 
     def test_projective_space_chain(self):
         for n in range(1, 7):
             ms = marked("A", n, 1)
             beta, gamma = extremal_roots(ms, 1)
-            assert rho_pair(ms, beta) == 1 and beta == tuple(int(i == 0) for i in range(n))
-            assert rho_pair(ms, gamma) == n and gamma == (1,) * n
+            assert rho(ms, beta) == 1 and beta == tuple(int(i == 0) for i in range(n))
+            assert rho(ms, gamma) == n and gamma == (1,) * n
 
     def test_sum_rule_everywhere(self):
         for t in all_simple_types(5):
@@ -243,7 +254,7 @@ class TestExtremalRoots:
                 ms = mark(rs, node)
                 for level in range(1, ms.lmax + 1):
                     beta, gamma = extremal_roots(ms, level)
-                    assert rho_pair(ms, beta) + rho_pair(ms, gamma) == ms.index * level
+                    assert rho(ms, beta) + rho(ms, gamma) == ms.index * level
 
     def test_empty_level_rejected(self):
         ms = marked("A", 3, 1)
@@ -264,10 +275,10 @@ class TestIndex:
         ms = marked("D", 5, 5)
         assert ms.index == 8
         i = ms.node - 1
-        total = sum(a[i] for a in ms.rs.positive_roots)
-        assert Fraction(total) / ms.omega0[i] == 8
+        total, column = sum(a[i] for a in ms.rs.positive_roots), omega0(ms)
+        assert Fraction(total) / column[i] == 8
         two_rho_x = [sum(a[j] for a in ms.rs.positive_roots if a[i] > 0) for j in range(5)]
-        assert all(Fraction(two_rho_x[j]) == 8 * ms.omega0[j] for j in range(5))
+        assert all(Fraction(two_rho_x[j]) == 8 * column[j] for j in range(5))
 
     def test_non_proportional_level_sum_rejected(self):
         ms = marked("A", 3, 2)
@@ -293,7 +304,7 @@ class TestCominuscule:
                 ms = mark(rs, node)
                 if ms.lmax == 1:
                     seen += 1
-                    assert ms.dim == ms.omega0_norm * ms.index, ms.description
+                    assert ms.dim == omega0(ms)[node - 1] * ms.index, ms.description
         assert seen > 20
 
     def test_index_vs_coxeter_number(self):
@@ -305,8 +316,8 @@ class TestCominuscule:
                 ms = mark(rs, node)
                 if ms.lmax != 1:
                     continue
-                assert ms.index == 1 + rho_pair(ms, rs.highest_root)
-                if all(d == 1 for d in ms.d):
+                assert ms.index == 1 + rho(ms, rs.highest_root)
+                if set(ms.d_num) == {ms.d_den}:  # every d_j is 1
                     assert ms.index == ms.coxeter_number, ms.description
 
 
@@ -324,8 +335,9 @@ class TestIntegerMarking:
                     assert entry == (det if i == j else 0), t.name
 
     def test_every_mark_against_the_fraction_oracles(self):
-        """d, omega_0, (omega_0, omega_0), the index, the level order and the
-        G/P level tables of every mark of rank <= 8, recomputed over Fraction."""
+        """d, omega_0, (omega_0, omega_0), the index, the level order, the
+        pairings and the G/P level tables of every mark of rank <= 8,
+        recomputed over Fraction and compared with the integer fields."""
         count = 0
         for t in all_simple_types(8):
             rs = build_root_system(t)
@@ -333,10 +345,9 @@ class TestIntegerMarking:
                 ms = mark(rs, node)
                 i = node - 1
                 d = fraction_marked_lengths(rs.cartan, i)
-                omega0 = fraction_inverse_column(rs.cartan, i)
-                assert ms.d == tuple(d) and all(isinstance(v, Fraction) for v in ms.d)
-                assert ms.omega0 == tuple(omega0) and ms.omega0_norm == omega0[i]
-                index = Fraction(sum(a[i] for a in rs.positive_roots)) / omega0[i]
+                assert [Fraction(v, ms.d_den) for v in ms.d_num] == d and ms.d_num[i] == ms.d_den
+                column = omega0(ms)  # its marked entry is (omega_0, omega_0)
+                index = Fraction(sum(a[i] for a in rs.positive_roots)) / column[i]
                 assert ms.index == index, ms.description
                 tables = {t.level: t.exponents for t in hilbert_gp(ms).levels}
                 assert sorted(tables) == sorted(ms.levels)
@@ -344,7 +355,8 @@ class TestIntegerMarking:
                     at_level = [a for a in rs.positive_roots if a[i] == level]
                     pairs = {a: fraction_rho_pair(d, a) for a in at_level}
                     assert roots == tuple(sorted(at_level, key=lambda a: (pairs[a], a)))
-                    assert all(rho_pair(ms, a) == pairs[a] for a in roots)
+                    keys = [Fraction(k, ms.d_den) for k in ms.pairings[level]]
+                    assert keys == [pairs[a] for a in roots]
                     assert tables[level] == Counter(pairs.values()), ms.description
                 count += 1
         assert count == 161

@@ -383,3 +383,26 @@ class TestSymmetryPropagation:
                 hd = complete_intersection(ms, degrees)
                 H = expand(hd)
                 assert H.compose_affine(-1, -hd.index) == H * ((-1) ** hd.dim)
+
+
+def test_the_critical_line_past_degree_iota_minus_2():
+    """B = iota - 2 on every G/P, so a step by d >= iota - 1 puts every root
+    on the critical line, and a later step keeps it there.  On every mark of
+    rank <= 6, for d = iota - 1 ... iota + 10: the hypersurface, its further
+    degree-1 cut and the double cover branched in |2dL| each have their
+    residual certified on the line by counting, and every table root at -1/2."""
+    cases = 0
+    for t in all_simple_types(6):
+        for node in range(1, t.rank + 1):
+            ms = marked(t.series, t.rank, node)
+            for d in range(max(ms.index - 1, 1), ms.index + 11):
+                cuts = [complete_intersection(ms, [d]), double_cover(ms, d)]
+                if cuts[0].dim >= 1:
+                    cuts.append(section_step(cuts[0], 1, "intersection"))
+                for cut in cuts:
+                    rep = strip_report(cut)
+                    assert rep.residual_on_line in ("certified", "not_applicable"), cut.description
+                    assert all(r == Fraction(-1, 2) for r, _ in rep.rational_roots), cut.description
+                    assert rep.verdicts["CL"] == "holds", cut.description
+                    cases += 1
+    assert cases == 3084

@@ -5,10 +5,12 @@ import pytest
 
 from canstrip import proposer, verify
 from canstrip.hilbert import HilbertData, LevelTable, expand, hilbert_gp
-from canstrip.ratpoly import RatPoly, symmetric_split
+from canstrip.ratpoly import RatPoly, squarefree_parts, symmetric_split
 from canstrip.root_system import all_simple_types, marked
 from canstrip.varieties import complete_intersection, double_cover, section_step
-from canstrip.verify import _certify, approx_roots, check_line, strip_report
+from canstrip.cli import variety_report
+from canstrip.proposer import approx_roots
+from canstrip.verify import _certify, check_line, strip_report
 
 from oracles import alternates, binom_poly, iterated_difference, residual_even
 
@@ -341,27 +343,39 @@ class TestStripReport:
         assert strip_report(double_cover(marked("A", 1, 1), 2)).all_applicable_hold
 
 
+def bare_roots(p, digits=10):
+    """The advisory block of a bare polynomial (deg >= 1), as `check` builds
+    it: from p's one split."""
+    return approx_roots(p, digits, symmetric_split(p))
+
+
 class TestApproxRoots:
     def test_pure_imaginary_pair(self):
-        values = approx_roots(P(1, 0, 1), digits=10)["values"]
+        values = bare_roots(P(1, 0, 1))["values"]
         assert [(v["re"], v["im"], v["mult"]) for v in values] == pytest.approx(
             [(0, -1, 1), (0, 1, 1)], abs=1e-9)
+        # bisected on exact signs, a pair far closer to the axis than
+        # 10^-digits keeps its imaginary part: only circle roots are made real
+        values = bare_roots(P(Fraction(1, 10**20), 0, 1), digits=6)["values"]
+        assert sorted(v["im"] for v in values) == pytest.approx([-1e-10, 1e-10], rel=1e-6)
 
     def test_double_root(self):
-        values = approx_roots(P(1, 2, 1), digits=10)["values"]
+        values = bare_roots(P(1, 2, 1))["values"]
         assert values == [{"re": -1.0, "im": 0.0, "mult": 2, "residual": 0.0}]
 
     def test_e6_p4_anticanonical(self):
-        # given as roots, the tables' rational roots are copied exactly; the
-        # whole polynomial, given bare, takes the square-free path to the
-        # same roots and multiplicities
+        # a report's block copies the tables' rational roots exactly; the
+        # whole polynomial in z/iota, given bare, repeats its even part's
+        # roots, so its square-free parts in u give the same roots and
+        # multiplicities
         hd = hilbert_gp(marked("E", 6, 4))
-        exact = strip_report(hd).rational_roots
+        rep = strip_report(hd)
+        exact = rep.rational_roots
         assert sum(m for _, m in exact) == 29
-        given = approx_roots(hd.residual, digits=10, rational=exact)
+        given = variety_report(hd, rep, 10)["approx_roots"]
         assert given["values"] == [
             {"re": float(r), "im": 0.0, "mult": m, "residual": 0.0} for r, m in exact]
-        bare = approx_roots(expand(hd).compose_affine(hd.index, 0), digits=10)
+        bare = bare_roots(expand(hd).compose_affine(hd.index, 0))
         assert len(bare["values"]) == len(exact)
         for v, (r, m) in zip(bare["values"], exact):
             assert abs(complex(v["re"], v["im"]) - float(r)) < 1e-8
@@ -376,44 +390,82 @@ class TestApproxRoots:
             line = check_line(poly)
             if line.status != "certified":
                 continue
-            for v in approx_roots(poly, digits=10)["values"]:
+            for v in bare_roots(poly)["values"]:
                 assert abs(v["re"] - float(line.center)) < 1e-7
 
     def test_rejects_constants(self):
-        with pytest.raises(ValueError):
-            approx_roots(P(3))
+        with pytest.raises(ValueError, match="need deg >= 1"):
+            approx_roots(P(3), 6, None)
 
     def test_rejects_the_zero_polynomial(self):
         # zero vanishes at every given root, so dividing them out never ends
         for rational in ((), [(Fraction(-1, 2), 1)]):
             with pytest.raises(ValueError, match="need p != 0"):
-                approx_roots(P(), 6, rational)
+                approx_roots(P(), 6, None, rational)
+
+    @pytest.mark.parametrize("hd", [
+        # Q_R = 1 + (u - 1)^2/64 at index 1: the non-real pair u = 1 +- 8i,
+        # so four roots off the line
+        HilbertData("a non-real pair", 4, 1, residual_even=P(Fraction(65, 64), Fraction(-1, 32),
+                                                             Fraction(1, 64))),
+        # Q_R = (3u - 8)^2/16 at index 2, and R = (v/2) Q_R(v^2): the real
+        # pair v = +-sqrt(8/3) twice each, and v = 0 once
+        HilbertData("a repeated root", 5, 2, residual_even=P(4, -3, Fraction(9, 16))),
+    ], ids=["non-real pair", "repeated root"])
+    def test_an_even_part_that_does_not_separate_takes_roots_in_u(self, hd, monkeypatch):
+        # no signs alternate, so Q_R's square-free parts in u run from
+        # circles; each root u gives x = -1/2 +- sqrt(u)/(2 iota), and the
+        # block matches sympy's roots of R in z, over iota, root for root
+        sympy = pytest.importorskip("sympy")
+        calls, digits = [], 10
+        monkeypatch.setattr(proposer, "squarefree_parts", lambda p: calls.append(p) or squarefree_parts(p))
+        block = variety_report(hd, strip_report(hd), digits)["approx_roots"]
+        assert len(calls) == 1 and block["converged"] is True
+        got = [complex(v["re"], v["im"]) for v in block["values"] for _ in range(v["mult"])]
+        z = sympy.Symbol("z")
+        R = sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * z**i
+                            for i, c in enumerate(hd.residual.coeffs)), sympy.Integer(0)), z)
+        want = [complex(sympy.N(r / hd.index, 30)) for r, m in sympy.roots(R).items() for _ in range(m)]
+        assert len(got) == len(want) == hd.dim
+
+        def key(x):
+            return round(x.real, 6), round(x.imag, 6)
+
+        for x, y in zip(sorted(got, key=key), sorted(want, key=key)):
+            assert abs(x - y) <= 10.0**-digits * max(1.0, abs(y)), (x, y)
 
     def test_rational_roots_add_the_residuals_share(self):
         # on every rank <= 4 mark, its hyperplane and quadric sections and
         # its double cover branched in |2L|: the multiplicities sum to the
         # dimension, and each rational root counts its table factors plus
-        # the residual's own zeros there, counted here by derivatives
+        # the residual's own zeros there, counted here by derivatives.  First
+        # (z + 1)^3 at index 2, whose table root is the centre -1/2, where
+        # R = (z + 1)^2 vanishes through the root u = 0 of Q_R = u/4, and
+        # ((z + 1)(z + 2))^3/8 at index 3, whose R vanishes twice at each of
+        # its table roots -1/3 and -2/3, through Q_R = (u - 1)^2/64
         merged = 0
+        cuts = [HilbertData("(z + 1)^3", 3, 2, [LevelTable(1, 1, {1: 1})], P(0, Fraction(1, 4))),
+                HilbertData("((z + 1)(z + 2))^3/8", 6, 3, [LevelTable(1, 1, {1: 1, 2: 1})],
+                            P(Fraction(1, 64), Fraction(-1, 32), Fraction(1, 64)))]
         for t in all_simple_types(4):
             for node in range(1, t.rank + 1):
                 hd = hilbert_gp(marked(t.series, t.rank, node))
-                cuts = (hd, section_step(hd, 1, "intersection"), section_step(hd, 2, "intersection"),
-                        section_step(hd, 1, "cover"))
-                for cut in cuts:
-                    if cut.index <= 0 or cut.dim < 1:
-                        continue
-                    rep = strip_report(cut)
-                    res = cut.residual.compose_affine(cut.index, 0)
-                    values = approx_roots(res, 6, rep.rational_roots)["values"]
-                    assert sum(v["mult"] for v in values) == cut.dim, cut.description
-                    for r, m in rep.rational_roots:
-                        coeffs, extra = list(res.coeffs), 0
-                        while coeffs and sum(c * r**i for i, c in enumerate(coeffs)) == 0:
-                            coeffs, extra = [i * c for i, c in enumerate(coeffs)][1:], extra + 1
-                        row = [v["mult"] for v in values if (v["re"], v["im"]) == (float(r), 0.0)]
-                        assert row == [m + extra], (cut.description, r)
-                        merged += extra > 0
+                cuts += [hd, section_step(hd, 1, "intersection"), section_step(hd, 2, "intersection"),
+                         section_step(hd, 1, "cover")]
+        for cut in cuts:
+            if cut.index <= 0 or cut.dim < 1:
+                continue
+            rep = strip_report(cut)
+            res = cut.residual.compose_affine(cut.index, 0)
+            values = variety_report(cut, rep, 6)["approx_roots"]["values"]
+            assert sum(v["mult"] for v in values) == cut.dim, cut.description
+            for r, m in rep.rational_roots:
+                coeffs, extra = list(res.coeffs), 0
+                while coeffs and sum(c * r**i for i, c in enumerate(coeffs)) == 0:
+                    coeffs, extra = [i * c for i, c in enumerate(coeffs)][1:], extra + 1
+                row = [v["mult"] for v in values if (v["re"], v["im"]) == (float(r), 0.0)]
+                assert row == [m + extra], (cut.description, r)
+                merged += extra > 0
         assert merged
 
 
