@@ -17,7 +17,6 @@ from .root_system import (
     build_root_system,
     canonicalize,
     extremal_roots,
-    index_formulas,
     mark,
     marked,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "expand",
     "extremal_roots",
     "hilbert_gp",
-    "index_formulas",
     "mark",
     "marked",
     "pell",

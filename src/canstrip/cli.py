@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
@@ -77,6 +76,8 @@ def _parse_degrees(text: str) -> list[int]:
 
 
 def canonical_json(obj) -> str:
+    import json  # imported here, as in `cmd_abelian`: CSV and text runs skip it
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -86,7 +87,7 @@ def variety_report(hd: HilbertData, rep: StripReport, digits: Optional[int]) -> 
         "description": hd.description,
         "dim": hd.dim,
         "index": hd.index,
-        "degree_L": degree_of(hd),
+        "degree_L": _degree(hd),
         "class": rep.variety_class,
         "factored": [
             {
@@ -194,6 +195,10 @@ def _case(ms: MarkedSystem, degrees) -> Case:
     return ms.rs.simple_type.series, ms.rs.simple_type.rank, ms.node, tuple(degrees)
 
 
+def _degree(hd: HilbertData) -> int:
+    return _printable(degree_of(hd), f"degree_L of the {hd.description} report")
+
+
 def _csv_row(case: Case, hd: HilbertData, rep: StripReport) -> dict:
     series, rank, node, degrees = case
     return {
@@ -207,7 +212,7 @@ def _csv_row(case: Case, hd: HilbertData, rep: StripReport) -> dict:
         "tcs": rep.verdicts["TCS"],
         "cl": rep.verdicts["CL"],
         "boundary_contact": rep.boundary_contact,
-        "degree_L": degree_of(hd),
+        "degree_L": _degree(hd),
     }
 
 
@@ -296,6 +301,8 @@ def _bare_command(args, poly: RatPoly, fields: dict, heading: str, note: Optiona
 
 
 def cmd_abelian(args) -> int:
+    import json
+
     try:
         with open(args.spec, encoding="utf-8") as fh:
             # int() alone would refuse a long integer with Python's own message
@@ -314,11 +321,13 @@ def cmd_abelian(args) -> int:
     return _bare_command(args, poly, fields, f"{description}: ")
 
 
-def _printable(c: Fraction, name: str) -> Fraction:
+def _printable(c: int | Fraction, name: str) -> int | Fraction:
     """c, refused unless its numerator and denominator are within Python's
     digit limit for int-str conversion, so that the report can print it."""
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and max(abs(c.numerator), c.denominator) >= 10**limit:
+    big = max(abs(c.numerator), c.denominator)
+    # below 3.32 * limit bits it prints (log2 10 > 3.32), so 10^limit is rarely built
+    if limit and big.bit_length() * 100 > limit * 332 and big >= 10**limit:
         raise ValueError(f"{name} has more than {limit} digits")
     return c
 
@@ -431,8 +440,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--series and --node select no case up to rank {args.max_rank}")
 
     rows: list[dict]
-    # a fork-started pool starts every worker at once: no more than cases and CPUs
-    workers = min(args.jobs, len(cases), os.cpu_count() or 1)
+    # a fork-started pool starts every worker at once: no more than the cases
+    # and the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(args.jobs, len(cases), cpus)
     if workers == 1:
         rows = [_sweep_case(c) for c in cases]
     else:

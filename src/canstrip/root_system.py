@@ -5,8 +5,8 @@ numbering.  The Cartan matrix convention is C[i][j] = 2(a_i, a_j)/(a_i, a_i),
 so pairing a root (as a coefficient vector) against the i-th simple coroot is
 row i of C times the vector.  Marking a node rescales the invariant pairing
 so the marked simple root has squared length 2.  The pairing runs on integers:
-the rescaled symmetrizer and the inverse Cartan matrix each carry one common
-denominator, and the pipeline reads their integer numerators.
+the symmetrizer is kept as coprime integers, rescaled by a marking's one
+denominator, and the inverse Cartan matrix as adj C over det C.
 The root closure carries each root's coroot pairings (C a) along, and each
 `RootSystem` keeps the integer rho-numerators of its positive roots, which
 every marking of it shares.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .ratpoly import ConsistencyError, Record
@@ -103,21 +103,24 @@ def _cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in C)
 
 
-def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    """Positive rationals d with d_i C_ij symmetric, spread over the diagram."""
+def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Coprime positive integers d with d_i C_ij symmetric, spread over the
+    diagram: d_j = d_i C_ij / C_ji, every entry rescaled when that is no integer."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d = [1] + [0] * (n - 1)
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+            if j != i and cartan[i][j] != 0 and not d[j]:
+                if d[i] * cartan[i][j] % cartan[j][i]:
+                    d = [v * abs(cartan[j][i]) for v in d]
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 todo.append(j)
-    if None in d:
+    if 0 in d:
         raise ConsistencyError("Dynkin diagram is not connected")
-    return tuple(d)  # type: ignore[arg-type]
+    g = gcd(*d)
+    return tuple(v // g for v in d)
 
 
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
@@ -156,21 +159,15 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root,
 
 class RootSystem(Record):
     # no __slots__: the cached properties live in the instance __dict__
-    _fields = ("simple_type", "cartan", "symmetrizer", "positive_roots")
+    _fields = ("simple_type", "cartan", "d_num", "positive_roots")
 
     def __init__(self, simple_type: SimpleType, cartan: tuple[tuple[int, ...], ...],
-                 symmetrizer: tuple[Fraction, ...], positive_roots: tuple[Root, ...]) -> None:
-        self._fill(simple_type, cartan, symmetrizer, positive_roots)
+                 d_num: tuple[int, ...], positive_roots: tuple[Root, ...]) -> None:
+        self._fill(simple_type, cartan, d_num, positive_roots)  # d_num: the coprime symmetrizer
 
     @property
     def rank(self) -> int:
         return self.simple_type.rank
-
-    @cached_property
-    def d_num(self) -> tuple[int, ...]:
-        """The symmetrizer scaled to coprime positive integers."""
-        scale = lcm(*(v.denominator for v in self.symmetrizer))
-        return tuple(int(v * scale) for v in self.symmetrizer)
 
     @cached_property
     def rho_numerators(self) -> tuple[int, ...]:
@@ -183,7 +180,8 @@ class RootSystem(Record):
     def cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(det C, adj C) with C^-1 = adj / det, by fraction-free Gauss-Jordan on
         [C | I]: every division is exact, and no pivot is zero because the
-        leading principal minors of a finite-type Cartan matrix are positive."""
+        leading principal minors of a finite-type Cartan matrix are positive.
+        C adj C = det C I is checked once, for every column."""
         n = self.rank
         aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.cartan)]
         prev = 1
@@ -195,7 +193,12 @@ class RootSystem(Record):
                     f = aug[r][col]
                     aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], pivot)]
             prev = p
-        return prev, tuple(tuple(row[n:]) for row in aug)
+        adj = tuple(tuple(row[n:]) for row in aug)
+        entries = [[(k, c) for k, c in enumerate(row) if c] for row in self.cartan]  # C is sparse
+        if any(sum([c * adj[k][j] for k, c in row]) != (prev if i == j else 0)
+               for i, row in enumerate(entries) for j in range(n)):
+            raise ConsistencyError(f"{self.simple_type.name}: C adj C is not det C I")
+        return prev, adj
 
     @property
     def highest_root(self) -> Root:
@@ -223,11 +226,9 @@ class MarkedSystem(NamedTuple):
     d_num: tuple[int, ...]  # d = d_num / d_den: the symmetrizer with d[node-1] == 1
     d_den: int
     index: int
-    lmax: int
     dim: int
     levels: dict[int, tuple[Root, ...]]  # each level in increasing (rho, .) order
     pairings: dict[int, tuple[int, ...]]  # d_den * (rho, a) for the roots of levels[l]
-    coxeter_number: int
 
     # the dict fields cannot be hashed: a marking is itself, as with any object
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -235,29 +236,6 @@ class MarkedSystem(NamedTuple):
     @property
     def description(self) -> str:
         return f"{self.rs.simple_type.name}/P{self.node}"
-
-
-def index_formulas(ms: MarkedSystem) -> tuple[Fraction, Fraction]:
-    """The index computed two independent ways.
-
-    (a) (2 rho, omega_0) / (omega_0, omega_0), the numerator being the sum of
-        the marked coefficients over all positive roots;
-    (b) the proportionality 2 rho_X = iota * omega_0, where 2 rho_X is the sum
-        of the roots at positive level (checked on every coordinate).
-    """
-    i = ms.node - 1
-    det, adj = ms.rs.cartan_inverse
-    w = [row[i] for row in adj]  # det * omega_0
-    via_remark = Fraction(sum(a[i] for a in ms.rs.positive_roots) * det, w[i])
-
-    two_rho_x = [sum(col) for col in zip(*(a for roots in ms.levels.values() for a in roots))]
-    via_lemma = Fraction(two_rho_x[i] * det, w[i])
-    for j in range(ms.rs.rank):
-        if two_rho_x[j] * w[i] != two_rho_x[i] * w[j]:
-            raise ConsistencyError(
-                f"{ms.description}: sum of positive-level roots is not proportional to omega_0"
-            )
-    return via_remark, via_lemma
 
 
 def mark(rs: RootSystem, node: int) -> MarkedSystem:
@@ -276,47 +254,41 @@ def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
     if not 1 <= node <= n:
         raise ValueError(f"node {node} out of range for {rs.simple_type.name} (1..{n})")
     i = node - 1
-    d_num = rs.d_num
-
-    det, adj = rs.cartan_inverse
-    w = [row[i] for row in adj]  # det * omega_0
-    # (omega_0, a_j^vee) = delta check, directly against every simple coroot
-    for j in range(n):
-        if sum([c * v for c, v in zip(rs.cartan[j], w)]) != (det if j == i else 0):
-            raise ConsistencyError(f"{t.name}/P{node}: (omega_0, alpha_{j + 1}^vee) is not delta")
 
     levels: dict[int, list[tuple[int, Root]]] = {}
     for a, key in zip(rs.positive_roots, rs.rho_numerators):
         if a[i] > 0:
             levels.setdefault(a[i], []).append((key, a))
-    lmax = rs.highest_root[i]
-    if sorted(levels) != list(range(1, lmax + 1)):
+    if sorted(levels) != list(range(1, rs.highest_root[i] + 1)):
         raise ConsistencyError("empty level in the grading")
-    dim = sum(len(v) for v in levels.values())
+
+    # 2 rho_X, the sum of the roots at positive level, is iota * omega_0 with
+    # det * omega_0 = w; its marked coordinate sums a_i over every positive root,
+    # so the index (2 rho, omega_0) / (omega_0, omega_0) is this one quotient
+    det, adj = rs.cartan_inverse
+    w = [row[i] for row in adj]
+    two_rho_x = [sum(col) for col in zip(*(a for v in levels.values() for _, a in v))]
+    if any(two_rho_x[j] * w[i] != two_rho_x[i] * w[j] for j in range(n)):
+        raise ConsistencyError(f"{t.name}/P{node}: the sum of positive-level roots is not "
+                               "proportional to omega_0")
+    index, rest = divmod(two_rho_x[i] * det, w[i])
+    if rest or index <= 0:
+        raise ConsistencyError(f"{t.name}/P{node}: the index {two_rho_x[i] * det}/{w[i]} "
+                               "is not a positive integer")
+
     for v in levels.values():
         v.sort()
-
     ms = MarkedSystem(
         rs=rs,
         node=node,
-        d_num=d_num,
-        d_den=d_num[i],
-        index=0,  # placeholder, replaced below once the formulas agree
-        lmax=lmax,
-        dim=dim,
+        d_num=rs.d_num,
+        d_den=rs.d_num[i],
+        index=index,
+        dim=sum(len(v) for v in levels.values()),
         levels={l: tuple(a for _, a in levels[l]) for l in sorted(levels)},
         pairings={l: tuple(k for k, _ in levels[l]) for l in sorted(levels)},
-        coxeter_number=sum(rs.highest_root) + 1,
     )
-    via_remark, via_lemma = index_formulas(ms)
-    if via_remark != via_lemma or via_remark.denominator != 1 or via_remark <= 0:
-        raise ConsistencyError(
-            f"{ms.description}: index formulas disagree or give a non-positive "
-            f"non-integer ({via_remark} vs {via_lemma})"
-        )
-    ms = ms._replace(index=int(via_remark))
-
-    for l in range(1, lmax + 1):
+    for l in ms.levels:
         extremal_roots(ms, l)  # asserts uniqueness and (rho, b+g) = iota*l
     return ms
 

@@ -3,7 +3,7 @@ package's own arithmetic: plain Fraction coefficient lists, lowest degree
 first."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 def trim(p):
@@ -182,6 +182,27 @@ def fraction_marked_lengths(cartan, i):
                 d[b] = d[a] * Fraction(cartan[a][b], cartan[b][a])
                 todo.append(b)
     return [d[j] for j in range(n)]
+
+
+def fraction_symmetrizer(cartan):
+    """The symmetrizer as coprime positive integers: the Fraction spread
+    from node 1, scaled by the lcm of its denominators."""
+    d = fraction_marked_lengths(cartan, 0)
+    scale = lcm(*(v.denominator for v in d))
+    return tuple(int(v * scale) for v in d)
+
+
+def fraction_index(cartan, positive_roots, i):
+    """(2 rho, omega_0) / (omega_0, omega_0) over Fraction, in the invariant
+    pairing (x, y) = sum of x_j d_j C_jk y_k with d marked at node i."""
+    n = len(cartan)
+    d = fraction_marked_lengths(cartan, i)
+    w = fraction_inverse_column(cartan, i)
+    two_rho = [sum(a[j] for a in positive_roots) for j in range(n)]
+
+    def pair(x, y):
+        return sum(x[j] * d[j] * cartan[j][k] * y[k] for j in range(n) for k in range(n))
+    return pair(two_rho, w) / pair(w, w)
 
 
 def reflection_closure(cartan):

@@ -101,7 +101,7 @@ def test_criterion_02_symmetry_unimodality_extremals(capsys):
                 elif bad:
                     mixed_violations.append((ms.description, table.level))
             d = fraction_marked_lengths(ms.rs.cartan, ms.node - 1)
-            for level in range(1, ms.lmax + 1):
+            for level in range(1, max(ms.levels) + 1):
                 beta, gamma = extremal_roots(ms, level)
                 assert fraction_rho_pair(d, beta) + fraction_rho_pair(d, gamma) == ms.index * level
             systems += 1

@@ -182,7 +182,9 @@ class TestErrors:
                 raise BrokenProcessPool("a worker died")
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", BrokenPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on one CPU
+        # two workers even on one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         code, pooled, err = run(capsys, *argv, "--jobs", "2")
         assert code == 0 and err == ""
         assert pooled == serial
@@ -362,6 +364,19 @@ class TestCheck:
         spec.write_text(f'{{"n": 1, "c": 1, "numbers": [{{"tuple": [2], "value": {value}}}]}}')
         done = run_child("abelian", "--spec", str(spec))
         assert_past_the_digit_limit(done, "error: '1000000000'… (4401 digits) has")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_unprintable_degree_is_refused(self, capsys, fmt):
+        # D40/P20 has degree_L of 1126 digits: past a lowered limit it is
+        # refused by name, with exit 2, as A120/P60's ~5100 digits are at 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            code, out, err = run(capsys, "gp", "--type", "D40", "--node", "20", "--format", fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err == "error: degree_L of the D40/P20 report has more than 1000 digits\n"
 
     @pytest.mark.parametrize("coeff", ["1e400", "-1e-400", "1e300", "3e-320"])
     def test_large_printable_coefficients_are_accepted(self, capsys, coeff):
@@ -685,14 +700,26 @@ class TestSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SerialPool)
-        for cpus in (os.cpu_count(), 3, 1, None, 1000):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        def bounded(cpus):
             asked.clear()
             code, pooled, _ = run(capsys, *argv, "--jobs", "64")
             assert code == 0 and pooled == serial
             workers = min(64, cases, cpus or 1)
             assert asked == ([] if workers == 1 else [workers])
+            return workers
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SerialPool)
+        # the CPUs this process may run on, where the platform has an affinity
+        # mask: pinned to one CPU of many, no pool starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+        for cpus in (3, 1, 1000):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            bounded(cpus)
+        # os.cpu_count() where it has none
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for cpus in (3, 1, None, 1000):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            workers = bounded(cpus)
         assert workers == cases < 64
 
     def test_out_dir_env(self, tmp_path, capsys, monkeypatch):

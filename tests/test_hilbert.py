@@ -152,7 +152,7 @@ class TestCrossChecks:
         # full splitting: anticanonical roots are -j/iota, 0 < j < iota
         for series, rank, node in [("A", 4, 1), ("A", 5, 2), ("D", 5, 1), ("E", 6, 1)]:
             ms = marked(series, rank, node)
-            assert ms.lmax == 1
+            assert max(ms.levels) == 1
             hd = hilbert_gp(ms)
             roots = {}
             for table in hd.levels:

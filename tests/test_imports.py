@@ -2,7 +2,7 @@
 every name a module imports is used in that module (the package's
 `__init__` uses a name by listing it in `__all__`), every `__all__`
 entry resolves, and every top-level definition is used or exported.  Last,
-in fresh processes, which runs load the float proposer."""
+in fresh processes, which runs load the float proposer and `json`."""
 
 import ast
 import os
@@ -148,28 +148,35 @@ def test_verify_holds_exact_code_only():
     assert [names for _, names in proposer_imports(trees["cli.py"])] == [["approx_roots"]] * 2
 
 
-# `python -m canstrip argv`, reporting at exit whether the float proposer was loaded
-PROPOSER_PROBE = """
+# `python -m canstrip argv`, reporting at exit which modules that the package
+# imports only where they are used were loaded
+LAZY = ("canstrip.proposer", "json")
+LOADED = f"[m for m in {LAZY!r} if m in sys.modules]"
+PROBE = f"""
 import atexit, runpy, sys
-atexit.register(lambda: sys.stderr.write(f"\\nproposer: {'canstrip.proposer' in sys.modules}\\n"))
+atexit.register(lambda: sys.stderr.write(f"\\nloaded: {{{LOADED}}}\\n"))
 sys.argv[0] = "canstrip"
 runpy.run_module("canstrip", run_name="__main__", alter_sys=True)
 """
+SMALL_SWEEP = ("sweep", "--max-rank", "3", "--max-total-degree", "2")
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    ((), False),
-    (("sweep", "--max-rank", "3", "--max-total-degree", "2"), False),
-    (("ci", "--type", "E8", "--node", "4", "--degrees", "3"), True),
-], ids=["import", "small sweep", "hard residual"])
+    ((), []),
+    (SMALL_SWEEP, []),
+    (SMALL_SWEEP + ("--format", "csv"), []),
+    (SMALL_SWEEP + ("--format", "json"), ["json"]),
+    (("ci", "--type", "E8", "--node", "4", "--degrees", "3"), ["canstrip.proposer"]),
+], ids=["import", "small sweep", "csv sweep", "json sweep", "hard residual"])
 def test_only_a_run_that_proposes_loads_the_float_proposer(argv, loaded):
     """`import canstrip.cli` and a sweep whose even parts all stay below
     ALTERNATION_MIN_DEGREE never compile the double-precision proposer; a
-    residual whose even part reaches it (degree 53 here) loads it."""
+    residual whose even part reaches it (degree 53 here) loads it.  Likewise
+    only a run that reads or writes JSON imports `json`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    code = "import sys, canstrip.cli; print('canstrip.proposer' in sys.modules)" if not argv else PROPOSER_PROBE
+    code = f"import sys, canstrip.cli; print({LOADED})" if not argv else PROBE
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    report = done.stdout if not argv else done.stderr.rsplit("proposer: ", 1)[1]
+    report = done.stdout if not argv else done.stderr.rsplit("loaded: ", 1)[1]
     assert report.strip() == str(loaded)

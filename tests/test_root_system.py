@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import canstrip.root_system
 from canstrip.hilbert import hilbert_gp
 from canstrip.ratpoly import ConsistencyError
 from canstrip.root_system import (
+    MarkedSystem,
     RootSystem,
     SimpleType,
     _symmetrizer,
@@ -13,15 +15,16 @@ from canstrip.root_system import (
     build_root_system,
     canonicalize,
     extremal_roots,
-    index_formulas,
     mark,
     marked,
 )
 
 from oracles import (
+    fraction_index,
     fraction_inverse_column,
     fraction_marked_lengths,
     fraction_rho_pair,
+    fraction_symmetrizer,
     reflection_closure,
 )
 
@@ -71,7 +74,7 @@ class TestGeneration:
     def test_g2_table(self):
         rs = build_root_system(SimpleType("G", 2))
         assert set(rs.positive_roots) == G2_POSITIVE_ROOTS
-        assert rs.symmetrizer == (Fraction(1), Fraction(3))
+        assert rs.d_num == (1, 3)
 
     def test_counts_all_types(self):
         expected = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
@@ -83,10 +86,10 @@ class TestGeneration:
             assert len(rs.positive_roots) == expected[t.series](t.rank), t.name
 
     def test_counts_are_rank_times_coxeter_number_over_two(self):
-        # h = 1 + height of the highest root, the same for every marking
+        # h = 1 + height of the highest root
         for t in all_simple_types(10):
             rs = build_root_system(t)
-            (h,) = {mark(rs, node).coxeter_number for node in range(1, t.rank + 1)}
+            h = sum(rs.highest_root) + 1
             assert len(rs.positive_roots) == t.rank * h // 2, t.name
 
     @pytest.mark.parametrize("name, cartan", [
@@ -112,7 +115,7 @@ class TestGeneration:
             n = t.rank
             for i in range(n):
                 for j in range(n):
-                    assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+                    assert rs.d_num[i] * rs.cartan[i][j] == rs.d_num[j] * rs.cartan[j][i]
         # A1 x A1: the spread from node 1 never reaches node 2
         with pytest.raises(ConsistencyError, match="not connected"):
             _symmetrizer(((2, 0), (0, 2)))
@@ -137,7 +140,7 @@ class TestAliases:
         for node in (1, 2):
             a = marked("C", 2, node)
             b = marked("B", 2, 3 - node)
-            assert (a.index, a.lmax, a.dim) == (b.index, b.lmax, b.dim)
+            assert (a.index, max(a.levels), a.dim) == (b.index, max(b.levels), b.dim)
             assert a.rs.simple_type.name == "B2"
 
     def test_d3_is_a3(self):
@@ -145,7 +148,7 @@ class TestAliases:
         for node, image in pairs.items():
             a = marked("D", 3, node)
             b = marked("A", 3, image)
-            assert (a.index, a.lmax, a.dim) == (b.index, b.lmax, b.dim)
+            assert (a.index, max(a.levels), a.dim) == (b.index, max(b.levels), b.dim)
 
     def test_alias_node_out_of_range(self):
         with pytest.raises(ValueError):
@@ -155,16 +158,16 @@ class TestAliases:
 class TestMark:
     def test_projective_3_space(self):
         ms = marked("A", 3, 1)
-        assert (ms.index, ms.lmax, ms.dim) == (4, 1, 3)
+        assert (ms.index, max(ms.levels), ms.dim) == (4, 1, 3)
 
     def test_e6_triple_node(self):
         ms = marked("E", 6, 4)
-        assert (ms.index, ms.lmax, ms.dim) == (7, 3, 29)
+        assert (ms.index, max(ms.levels), ms.dim) == (7, 3, 29)
 
     def test_b3_node2_frozen(self):
         # brute-forced from the generated B3 roots and rescaled symmetrizer
         ms = marked("B", 3, 2)
-        assert (ms.index, ms.lmax, ms.dim) == (4, 2, 7)
+        assert (ms.index, max(ms.levels), ms.dim) == (4, 2, 7)
         assert (ms.d_num, ms.d_den) == ((2, 2, 1), 2)
         level1 = sorted(rho(ms, a) for a in ms.levels[1])
         assert level1 == [Fraction(k, ms.d_den) for k in ms.pairings[1]]
@@ -202,9 +205,9 @@ class TestMark:
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
-                assert sorted(ms.levels) == list(range(1, ms.lmax + 1))
+                assert sorted(ms.levels) == list(range(1, max(ms.levels) + 1))
                 assert sum(len(v) for v in ms.levels.values()) == ms.dim
-                assert ms.lmax == rs.highest_root[node - 1]
+                assert max(ms.levels) == rs.highest_root[node - 1]
 
 
 class TestRhoPair:
@@ -252,7 +255,7 @@ class TestExtremalRoots:
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
-                for level in range(1, ms.lmax + 1):
+                for level in range(1, max(ms.levels) + 1):
                     beta, gamma = extremal_roots(ms, level)
                     assert rho(ms, beta) + rho(ms, gamma) == ms.index * level
 
@@ -280,19 +283,52 @@ class TestIndex:
         two_rho_x = [sum(a[j] for a in ms.rs.positive_roots if a[i] > 0) for j in range(5)]
         assert all(Fraction(two_rho_x[j]) == 8 * column[j] for j in range(5))
 
-    def test_non_proportional_level_sum_rejected(self):
-        ms = marked("A", 3, 2)
-        broken = ms._replace(levels={1: tuple(a for a in ms.levels[1] if a != (1, 1, 0))})
-        with pytest.raises(ConsistencyError, match="not proportional"):
-            index_formulas(broken)
+    def test_non_proportional_level_sum_rejected(self, monkeypatch):
+        # A3 without the root (1, 1, 0): node 2 keeps its one level, but the
+        # level's roots no longer sum to a multiple of omega_0
+        rs = build_root_system(SimpleType("A", 3))
+        broken = RootSystem(rs.simple_type, rs.cartan, rs.d_num,
+                            tuple(a for a in rs.positive_roots if a != (1, 1, 0)))
+        monkeypatch.setattr(canstrip.root_system, "build_root_system", lambda t: broken)
+        mark.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError, match="A3/P2: the sum of positive-level roots is not "
+                                                       "proportional to omega_0"):
+                mark(rs, 2)
+        finally:
+            mark.cache_clear()
 
     def test_formulas_agree_everywhere(self):
-        for t in all_simple_types(6):
+        """The integer quotient 2 rho_X[i] det / w[i] against the Remark's
+        (2 rho, omega_0) / (omega_0, omega_0) over Fraction, and the integer
+        symmetrizer against the Fraction spread, on every mark of rank <= 10."""
+        count = 0
+        for t in all_simple_types(10):
             rs = build_root_system(t)
+            assert rs.d_num == fraction_symmetrizer(rs.cartan), t.name
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
-                a, b = index_formulas(ms)
-                assert a == b == ms.index
+                assert ms.index == fraction_index(rs.cartan, rs.positive_roots, node - 1), ms.description
+                count += 1
+        assert count == 237
+
+    def test_marking_builds_no_fraction(self, monkeypatch):
+        """Every mark of rank <= 10, from cleared caches, with `Fraction` a
+        stub that raises: the success path runs on integers only."""
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} built while marking")
+
+        build_root_system.cache_clear()
+        mark.cache_clear()
+        monkeypatch.setattr(canstrip.root_system, "Fraction", no_fraction)
+        try:
+            for t in all_simple_types(10):
+                rs = build_root_system(t)
+                for node in range(1, t.rank + 1):
+                    assert isinstance(mark(rs, node), MarkedSystem)
+        finally:
+            build_root_system.cache_clear()
+            mark.cache_clear()
 
 
 class TestCominuscule:
@@ -302,7 +338,7 @@ class TestCominuscule:
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
-                if ms.lmax == 1:
+                if max(ms.levels) == 1:
                     seen += 1
                     assert ms.dim == omega0(ms)[node - 1] * ms.index, ms.description
         assert seen > 20
@@ -314,11 +350,11 @@ class TestCominuscule:
             rs = build_root_system(t)
             for node in range(1, t.rank + 1):
                 ms = mark(rs, node)
-                if ms.lmax != 1:
+                if max(ms.levels) != 1:
                     continue
                 assert ms.index == 1 + rho(ms, rs.highest_root)
                 if set(ms.d_num) == {ms.d_den}:  # every d_j is 1
-                    assert ms.index == ms.coxeter_number, ms.description
+                    assert ms.index == sum(rs.highest_root) + 1, ms.description
 
 
 class TestIntegerMarking:
@@ -333,6 +369,12 @@ class TestIntegerMarking:
                 for j in range(t.rank):
                     entry = sum(rs.cartan[i][k] * adj[k][j] for k in range(t.rank))
                     assert entry == (det if i == j else 0), t.name
+
+    def test_adjugate_check_refuses_an_inexact_elimination(self):
+        # a non-integer entry makes a floor division of the elimination inexact
+        rs = RootSystem(SimpleType("A", 2), ((2, -1), (-1, Fraction(1, 3))), (1, 1), ())
+        with pytest.raises(ConsistencyError, match="A2: C adj C is not det C I"):
+            rs.cartan_inverse
 
     def test_every_mark_against_the_fraction_oracles(self):
         """d, omega_0, (omega_0, omega_0), the index, the level order, the
