@@ -6,10 +6,9 @@ so pairing a root (as a coefficient vector) against the i-th simple coroot is
 row i of C times the vector.  Marking a node rescales the invariant pairing
 so the marked simple root has squared length 2.  The pairing runs on integers:
 the symmetrizer is kept as coprime integers, rescaled by a marking's one
-denominator, and the inverse Cartan matrix as adj C over det C.
-The root closure carries each root's coroot pairings (C a) along, and each
-`RootSystem` keeps the integer rho-numerators of its positive roots, which
-every marking of it shares.
+denominator.  The root closure carries each root's coroot pairings (C a)
+along, and each `RootSystem` keeps the integer rho-numerators of its positive
+roots, which every marking of it shares.
 """
 
 from __future__ import annotations
@@ -124,36 +123,30 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
-    """Closure over root strings, breadth-first by height.
+    """Closure of the simple roots under the simple reflections that raise them.
 
-    Each root is stored with its coroot pairings C a, which move by column i
-    of C when a_i is added, so no pairing is summed from scratch.
+    Each root is stored with its coroot pairings C a.  When m = <a, a_i^vee>
+    is negative, s_i(a) = a - m a_i is a higher positive root with pairings
+    C a - m (column i of C).  Every positive root is reached: a non-simple
+    one pairs positively with some a_i^vee, and s_i lowers it to a positive
+    root that s_i raises back.
     """
     n = len(cartan)
     columns = list(zip(*cartan))
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     pairings: dict[Root, tuple[int, ...]] = dict(zip(simple, columns))
-    layer = simple
-    while layer:
-        nxt = []
-        for a in layer:
-            pairing = pairings[a]
-            for i in range(n):
-                down = list(a)
-                p = 0
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in pairings:
-                        break
-                    p += 1
-                if p - pairing[i] > 0:
-                    up = list(a)
-                    up[i] += 1
-                    c = tuple(up)
-                    if c not in pairings:
-                        pairings[c] = tuple([u + v for u, v in zip(pairing, columns[i])])
-                        nxt.append(c)
-        layer = nxt
+    todo = simple
+    while todo:
+        a = todo.pop()
+        pairing = pairings[a]
+        for i, m in enumerate(pairing):
+            if m < 0:
+                up = list(a)
+                up[i] -= m
+                b = tuple(up)
+                if b not in pairings:
+                    pairings[b] = tuple([u - m * v for u, v in zip(pairing, columns[i])])
+                    todo.append(b)
     return tuple(sorted(pairings, key=lambda r: (sum(r), r)))
 
 
@@ -175,30 +168,6 @@ class RootSystem(Record):
         (rho, a) of every marking over that mark's one denominator."""
         d = self.d_num
         return tuple(sum([c * v for c, v in zip(a, d)]) for a in self.positive_roots)
-
-    @cached_property
-    def cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(det C, adj C) with C^-1 = adj / det, by fraction-free Gauss-Jordan on
-        [C | I]: every division is exact, and no pivot is zero because the
-        leading principal minors of a finite-type Cartan matrix are positive.
-        C adj C = det C I is checked once, for every column."""
-        n = self.rank
-        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.cartan)]
-        prev = 1
-        for col in range(n):
-            pivot = aug[col]
-            p = pivot[col]
-            for r in range(n):
-                if r != col:
-                    f = aug[r][col]
-                    aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], pivot)]
-            prev = p
-        adj = tuple(tuple(row[n:]) for row in aug)
-        entries = [[(k, c) for k, c in enumerate(row) if c] for row in self.cartan]  # C is sparse
-        if any(sum([c * adj[k][j] for k, c in row]) != (prev if i == j else 0)
-               for i, row in enumerate(entries) for j in range(n)):
-            raise ConsistencyError(f"{self.simple_type.name}: C adj C is not det C I")
-        return prev, adj
 
     @property
     def highest_root(self) -> Root:
@@ -262,19 +231,17 @@ def _mark_type(t: SimpleType, node: int) -> MarkedSystem:
     if sorted(levels) != list(range(1, rs.highest_root[i] + 1)):
         raise ConsistencyError("empty level in the grading")
 
-    # 2 rho_X, the sum of the roots at positive level, is iota * omega_0 with
-    # det * omega_0 = w; its marked coordinate sums a_i over every positive root,
-    # so the index (2 rho, omega_0) / (omega_0, omega_0) is this one quotient
-    det, adj = rs.cartan_inverse
-    w = [row[i] for row in adj]
+    # 2 rho_X, the sum of the roots at positive level, is iota * omega_0, and
+    # <omega_0, a_j^vee> = delta_ij: so p = C 2 rho_X vanishes off the marked
+    # node, and its marked entry is the index
     two_rho_x = [sum(col) for col in zip(*(a for v in levels.values() for _, a in v))]
-    if any(two_rho_x[j] * w[i] != two_rho_x[i] * w[j] for j in range(n)):
+    p = [sum([c * x for c, x in zip(row, two_rho_x)]) for row in rs.cartan]
+    index = p[i]
+    if any(p[:i] + p[i + 1:]):
         raise ConsistencyError(f"{t.name}/P{node}: the sum of positive-level roots is not "
                                "proportional to omega_0")
-    index, rest = divmod(two_rho_x[i] * det, w[i])
-    if rest or index <= 0:
-        raise ConsistencyError(f"{t.name}/P{node}: the index {two_rho_x[i] * det}/{w[i]} "
-                               "is not a positive integer")
+    if index <= 0:
+        raise ConsistencyError(f"{t.name}/P{node}: the index {index} is not positive")
 
     for v in levels.values():
         v.sort()

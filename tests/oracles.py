@@ -225,6 +225,40 @@ def reflection_closure(cartan):
     return sorted(positive, key=lambda a: (sum(a), a))
 
 
+def string_closure(cartan):
+    """Closure over root strings, breadth-first by height.
+
+    Each root is stored with its coroot pairings C a, which move by column i
+    of C when a_i is added, so no pairing is summed from scratch.
+    """
+    n = len(cartan)
+    columns = list(zip(*cartan))
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    pairings = dict(zip(simple, columns))
+    layer = simple
+    while layer:
+        nxt = []
+        for a in layer:
+            pairing = pairings[a]
+            for i in range(n):
+                down = list(a)
+                p = 0
+                while True:
+                    down[i] -= 1
+                    if down[i] < 0 or tuple(down) not in pairings:
+                        break
+                    p += 1
+                if p - pairing[i] > 0:
+                    up = list(a)
+                    up[i] += 1
+                    c = tuple(up)
+                    if c not in pairings:
+                        pairings[c] = tuple([u + v for u, v in zip(pairing, columns[i])])
+                        nxt.append(c)
+        layer = nxt
+    return sorted(pairings, key=lambda r: (sum(r), r))
+
+
 def fraction_rho_pair(d, root):
     """(rho, a) = sum of c_j d_j, one Fraction product per coordinate."""
     total = Fraction(0)

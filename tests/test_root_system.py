@@ -26,6 +26,7 @@ from oracles import (
     fraction_rho_pair,
     fraction_symmetrizer,
     reflection_closure,
+    string_closure,
 )
 
 
@@ -38,12 +39,8 @@ def rho(ms, a):
 
 
 def omega0(ms):
-    """omega_0 over the simple roots by the Fraction oracle, checked against
-    the marked column of the pipeline's adj C / det C."""
-    det, adj = ms.rs.cartan_inverse
-    column = fraction_inverse_column(ms.rs.cartan, ms.node - 1)
-    assert column == [Fraction(row[ms.node - 1], det) for row in adj]
-    return column
+    """omega_0 over the simple roots, by the Fraction oracle."""
+    return fraction_inverse_column(ms.rs.cartan, ms.node - 1)
 
 
 # closure-generated G2 roots against the textbook table
@@ -52,12 +49,16 @@ G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
 class TestGeneration:
     def test_closure_is_the_weyl_orbit_of_the_simple_roots(self):
-        """Every type up to rank 10: the string closure gives the reflection
-        orbit in the stored (height, lex) order, and each cached rho numerator,
-        over a mark's denominator, is (rho, a) for that mark."""
-        for t in all_simple_types(10):
+        """Every type up to rank 10, and A20, B20, C20 and D20: the raising
+        closure gives the root-string closure and the reflection orbit, in the
+        stored (height, lex) order; and up to rank 10 each cached rho
+        numerator, over a mark's denominator, is (rho, a) for that mark."""
+        for t in all_simple_types(10) + [SimpleType(s, 20) for s in "ABCD"]:
             rs = build_root_system(t)
+            assert list(rs.positive_roots) == string_closure(rs.cartan), t.name
             assert list(rs.positive_roots) == reflection_closure(rs.cartan), t.name
+            if t.rank > 10:
+                continue
             for i in range(t.rank):
                 d = fraction_marked_lengths(rs.cartan, i)
                 den = mark(rs, i + 1).d_den
@@ -298,8 +299,21 @@ class TestIndex:
         finally:
             mark.cache_clear()
 
+    def test_non_positive_index_rejected(self, monkeypatch):
+        # A1 with its Cartan entry negated: the one level sums to omega_0's
+        # multiple -2, which no G/P has as its index
+        rs = build_root_system(SimpleType("A", 1))
+        broken = RootSystem(rs.simple_type, ((-2,),), rs.d_num, rs.positive_roots)
+        monkeypatch.setattr(canstrip.root_system, "build_root_system", lambda t: broken)
+        mark.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError, match="A1/P1: the index -2 is not positive"):
+                mark(rs, 1)
+        finally:
+            mark.cache_clear()
+
     def test_formulas_agree_everywhere(self):
-        """The integer quotient 2 rho_X[i] det / w[i] against the Remark's
+        """The marked entry of C 2 rho_X against the Remark's
         (2 rho, omega_0) / (omega_0, omega_0) over Fraction, and the integer
         symmetrizer against the Fraction spread, on every mark of rank <= 10."""
         count = 0
@@ -358,24 +372,6 @@ class TestCominuscule:
 
 
 class TestIntegerMarking:
-    def test_cartan_inverse_is_adjugate_over_determinant(self):
-        for t in all_simple_types(10):
-            rs = build_root_system(t)
-            det, adj = rs.cartan_inverse
-            e = {6: 3, 7: 2, 8: 1}.get(t.rank)
-            want = {"A": t.rank + 1, "B": 2, "C": 2, "D": 4, "E": e, "F": 1, "G": 1}[t.series]
-            assert det == want, t.name
-            for i in range(t.rank):
-                for j in range(t.rank):
-                    entry = sum(rs.cartan[i][k] * adj[k][j] for k in range(t.rank))
-                    assert entry == (det if i == j else 0), t.name
-
-    def test_adjugate_check_refuses_an_inexact_elimination(self):
-        # a non-integer entry makes a floor division of the elimination inexact
-        rs = RootSystem(SimpleType("A", 2), ((2, -1), (-1, Fraction(1, 3))), (1, 1), ())
-        with pytest.raises(ConsistencyError, match="A2: C adj C is not det C I"):
-            rs.cartan_inverse
-
     def test_every_mark_against_the_fraction_oracles(self):
         """d, omega_0, (omega_0, omega_0), the index, the level order, the
         pairings and the G/P level tables of every mark of rank <= 8,
