@@ -29,12 +29,12 @@ class ConsistencyError(RuntimeError):
 
 
 class Record:
-    """The frozen base of the records a `NamedTuple` cannot hold: `_fill` sets
-    the fields once, then assignment raises AttributeError.  Records of one
-    class compare, hash and print by `_fields`, in constructor order, so
-    `type(r)(*r._values()) == r` for all but `RatPoly`, which is built from
-    its coefficients.  A record that holds a dict has no hash: `LevelTable`,
-    and `HilbertData` through its tables."""
+    """The frozen base of the records a `NamedTuple` cannot hold, each with
+    `__slots__`: `_fill` sets the fields once, then assignment raises
+    AttributeError.  Records of one class compare, hash and print by
+    `_fields`, in constructor order, so `type(r)(*r._values()) == r` for all
+    but `RatPoly`, built from its coefficients; other slots are derived or
+    caches.  A dict field leaves no hash: `LevelTable`, and `HilbertData`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -61,8 +61,8 @@ class Record:
 
     __delattr__ = __setattr__
 
-    def __setstate__(self, state) -> None:  # copy and pickle refill the fields here
-        for name, value in (state[1] if isinstance(state, tuple) else state).items():
+    def __setstate__(self, state) -> None:  # copy and pickle refill the slots here
+        for name, value in state[1].items():  # (None, {slot: value}): there is no __dict__
             _set(self, name, value)
 
 

@@ -14,11 +14,11 @@ roots, which every marking of it shares.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .ratpoly import ConsistencyError, Record
+from .ratpoly import ConsistencyError, Record, _set
 
 Root = tuple[int, ...]
 
@@ -30,19 +30,19 @@ def _chain(nodes) -> list[tuple[int, int, int, int]]:
 
 class _Series(NamedTuple):
     lo: int  # smallest rank
-    hi: int | None  # largest rank, None for a classical series
+    hi: int  # largest rank; 128 for a classical series, whose closure grows as n^3
     count: Callable[[int], int]  # number of positive roots at rank n
     bonds: Callable[[int], list[tuple[int, int, int, int]]]  # (i, j, C_ij, C_ji) at rank n
 
 
 # the Cartan-Killing classification: one row per series, Bourbaki numbering
 _SERIES = {
-    "A": _Series(1, None, lambda n: n * (n + 1) // 2, lambda n: _chain(range(1, n + 1))),
-    "B": _Series(2, None, lambda n: n * n,
+    "A": _Series(1, 128, lambda n: n * (n + 1) // 2, lambda n: _chain(range(1, n + 1))),
+    "B": _Series(2, 128, lambda n: n * n,
                  lambda n: _chain(range(1, n)) + [(n - 1, n, -1, -2)]),  # a_n short
-    "C": _Series(3, None, lambda n: n * n,
+    "C": _Series(3, 128, lambda n: n * n,
                  lambda n: _chain(range(1, n)) + [(n - 1, n, -2, -1)]),  # a_n long
-    "D": _Series(4, None, lambda n: n * (n - 1),
+    "D": _Series(4, 128, lambda n: n * (n - 1),
                  lambda n: _chain(range(1, n)) + [(n - 2, n, -1, -1)]),
     "E": _Series(6, 8, lambda n: {6: 36, 7: 63, 8: 120}[n],
                  lambda n: _chain((1, 3, 4, 5, 6, 7, 8)[: n - 1]) + [(2, 4, -1, -1)]),
@@ -76,8 +76,8 @@ def _check_series_rank(series: str, rank: int) -> None:
     if series not in _SERIES:
         raise ValueError(f"unknown series {series!r}")
     lo, hi, *_ = _SERIES[series]
-    if not lo <= rank <= (rank if hi is None else hi):
-        allowed = f">= {lo}" if hi is None else f"{lo}" if lo == hi else f"{lo} to {hi}"
+    if not lo <= rank <= hi:
+        allowed = f"{lo}" if lo == hi else f"{lo} to {hi}"
         alias = [f" ({s}{r} is read as {t}{n})" for (s, r), (t, n, _) in _ALIASES.items() if s == series]
         raise ValueError(f"invalid type {series}{rank}: rank must be {allowed}{''.join(alias)}")
 
@@ -151,23 +151,19 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root,
 
 
 class RootSystem(Record):
-    # no __slots__: the cached properties live in the instance __dict__
     _fields = ("simple_type", "cartan", "d_num", "positive_roots")
+    # and rho_numerators, derived from them: sum c_i * d_num_i for each positive
+    # root, in stored order, the (rho, a) of every marking over its one denominator
+    __slots__ = (*_fields, "rho_numerators")
 
     def __init__(self, simple_type: SimpleType, cartan: tuple[tuple[int, ...], ...],
                  d_num: tuple[int, ...], positive_roots: tuple[Root, ...]) -> None:
         self._fill(simple_type, cartan, d_num, positive_roots)  # d_num: the coprime symmetrizer
+        _set(self, "rho_numerators", tuple(sum([c * v for c, v in zip(a, d_num)]) for a in positive_roots))
 
     @property
     def rank(self) -> int:
         return self.simple_type.rank
-
-    @cached_property
-    def rho_numerators(self) -> tuple[int, ...]:
-        """sum of c_i * d_num_i for each positive root, in stored order: the
-        (rho, a) of every marking over that mark's one denominator."""
-        d = self.d_num
-        return tuple(sum([c * v for c, v in zip(a, d)]) for a in self.positive_roots)
 
     @property
     def highest_root(self) -> Root:
@@ -290,4 +286,4 @@ def all_simple_types(max_rank: int) -> list[SimpleType]:
     """Every canonical simple type with rank <= max_rank, in a fixed order:
     series by series as the table lists them, each rank its row allows."""
     return [SimpleType(series, r) for series, (lo, hi, *_) in _SERIES.items()
-            for r in range(lo, min(max_rank, hi or max_rank) + 1)]
+            for r in range(lo, min(max_rank, hi) + 1)]

@@ -92,11 +92,17 @@ class AbelianSpec(Record):
 
     `numbers` maps each exponent tuple (l_1, ..., l_c) with sum n + c to the
     intersection number L_1^{l_1} ... L_c^{l_c}; missing tuples count as 0.
+    n, c, every tuple entry and every number are `int`s (not `bool`s, not
+    floats), or a `ValueError` names the field.
     """
 
     __slots__ = _fields = ("n", "c", "numbers")
 
     def __init__(self, n: int, c: int, numbers: tuple[tuple[tuple[int, ...], int], ...]) -> None:
+        for name, value in (("n", n), ("c", c), *(("tuple entry", e) for tup, _ in numbers for e in tup),
+                            *(("intersection number", v) for _, v in numbers)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if n < 1 or c < 1:
             raise ValueError("need n >= 1 and c >= 1")
         seen = set()
@@ -105,7 +111,7 @@ class AbelianSpec(Record):
                 raise ValueError(f"tuple {tup} does not have c = {c} entries")
             if any(e < 0 for e in tup) or sum(tup) != n + c:
                 raise ValueError(f"tuple {tup} must have non-negative sum n+c = {n + c}")
-            if not isinstance(value, int) or value <= 0:
+            if value <= 0:
                 raise ValueError(f"intersection number for {tup} must be a positive integer")
             if tup in seen:
                 raise ValueError(f"duplicate tuple {tup}")
@@ -113,25 +119,12 @@ class AbelianSpec(Record):
         self._fill(n, c, numbers)
 
 
-def _json_int(value, what: str) -> int:
-    """An integer from parsed JSON; floats, strings and booleans are refused
-    rather than truncated or coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def abelian_spec_from_json(obj: dict) -> AbelianSpec:
-    """Parse {"n": int, "c": int, "numbers": [{"tuple": [...], "value": v}]}."""
+    """Parse {"n": int, "c": int, "numbers": [{"tuple": [...], "value": v}]}.
+    Only a missing key or a wrong shape is malformed; `AbelianSpec` checks values."""
     try:
-        numbers = tuple(
-            (
-                tuple(_json_int(e, "tuple entry") for e in item["tuple"]),
-                _json_int(item["value"], "intersection number"),
-            )
-            for item in obj["numbers"]
-        )
-        return AbelianSpec(_json_int(obj["n"], "n"), _json_int(obj["c"], "c"), numbers)
+        numbers = tuple((tuple(item["tuple"]), item["value"]) for item in obj["numbers"])
+        return AbelianSpec(obj["n"], obj["c"], numbers)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed abelian spec: {exc}") from exc
 

@@ -581,9 +581,9 @@ def test_digits_below_one_are_refused_before_any_work(capsys, tmp_path, name, fm
 @pytest.mark.parametrize("argv, message", [
     (("gp", "--type", "E9", "--node", "1"), "invalid type E9: rank must be 6 to 8"),
     (("gp", "--type", "F5", "--node", "1"), "invalid type F5: rank must be 4"),
-    (("gp", "--type", "B1", "--node", "1"), "invalid type B1: rank must be >= 2"),
-    (("gp", "--type", "C1", "--node", "1"), "invalid type C1: rank must be >= 3 (C2 is read as B2)"),
-    (("gp", "--type", "D2", "--node", "1"), "invalid type D2: rank must be >= 4 (D3 is read as A3)"),
+    (("gp", "--type", "B1", "--node", "1"), "invalid type B1: rank must be 2 to 128"),
+    (("gp", "--type", "C1", "--node", "1"), "invalid type C1: rank must be 3 to 128 (C2 is read as B2)"),
+    (("gp", "--type", "D2", "--node", "1"), "invalid type D2: rank must be 4 to 128 (D3 is read as A3)"),
     (("ci", "--type", "A2", "--node", "1", "--degrees", "0"), "degrees must be positive"),
     (("ci", "--type", "A2", "--node", "1", "--degrees", "1,,2"), "bad degree list '1,,2'"),
     (("ci", "--type", "A2", "--node", "1", "--degrees", "2,"), "bad degree list '2,'"),

@@ -67,6 +67,24 @@ def test_no_module_imports_dataclasses(path):
     assert not {m for m in modules if m and m.split(".")[0] == "dataclasses"}, path.name
 
 
+def test_every_record_is_slotted():
+    """Each `Record` subclass declares `__slots__`, so no record has an
+    instance `__dict__` and copies carry one state form; and no module imports
+    `cached_property`, which needs that `__dict__`."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    records = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", None) == "Record" for base in node.bases)]
+    assert len(records) >= 6
+    for name, node in records:
+        assigned = [t.id for stmt in node.body if isinstance(stmt, ast.Assign)
+                    for t in ast.walk(stmt) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+        assert "__slots__" in assigned, f"{name}: {node.name} has no __slots__"
+    imported = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and any(a.name == "cached_property" for a in node.names)]
+    assert not imported, f"cached_property imported at {imported}"
+
+
 def test_no_check_is_a_bare_assert():
     """`python -O` strips `assert` statements, so every check in the package
     raises an exception instead (`ConsistencyError` for a failed identity)."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import canstrip.root_system
+from canstrip.cli import main
 from canstrip.hilbert import hilbert_gp
 from canstrip.ratpoly import ConsistencyError
 from canstrip.root_system import (
@@ -123,17 +124,37 @@ class TestGeneration:
 
     def test_invalid_types(self):
         # each message names the ranks its series allows, and C1 and D2 the
-        # alias below that range
-        for series, rank, allowed in [("B", 1, ">= 2"), ("C", 1, ">= 3 (C2 is read as B2)"),
-                                      ("D", 2, ">= 4 (D3 is read as A3)"),
+        # alias below that range; every classical series stops at rank 128
+        for series, rank, allowed in [("B", 1, "2 to 128"), ("C", 1, "3 to 128 (C2 is read as B2)"),
+                                      ("D", 2, "4 to 128 (D3 is read as A3)"),
                                       ("E", 5, "6 to 8"), ("E", 9, "6 to 8"), ("F", 3, "4"),
-                                      ("F", 5, "4"), ("G", 3, "2"), ("A", 0, ">= 1")]:
+                                      ("F", 5, "4"), ("G", 3, "2"), ("A", 0, "1 to 128"),
+                                      ("A", 129, "1 to 128"), ("B", 129, "2 to 128"),
+                                      ("C", 129, "3 to 128 (C2 is read as B2)"),
+                                      ("D", 129, "4 to 128 (D3 is read as A3)")]:
             message = f"invalid type {series}{rank}: rank must be {allowed}"
             with pytest.raises(ValueError) as exc:
                 SimpleType(*canonicalize(series, rank)[:2])
             assert str(exc.value) == message
         with pytest.raises(ValueError, match="unknown series 'H'"):
             SimpleType(*canonicalize("H", 2)[:2])
+        for series in "ABCD":
+            assert SimpleType(series, 128).name == f"{series}128"
+
+    def test_a_huge_rank_is_refused_before_any_matrix(self, monkeypatch, capsys):
+        # at rank 30000 the Cartan matrix alone would take gigabytes: the
+        # type is refused first, in the library and by every G/P command
+        def no_matrix(t):
+            raise AssertionError(f"built the Cartan matrix of {t.name}")
+
+        monkeypatch.setattr(canstrip.root_system, "_cartan_matrix", no_matrix)
+        message = "invalid type A30000: rank must be 1 to 128"
+        with pytest.raises(ValueError) as exc:
+            marked("A", 30000, 1)
+        assert str(exc.value) == message
+        for command in (("gp",), ("ci", "--degrees", "1"), ("cover", "--degree", "1")):
+            code = main([command[0], "--type", "A30000", "--node", "1", *command[1:]])
+            assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
 
 
 class TestAliases:

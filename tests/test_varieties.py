@@ -361,6 +361,14 @@ class TestAbelian:
             AbelianSpec(1, 1, (((2,), 2), ((2,), 3)))  # duplicate tuple
         with pytest.raises(ValueError):
             AbelianSpec(2, 2, (((4,), 2),))  # tuple length != c
+        # every field is an int, not a bool or a float that would be coerced
+        for args, message in [((True, 1, (((2,), 2),)), "n must be an integer, got True"),
+                              ((1.0, 1, (((2,), 2),)), "n must be an integer, got 1.0"),
+                              ((1, 1, (((2,), True),)), "intersection number must be an integer, got True"),
+                              ((1, 1, (((2.0,), 2),)), "tuple entry must be an integer, got 2.0")]:
+            with pytest.raises(ValueError) as exc:
+                AbelianSpec(*args)
+            assert str(exc.value) == message
 
     def test_json_parsing(self):
         spec = abelian_spec_from_json(
